@@ -82,6 +82,41 @@ AgentSet FailurePattern::dropped_receive(int m, AgentId to) const {
   return recv_drops_[static_cast<std::size_t>(m)][static_cast<std::size_t>(to)];
 }
 
+void FailurePattern::filter_broadcast(int m, AgentSet senders,
+                                      std::span<AgentSet> received,
+                                      std::span<AgentSet> delivered) const {
+  const auto un = static_cast<std::size_t>(n_);
+  EBA_REQUIRE(received.size() == un && delivered.size() == un,
+              "broadcast filter needs one set per agent");
+  EBA_REQUIRE(senders.subset_of(AgentSet::all(n_)), "sender out of range");
+  const AgentSet everyone = AgentSet::all(n_);
+  for (AgentId i = 0; i < n_; ++i) {
+    const AgentSet self(std::uint64_t{1} << i);
+    received[static_cast<std::size_t>(i)] = senders;
+    delivered[static_cast<std::size_t>(i)] =
+        senders.contains(i) ? everyone.minus(self) : AgentSet{};
+  }
+  // Neither plane ever holds a self edge (drop/drop_receive and the pattern
+  // decoder reject one), so removing dropped edges keeps self-delivery.
+  if (m >= 0 && m < static_cast<int>(drops_.size())) {
+    const auto& plane = drops_[static_cast<std::size_t>(m)];
+    for (AgentId from : senders)
+      for (AgentId to : plane[static_cast<std::size_t>(from)]) {
+        received[static_cast<std::size_t>(to)].erase(from);
+        delivered[static_cast<std::size_t>(from)].erase(to);
+      }
+  }
+  if (m >= 0 && m < static_cast<int>(recv_drops_.size())) {
+    const auto& plane = recv_drops_[static_cast<std::size_t>(m)];
+    for (AgentId to = 0; to < n_; ++to)
+      for (AgentId from :
+           plane[static_cast<std::size_t>(to)].intersected(senders)) {
+        received[static_cast<std::size_t>(to)].erase(from);
+        delivered[static_cast<std::size_t>(from)].erase(to);
+      }
+  }
+}
+
 bool FailurePattern::has_receive_drops() const {
   for (const auto& round : recv_drops_)
     for (const AgentSet& row : round)

@@ -24,6 +24,7 @@
 // t+2.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -78,6 +79,19 @@ class FailurePattern {
   /// Senders (other than `to` itself) whose round-(m+1) message to `to` is
   /// dropped on the receive side.
   [[nodiscard]] AgentSet dropped_receive(int m, AgentId to) const;
+
+  /// delivered() over whole masks for one round of broadcasts, in which
+  /// every agent in `senders` addresses every agent. Fills, for all n
+  /// agents:
+  ///   received[to]    = {from ∈ senders : delivered(m, from, to)} — a
+  ///                     sender always receives itself;
+  ///   delivered[from] = {to ≠ from : delivered(m, from, to)} for
+  ///                     from ∈ senders, empty otherwise.
+  /// Costs O(n + drops recorded at m) instead of n² delivered() calls. The
+  /// bus (net/bus.hpp) and the stepper (sim/stepper.hpp) both filter
+  /// broadcasts through it.
+  void filter_broadcast(int m, AgentSet senders, std::span<AgentSet> received,
+                        std::span<AgentSet> delivered) const;
 
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] AgentSet nonfaulty() const { return nonfaulty_; }

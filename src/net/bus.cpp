@@ -49,27 +49,31 @@ BusPool::RoundResult BusPool::exchange_round(
   const int n = alpha.n();
   EBA_REQUIRE(static_cast<int>(outbox.size()) == n, "outbox size mismatch");
 
+  const auto un = static_cast<std::size_t>(n);
   RoundResult res;
   res.round = slot.round;
-  res.inbox.assign(
-      static_cast<std::size_t>(n),
-      std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n)));
-  res.sent.assign(static_cast<std::size_t>(n), AgentSet{});
-  res.delivered.assign(static_cast<std::size_t>(n), AgentSet{});
+  res.sent.assign(un, AgentSet{});
+  res.received_.resize(un);
+  res.delivered.resize(un);
+  AgentSet senders;
   for (AgentId from = 0; from < n; ++from) {
-    const auto& payload = outbox[static_cast<std::size_t>(from)];
-    if (!payload) continue;
+    if (!outbox[static_cast<std::size_t>(from)]) continue;
+    senders.insert(from);
     res.sent[static_cast<std::size_t>(from)] =
         AgentSet::all(n).minus(AgentSet{from});
-    for (AgentId to = 0; to < n; ++to) {
-      if (!alpha.delivered(slot.round, from, to)) continue;
-      res.inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-          *payload;
-      if (to != from) res.delivered[static_cast<std::size_t>(from)].insert(to);
-    }
   }
+  alpha.filter_broadcast(slot.round, senders, res.received_, res.delivered);
+  res.payloads_ = std::move(outbox);
+  bind_inbox(res, n, /*per_destination=*/false);
   slot.round += 1;
   return res;
+}
+
+void BusPool::bind_inbox(RoundResult& res, int n, bool per_destination) {
+  res.inbox.payloads_ = res.payloads_.data();
+  res.inbox.received_ = res.received_.data();
+  res.inbox.n_ = static_cast<std::size_t>(n);
+  res.inbox.per_destination_ = per_destination;
 }
 
 BusPool::RoundResult BusPool::exchange_round(
@@ -83,26 +87,28 @@ BusPool::RoundResult BusPool::exchange_round(
   const int n = alpha.n();
   EBA_REQUIRE(static_cast<int>(outbox.size()) == n, "outbox size mismatch");
 
+  const auto un = static_cast<std::size_t>(n);
   RoundResult res;
   res.round = slot.round;
-  res.inbox.assign(
-      static_cast<std::size_t>(n),
-      std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n)));
-  res.sent.assign(static_cast<std::size_t>(n), AgentSet{});
-  res.delivered.assign(static_cast<std::size_t>(n), AgentSet{});
+  res.payloads_.resize(un * un);
+  res.received_.assign(un, AgentSet{});
+  res.sent.assign(un, AgentSet{});
+  res.delivered.assign(un, AgentSet{});
   for (AgentId from = 0; from < n; ++from) {
     auto& row = outbox[static_cast<std::size_t>(from)];
     EBA_REQUIRE(static_cast<int>(row.size()) == n, "outbox row size mismatch");
     for (AgentId to = 0; to < n; ++to) {
       auto& payload = row[static_cast<std::size_t>(to)];
       if (!payload) continue;
+      res.payloads_[static_cast<std::size_t>(from) * un +
+                    static_cast<std::size_t>(to)] = std::move(payload);
       if (to != from) res.sent[static_cast<std::size_t>(from)].insert(to);
       if (!alpha.delivered(slot.round, from, to)) continue;
-      res.inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-          std::move(*payload);
+      res.received_[static_cast<std::size_t>(to)].insert(from);
       if (to != from) res.delivered[static_cast<std::size_t>(from)].insert(to);
     }
   }
+  bind_inbox(res, n, /*per_destination=*/true);
   slot.round += 1;
   return res;
 }
@@ -146,25 +152,27 @@ RoundBus::RoundResult RoundBus::exchange(AgentId i,
     bool all = true;
     for (char d : decided_) all = all && d != 0;
 
-    std::vector<AgentSet> sent(static_cast<std::size_t>(n_));
-    std::vector<AgentSet> delivered(static_cast<std::size_t>(n_));
-    for (AgentId j = 0; j < n_; ++j) {
-      auto& res = results_[static_cast<std::size_t>(j)];
-      res.round = round_;
-      res.all_decided = all;
-      res.inbox.assign(static_cast<std::size_t>(n_), std::nullopt);
-    }
+    const auto un = static_cast<std::size_t>(n_);
+    std::vector<AgentSet> sent(un);
+    std::vector<AgentSet> received(un);
+    std::vector<AgentSet> delivered(un);
+    AgentSet senders;
     for (AgentId from = 0; from < n_; ++from) {
-      const auto& payload = outbox_[static_cast<std::size_t>(from)];
-      if (!payload) continue;
+      if (!outbox_[static_cast<std::size_t>(from)]) continue;
+      senders.insert(from);
       sent[static_cast<std::size_t>(from)] =
           AgentSet::all(n_).minus(AgentSet{from});
-      for (AgentId to = 0; to < n_; ++to) {
-        if (!alpha_.delivered(round_, from, to)) continue;
-        results_[static_cast<std::size_t>(to)]
-            .inbox[static_cast<std::size_t>(from)] = *payload;
-        if (to != from) delivered[static_cast<std::size_t>(from)].insert(to);
-      }
+    }
+    alpha_.filter_broadcast(round_, senders, received, delivered);
+    // Each agent thread owns its inbox, so this bus copies per receiver.
+    for (AgentId to = 0; to < n_; ++to) {
+      auto& res = results_[static_cast<std::size_t>(to)];
+      res.round = round_;
+      res.all_decided = all;
+      res.inbox.assign(un, std::nullopt);
+      for (AgentId from : received[static_cast<std::size_t>(to)])
+        res.inbox[static_cast<std::size_t>(from)] =
+            outbox_[static_cast<std::size_t>(from)];
     }
     sent_log_.push_back(std::move(sent));
     delivered_log_.push_back(std::move(delivered));

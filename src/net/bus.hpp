@@ -11,6 +11,11 @@
 //    (net/workload.hpp multiplexes thousands of instances over a fixed
 //    worker pool) drives the slot. Distinct slots may be driven
 //    concurrently; one slot must be driven by one worker at a time.
+//    A round stores each payload once — the outbox is moved into the
+//    result, one payload per broadcast sender or per addressed edge — and
+//    the adversary's verdict is a mask per receiver (`received`). Receivers
+//    read payloads through the `inbox` view, by reference: a broadcast
+//    costs O(n) allocations per round, not one payload copy per receiver.
 //  * `RoundBus` — the thread-per-agent bus kept for the legacy cluster
 //    runtime and barrier tests: each of n agent threads calls exchange()
 //    once per round, the call blocks until every agent submitted, and each
@@ -32,15 +37,76 @@ class BusPool {
  public:
   using SlotId = std::size_t;
 
-  /// One completed round as seen by the whole instance.
+  /// Read-only inbox over a RoundResult's stored payloads: inbox[to][from]
+  /// is the payload `to` received from `from` — a reference to the one
+  /// stored copy — or a shared empty optional when nothing arrived (⊥, or
+  /// the adversary dropped the edge). References stay valid while the
+  /// RoundResult that owns the payloads lives; moving the result keeps
+  /// them valid, destroying it ends them.
+  class InboxView {
+   public:
+    class Row {
+     public:
+      [[nodiscard]] const std::optional<Bytes>& operator[](
+          std::size_t from) const;
+
+     private:
+      friend class InboxView;
+      const std::optional<Bytes>* base_ = nullptr;
+      std::size_t stride_ = 0;
+      AgentSet received_;
+      std::size_t n_ = 0;
+    };
+
+    InboxView() = default;
+    // The view points into its owner's payload buffer: a copy would dangle
+    // once that owner goes, so results are move-only.
+    InboxView(const InboxView&) = delete;
+    InboxView& operator=(const InboxView&) = delete;
+    InboxView(InboxView&&) = default;
+    InboxView& operator=(InboxView&&) = default;
+
+    [[nodiscard]] Row operator[](std::size_t to) const;
+
+   private:
+    friend class BusPool;
+    const std::optional<Bytes>* payloads_ = nullptr;
+    const AgentSet* received_ = nullptr;
+    std::size_t n_ = 0;
+    bool per_destination_ = false;
+  };
+
+  /// One completed round as seen by the whole instance. Move-only: `inbox`
+  /// refers into the stored payloads and received masks, which are
+  /// read-only so nothing can reallocate them under the view (vector moves
+  /// keep their buffers, so a moved result's view stays valid).
   struct RoundResult {
     int round = 0;  ///< the round index that was just exchanged (0-based)
-    /// inbox[to][from]: payload received (self-delivery included).
-    std::vector<std::vector<std::optional<Bytes>>> inbox;
     /// sent[from]: receivers (excluding `from`) addressed by a non-⊥ payload.
     std::vector<AgentSet> sent;
     /// delivered[from]: subset of sent[from] the adversary delivered.
     std::vector<AgentSet> delivered;
+    /// inbox[to][from]: view over payloads() and received() (InboxView).
+    InboxView inbox;
+
+    /// The outbox, moved in, every payload stored once: payloads()[from]
+    /// for a broadcast round (n entries), payloads()[from * n + to] for a
+    /// per-destination round (n² entries); nullopt = ⊥. Holds payloads the
+    /// adversary dropped too — received() says which ones arrived.
+    [[nodiscard]] const std::vector<std::optional<Bytes>>& payloads() const {
+      return payloads_;
+    }
+    /// received()[to]: senders whose non-⊥ payload reached `to`, `to`
+    /// itself included whenever it sent one (self-delivery always
+    /// succeeds).
+    [[nodiscard]] const std::vector<AgentSet>& received() const {
+      return received_;
+    }
+
+   private:
+    friend class BusPool;
+    std::vector<std::optional<Bytes>> payloads_;
+    std::vector<AgentSet> received_;
   };
 
   explicit BusPool(std::size_t capacity);
@@ -58,9 +124,12 @@ class BusPool {
   [[nodiscard]] std::size_t in_use() const;
 
   /// Moves one round of broadcast payloads (outbox[i] = agent i's payload,
-  /// nullopt = ⊥) through the slot's failure pattern and returns every
-  /// agent's inbox plus the sent/delivered logs. Synchronous: the caller is
-  /// the instance's current worker and submits all n payloads at once.
+  /// nullopt = ⊥) through the slot's failure pattern and returns the stored
+  /// payloads, every receiver's `received` mask (and the inbox view over
+  /// both) plus the sent/delivered logs. No payload is copied: the filter
+  /// works on masks (FailurePattern::filter_broadcast). Synchronous: the
+  /// caller is the instance's current worker and submits all n payloads at
+  /// once.
   [[nodiscard]] RoundResult exchange_round(
       SlotId id, std::vector<std::optional<Bytes>> outbox);
 
@@ -70,7 +139,7 @@ class BusPool {
   /// filtered per (from, to) edge, and a payload addressed to self always
   /// arrives — the semantics of the stepper's per-destination µ loop
   /// (sim/stepper.hpp generic_round), which the wire path must mirror
-  /// bit-for-bit.
+  /// bit-for-bit. Each edge's payload is moved in and stored once.
   [[nodiscard]] RoundResult exchange_round(
       SlotId id, std::vector<std::vector<std::optional<Bytes>>> outbox);
 
@@ -92,10 +161,37 @@ class BusPool {
     std::optional<FailurePattern> alpha;
   };
 
+  /// Points res.inbox at res's stored payloads and received masks.
+  static void bind_inbox(RoundResult& res, int n, bool per_destination);
+
   mutable std::mutex mu_;  ///< guards acquire/release bookkeeping only
   std::vector<Slot> slots_;
   std::vector<SlotId> free_;
 };
+
+namespace detail {
+/// What an InboxView hands out for an edge that carried nothing.
+inline const std::optional<Bytes> kNoPayload;
+}  // namespace detail
+
+inline BusPool::InboxView::Row BusPool::InboxView::operator[](
+    std::size_t to) const {
+  EBA_REQUIRE(to < n_, "inbox receiver out of range");
+  Row row;
+  row.base_ = per_destination_ ? payloads_ + to : payloads_;
+  row.stride_ = per_destination_ ? n_ : 1;
+  row.received_ = received_[to];
+  row.n_ = n_;
+  return row;
+}
+
+inline const std::optional<Bytes>& BusPool::InboxView::Row::operator[](
+    std::size_t from) const {
+  EBA_REQUIRE(from < n_, "inbox sender out of range");
+  if (!received_.contains(static_cast<AgentId>(from)))
+    return detail::kNoPayload;
+  return base_[from * stride_];
+}
 
 class RoundBus {
  public:

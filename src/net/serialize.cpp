@@ -157,6 +157,16 @@ void decode_message(Reader& r, BasicMsg& m) {
   m = static_cast<BasicMsg>(b);
 }
 
+void encode_message(Writer& w, RelayMsg m) {
+  w.u8(static_cast<std::uint8_t>(m));
+}
+void decode_message(Reader& r, RelayMsg& m) {
+  const std::uint8_t b = r.u8();
+  if (b > static_cast<std::uint8_t>(RelayMsg::relay0))
+    reject(Kind::malformed, "bad RelayMsg byte");
+  m = static_cast<RelayMsg>(b);
+}
+
 void encode_message(Writer& w, const ReportMsg& m) {
   w.u8(opt_value_tag(m.fresh_decide));
   w.u8(opt_value_tag(m.decided_ever));
@@ -448,6 +458,27 @@ void decode_state(Reader& r, FipState& s) {
   // lazily with identical contents (excluded from state equality).
   s.inferred = {};
   s.knowledge = {};
+}
+
+void encode_state(Writer& w, const RelayState& s) {
+  w.u32(static_cast<std::uint32_t>(s.time));
+  w.u8(static_cast<std::uint8_t>(to_int(s.init)));
+  w.u8(opt_value_tag(s.decided));
+  w.u8(opt_value_tag(s.jd));
+  w.u8(s.knows0 ? 1 : 0);
+}
+
+void decode_state(Reader& r, RelayState& s) {
+  s.time = static_cast<int>(r.u32());
+  if (s.time < 0 || s.time > 4096) reject(Kind::malformed, "bad state time");
+  const std::uint8_t init = r.u8();
+  if (init > 1) reject(Kind::malformed, "bad state init byte");
+  s.init = value_of(init);
+  s.decided = opt_value_of(r.u8(), "decided");
+  s.jd = opt_value_of(r.u8(), "jd");
+  const std::uint8_t knows0 = r.u8();
+  if (knows0 > 1) reject(Kind::malformed, "bad knows0 byte");
+  s.knows0 = knows0 != 0;
 }
 
 namespace {

@@ -24,6 +24,7 @@
 #include "exchange/basic.hpp"
 #include "exchange/fip.hpp"
 #include "exchange/min.hpp"
+#include "exchange/relay.hpp"
 #include "exchange/report.hpp"
 #include "failure/pattern.hpp"
 #include "graph/comm_graph.hpp"
@@ -140,6 +141,10 @@ void decode_message(Reader& r, BasicMsg& m);
 void encode_message(Writer& w, const std::shared_ptr<const CommGraph>& m);
 void decode_message(Reader& r, std::shared_ptr<const CommGraph>& m);
 
+// E_relay messages (decide0 / decide1 / relay0).
+void encode_message(Writer& w, RelayMsg m);
+void decode_message(Reader& r, RelayMsg& m);
+
 // E_report messages (fault/zero report).
 void encode_message(Writer& w, const ReportMsg& m);
 void decode_message(Reader& r, ReportMsg& m);
@@ -181,6 +186,8 @@ void encode_state(Writer& w, const BasicState& s);
 void decode_state(Reader& r, BasicState& s);
 void encode_state(Writer& w, const FipState& s);
 void decode_state(Reader& r, FipState& s);
+void encode_state(Writer& w, const RelayState& s);
+void decode_state(Reader& r, RelayState& s);
 void encode_state(Writer& w, const ReportState& s);
 void decode_state(Reader& r, ReportState& s);
 void encode_state(Writer& w, const AuthState& s);

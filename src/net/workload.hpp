@@ -216,9 +216,9 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
 
   std::size_t bits = 0;
   std::size_t messages = 0;
-  BusPool::RoundResult res;
+  const auto un = static_cast<std::size_t>(n);
   if constexpr (BroadcastExchange<X>) {
-    std::vector<std::optional<Bytes>> outbox(static_cast<std::size_t>(n));
+    std::vector<std::optional<Bytes>> outbox(un);
     for (AgentId i = 0; i < n; ++i) {
       const std::optional<Message> m =
           x.message(stepper.states()[static_cast<std::size_t>(i)],
@@ -228,7 +228,16 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
       messages += static_cast<std::size_t>(n - 1);
       outbox[static_cast<std::size_t>(i)] = to_bytes(*m);
     }
-    res = pool.exchange_round(slot, std::move(outbox));
+    BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
+    // The bus stores each broadcast payload once, so each is decoded once
+    // and the stepper fans the decoded value out to the receivers in
+    // res.received() — exactly as the in-memory engine shares µ's result.
+    std::vector<std::optional<Message>> by_sender(un);
+    for (std::size_t from = 0; from < un; ++from)
+      if (const auto& payload = res.payloads()[from])
+        by_sender[from] = from_bytes<Message>(*payload);
+    stepper.finish_round(by_sender, res.received(), std::move(res.sent),
+                         std::move(res.delivered), bits, messages);
   } else {
     // Per-destination staging: µ is evaluated once per (sender, receiver)
     // edge and each edge ships its own payload, mirroring the stepper's
@@ -251,41 +260,18 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
             to_bytes(*m);
       }
     }
-    res = pool.exchange_round(slot, std::move(outbox));
+    BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
+    // Per-destination payloads are distinct by construction and decode
+    // once per delivered edge.
+    std::vector<std::vector<std::optional<Message>>> inbox(
+        un, std::vector<std::optional<Message>>(un));
+    for (std::size_t to = 0; to < un; ++to)
+      for (std::size_t from = 0; from < un; ++from)
+        if (const auto& payload = res.inbox[to][from])
+          inbox[to][from] = from_bytes<Message>(*payload);
+    stepper.finish_round(inbox, std::move(res.sent), std::move(res.delivered),
+                         bits, messages);
   }
-
-  // Every receiver's copy of a broadcast payload is bit-identical, so
-  // each sender's payload is decoded once and the decoded value shared
-  // across its receivers — exactly as the abstract simulator shares µ's
-  // result (the thread-per-agent model decoded per receiver by necessity).
-  // Per-destination payloads are distinct by construction and decode once
-  // per delivered edge.
-  std::vector<std::vector<std::optional<Message>>> inbox(
-      static_cast<std::size_t>(n),
-      std::vector<std::optional<Message>>(static_cast<std::size_t>(n)));
-  for (AgentId from = 0; from < n; ++from) {
-    if constexpr (BroadcastExchange<X>) {
-      std::optional<Message> decoded;
-      for (AgentId to = 0; to < n; ++to) {
-        const auto& payload = res.inbox[static_cast<std::size_t>(to)]
-                                       [static_cast<std::size_t>(from)];
-        if (!payload) continue;
-        if (!decoded) decoded = from_bytes<Message>(*payload);
-        inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-            *decoded;
-      }
-    } else {
-      for (AgentId to = 0; to < n; ++to) {
-        const auto& payload = res.inbox[static_cast<std::size_t>(to)]
-                                       [static_cast<std::size_t>(from)];
-        if (!payload) continue;
-        inbox[static_cast<std::size_t>(to)][static_cast<std::size_t>(from)] =
-            from_bytes<Message>(*payload);
-      }
-    }
-  }
-  stepper.finish_round(inbox, std::move(res.sent), std::move(res.delivered),
-                       bits, messages);
   return stepper.done() ? RoundOutcome::completed : RoundOutcome::in_progress;
 }
 

@@ -17,8 +17,17 @@
 //    external transports: the caller reads the round's actions and states,
 //    moves the messages through a real messaging layer (net/ serializes
 //    them as byte payloads through a bus slot), and hands back the filtered
-//    inboxes plus the sent/delivered logs. One instance = one stepper +
-//    one bus slot in the net-layer workload engine.
+//    messages plus the sent/delivered logs. One instance = one stepper +
+//    one bus slot in the net-layer workload engine. Broadcast transports
+//    hand back one message per sender and a per-receiver sender mask
+//    (sender-major overload); only per-destination transports pass an n×n
+//    inbox matrix.
+//
+// Broadcast rounds never build an n² inbox, in memory or over the wire:
+// every broadcast δ — generic_round's and the sender-major finish_round's —
+// runs through one loop (apply_broadcast) that assembles each receiver's
+// row in a reused n-slot buffer, and delivery is decided on masks by
+// FailurePattern::filter_broadcast.
 //
 // Exchanges may opt into two engine fast paths:
 //
@@ -333,8 +342,8 @@ class Stepper {
   }
 
   /// Completes a round whose messages were moved by an external transport:
-  /// applies δ with the filtered inboxes and appends the transport's
-  /// sent/delivered logs and accounting to the record.
+  /// applies δ with the filtered inboxes (inbox[to][from]) and appends the
+  /// transport's sent/delivered logs and accounting to the record.
   void finish_round(
       std::span<const std::vector<std::optional<Message>>> inbox,
       std::vector<AgentSet> sent, std::vector<AgentSet> delivered,
@@ -348,6 +357,30 @@ class Stepper {
                  actions_[static_cast<std::size_t>(i)],
                  std::span<const std::optional<Message>>(
                      inbox[static_cast<std::size_t>(i)]));
+    record_.sent.push_back(std::move(sent));
+    record_.delivered.push_back(std::move(delivered));
+    end_round();
+  }
+
+  /// Sender-major completion for broadcast exchanges: by_sender[from] is
+  /// the one message `from` broadcast (nullopt = ⊥) and received[to] the
+  /// senders whose message reached `to` (self included). Equivalent to the
+  /// matrix overload with inbox[to][from] = by_sender[from] for from ∈
+  /// received[to], but never materializes the n×n inbox — each receiver's
+  /// δ row is assembled in one reused n-slot buffer.
+  void finish_round(std::span<const std::optional<Message>> by_sender,
+                    std::span<const AgentSet> received,
+                    std::vector<AgentSet> sent, std::vector<AgentSet> delivered,
+                    std::size_t bits, std::size_t messages)
+    requires BroadcastExchange<X>
+  {
+    EBA_REQUIRE(in_round_, "finish_round without begin_round");
+    EBA_REQUIRE(static_cast<int>(by_sender.size()) == n_ &&
+                    static_cast<int>(received.size()) == n_,
+                "broadcast round size mismatch");
+    bits_sent_ += bits;
+    messages_sent_ += messages;
+    apply_broadcast(by_sender, received);
     record_.sent.push_back(std::move(sent));
     record_.delivered.push_back(std::move(delivered));
     end_round();
@@ -375,35 +408,56 @@ class Stepper {
     if (sink_) sink_->on_states(time_, states_);
   }
 
+  /// δ for a broadcast round, shared by generic_round and the sender-major
+  /// finish_round: receiver j's inbox row holds by_sender[i] for each
+  /// i ∈ received[j]. The row buffer is reused and left all-⊥ between
+  /// receivers, so a round allocates no inbox at all.
+  void apply_broadcast(std::span<const std::optional<Message>> by_sender,
+                       std::span<const AgentSet> received) {
+    row_.resize(static_cast<std::size_t>(n_));
+    for (AgentId j = 0; j < n_; ++j) {
+      const AgentSet from = received[static_cast<std::size_t>(j)];
+      for (AgentId i : from) {
+        const auto ui = static_cast<std::size_t>(i);
+        row_[ui] = by_sender[ui];
+      }
+      x_->update(states_[static_cast<std::size_t>(j)],
+                 actions_[static_cast<std::size_t>(j)],
+                 std::span<const std::optional<Message>>(row_));
+      for (AgentId i : from) row_[static_cast<std::size_t>(i)].reset();
+    }
+  }
+
   /// §3 round, messages as values: µ per sender (once for broadcast
   /// exchanges, per destination otherwise), adversary filtering, δ.
   void generic_round(const std::vector<Action>& actions) {
     const std::size_t un = static_cast<std::size_t>(n_);
     std::vector<AgentSet> sent(un);
     std::vector<AgentSet> delivered(un);
-    inbox_.assign(un, std::vector<std::optional<Message>>(un));
 
     if constexpr (BroadcastExchange<X>) {
+      by_sender_.resize(un);
+      received_.resize(un);
+      AgentSet senders;
       for (AgentId i = 0; i < n_; ++i) {
-        std::optional<Message> out = x_->message(
-            states_[static_cast<std::size_t>(i)],
-            actions[static_cast<std::size_t>(i)], /*dest=*/0);
+        auto& out = by_sender_[static_cast<std::size_t>(i)];
+        out = x_->message(states_[static_cast<std::size_t>(i)],
+                          actions[static_cast<std::size_t>(i)], /*dest=*/0);
         if (!out) continue;
         bits_sent_ +=
             static_cast<std::size_t>(n_ - 1) * x_->message_bits(*out);
         messages_sent_ += static_cast<std::size_t>(n_ - 1);
+        senders.insert(i);
         sent[static_cast<std::size_t>(i)] =
             AgentSet::all(n_).minus(AgentSet{i});
-        for (AgentId j = 0; j < n_; ++j) {
-          if (!alpha_.delivered(time_, i, j)) continue;
-          inbox_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-              *out;
-          if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
-        }
       }
+      alpha_.filter_broadcast(time_, senders, received_, delivered);
+      apply_broadcast(by_sender_, received_);
+      for (auto& out : by_sender_) out.reset();
     } else {
       // Per-destination µ: correct for exchanges that address receivers
       // individually. Self-delivery of µ(s, a, self) always succeeds.
+      inbox_.assign(un, std::vector<std::optional<Message>>(un));
       for (AgentId i = 0; i < n_; ++i) {
         for (AgentId j = 0; j < n_; ++j) {
           std::optional<Message> out = x_->message(
@@ -421,13 +475,12 @@ class Stepper {
           if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
         }
       }
+      for (AgentId i = 0; i < n_; ++i)
+        x_->update(states_[static_cast<std::size_t>(i)],
+                   actions[static_cast<std::size_t>(i)],
+                   std::span<const std::optional<Message>>(
+                       inbox_[static_cast<std::size_t>(i)]));
     }
-
-    for (AgentId i = 0; i < n_; ++i)
-      x_->update(states_[static_cast<std::size_t>(i)],
-                 actions[static_cast<std::size_t>(i)],
-                 std::span<const std::optional<Message>>(
-                     inbox_[static_cast<std::size_t>(i)]));
     record_.sent.push_back(std::move(sent));
     record_.delivered.push_back(std::move(delivered));
   }
@@ -455,12 +508,8 @@ class Stepper {
                     x_->snapshot_bits(snaps[static_cast<std::size_t>(i)]);
       messages_sent_ += static_cast<std::size_t>(n_ - 1);
       sent[static_cast<std::size_t>(i)] = AgentSet::all(n_).minus(AgentSet{i});
-      for (AgentId j = 0; j < n_; ++j) {
-        if (!alpha_.delivered(time_, i, j)) continue;
-        received[static_cast<std::size_t>(j)].insert(i);
-        if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
-      }
     }
+    alpha_.filter_broadcast(time_, AgentSet::all(n_), received, delivered);
 
     std::vector<const Snapshot*> merged;
     merged.reserve(un);
@@ -500,8 +549,13 @@ class Stepper {
   std::vector<bool> decided_;
   std::vector<State> states_;
   std::vector<Action> actions_;  ///< the in-flight round's actions
-  /// Reused across rounds to avoid an n² allocation per round.
+  /// Per-destination rounds' n×n inbox, reused across rounds.
   std::vector<std::vector<std::optional<Message>>> inbox_;
+  /// Broadcast rounds: one message per sender, each receiver's sender mask,
+  /// and the one δ row buffer (all-⊥ between receivers). Reused.
+  std::vector<std::optional<Message>> by_sender_;
+  std::vector<AgentSet> received_;
+  std::vector<std::optional<Message>> row_;
   RunRecord record_;
   std::size_t bits_sent_ = 0;
   std::size_t messages_sent_ = 0;

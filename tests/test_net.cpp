@@ -28,6 +28,17 @@ TEST(SerializeTest, BasicMsgRoundTrip) {
     EXPECT_EQ(from_bytes<BasicMsg>(to_bytes(m)), m);
 }
 
+TEST(SerializeTest, RelayMsgRoundTrip) {
+  for (RelayMsg m : {RelayMsg::decide0, RelayMsg::decide1, RelayMsg::relay0})
+    EXPECT_EQ(from_bytes<RelayMsg>(to_bytes(m)), m);
+  try {
+    (void)from_bytes<RelayMsg>(Bytes{3});
+    FAIL() << "out-of-alphabet relay byte accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.kind(), DecodeError::Kind::malformed);
+  }
+}
+
 TEST(SerializeTest, GraphRoundTrip) {
   CommGraph g(4, 2, Value::one);
   g.advance_round(2, AgentSet{0, 3});
@@ -180,6 +191,30 @@ TEST(SerializeFuzzTest, StateDecodersNeverEscape) {
         decode_state(r, s);
       },
       "fip-state");
+
+  const RelayState relay{.time = 3,
+                         .init = Value::one,
+                         .decided = Value::zero,
+                         .jd = Value::zero,
+                         .knows0 = true};
+  Writer wr;
+  encode_state(wr, relay);
+  const Bytes relay_bytes = wr.take();
+  {
+    Reader r(relay_bytes);
+    RelayState back;
+    decode_state(r, back);
+    EXPECT_EQ(back, relay) << "relay-state round-trip";
+    EXPECT_TRUE(r.exhausted());
+  }
+  fuzz_decoder(
+      relay_bytes,
+      [](const Bytes& b) {
+        Reader r(b);
+        RelayState s;
+        decode_state(r, s);
+      },
+      "relay-state");
 }
 
 TEST(SerializeFuzzTest, FrameLengthCannotOverread) {
