@@ -88,8 +88,9 @@ class FailurePattern {
   ///   delivered[from] = {to ≠ from : delivered(m, from, to)} for
   ///                     from ∈ senders, empty otherwise.
   /// Costs O(n + drops recorded at m) instead of n² delivered() calls. The
-  /// bus (net/bus.hpp) and the stepper (sim/stepper.hpp) both filter
-  /// broadcasts through it.
+  /// one broadcast filter: the bus (net/bus.hpp), the stepper
+  /// (sim/stepper.hpp) and the KBP synthesizer (kripke/synthesis.hpp) all
+  /// filter broadcasts through it.
   void filter_broadcast(int m, AgentSet senders, std::span<AgentSet> received,
                         std::span<AgentSet> delivered) const;
 

@@ -33,6 +33,12 @@
 //   * representatives are independent given the per-round tables, so their
 //     evaluation — and the per-world state advance — fans out over the
 //     shared worker pool of net/pool.hpp (`workers`).
+//
+// Each world's state advance is the §3 broadcast round the stepper runs
+// (sim/stepper.hpp): µ once per sender, FailurePattern::filter_broadcast,
+// apply_broadcast. One µ per sender is wrong for an exchange whose µ
+// depends on the destination (E_auth), so the exchange must be a
+// BroadcastExchange; the class static_asserts it.
 #pragma once
 
 #include <array>
@@ -46,6 +52,7 @@
 #include "net/pool.hpp"
 #include "sim/relabel.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stepper.hpp"
 
 namespace eba {
 
@@ -90,6 +97,10 @@ struct SynthesisResult {
 
 template <ExchangeProtocol X>
 class KbpSynthesizer {
+  static_assert(BroadcastExchange<X>,
+                "KbpSynthesizer computes one message per sender; it requires "
+                "a broadcast exchange");
+
  public:
   using State = typename X::State;
   using World = std::pair<FailurePattern, std::vector<Value>>;
@@ -627,42 +638,38 @@ class KbpSynthesizer {
         });
   }
 
+  /// Advances every evaluated world by one §3 round through the shared
+  /// broadcast pieces: µ once per sender, the pattern's mask filter
+  /// (FailurePattern::filter_broadcast), and the stepper's δ loop
+  /// (apply_broadcast).
   void advance_round(const std::vector<World>& worlds, int m) {
     const int n = x_.n();
+    const auto un = static_cast<std::size_t>(n);
     using Message = typename X::Message;
     const std::size_t count = orbits_ ? orbit_reps_.size() : worlds.size();
     parallel_for(
         opt_.workers, count, kGrain,
         [&](std::size_t begin, std::size_t end) {
-          // Chunk-local scratch: reset per world instead of reallocated.
-          std::vector<std::optional<Message>> outgoing(
-              static_cast<std::size_t>(n));
-          std::vector<std::vector<std::optional<Message>>> inbox(
-              static_cast<std::size_t>(n),
-              std::vector<std::optional<Message>>(static_cast<std::size_t>(n)));
+          // Chunk-local scratch, overwritten per world instead of
+          // reallocated: one message per sender, each receiver's sender
+          // mask, the (unused) delivery log, and δ's row buffer.
+          std::vector<std::optional<Message>> by_sender(un);
+          std::vector<AgentSet> received(un);
+          std::vector<AgentSet> delivered(un);
+          std::vector<std::optional<Message>> row;
           for (std::size_t e = begin; e < end; ++e) {
             const std::size_t w = orbits_ ? orbit_reps_[e] : e;
-            const FailurePattern& alpha = worlds[w].first;
-            for (AgentId i = 0; i < n; ++i)
-              for (AgentId j = 0; j < n; ++j)
-                inbox[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]
-                    .reset();
-            for (AgentId i = 0; i < n; ++i)
-              outgoing[static_cast<std::size_t>(i)] =
-                  x_.message(states_[w][static_cast<std::size_t>(i)],
-                             actions_[w][static_cast<std::size_t>(i)], 0);
+            AgentSet senders;
             for (AgentId i = 0; i < n; ++i) {
-              if (!outgoing[static_cast<std::size_t>(i)]) continue;
-              for (AgentId j = 0; j < n; ++j)
-                if (alpha.delivered(m, i, j))
-                  inbox[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-                      outgoing[static_cast<std::size_t>(i)];
+              auto& out = by_sender[static_cast<std::size_t>(i)];
+              out = x_.message(states_[w][static_cast<std::size_t>(i)],
+                               actions_[w][static_cast<std::size_t>(i)],
+                               /*dest=*/0);
+              if (out) senders.insert(i);
             }
-            for (AgentId i = 0; i < n; ++i)
-              x_.update(states_[w][static_cast<std::size_t>(i)],
-                        actions_[w][static_cast<std::size_t>(i)],
-                        std::span<const std::optional<Message>>(
-                            inbox[static_cast<std::size_t>(i)]));
+            worlds[w].first.filter_broadcast(m, senders, received, delivered);
+            apply_broadcast(x_, std::span<State>(states_[w]), actions_[w],
+                            by_sender, received, row);
           }
         });
     // Member states are the renamed representative states — one relabel

@@ -129,82 +129,4 @@ int BusPool::completed_rounds(SlotId id) const {
   return slots_[id].round;
 }
 
-RoundBus::RoundBus(int n, FailurePattern alpha)
-    : n_(n),
-      alpha_(std::move(alpha)),
-      outbox_(static_cast<std::size_t>(n)),
-      decided_(static_cast<std::size_t>(n), 0),
-      results_(static_cast<std::size_t>(n)) {
-  EBA_REQUIRE(alpha_.n() == n, "pattern/bus agent count mismatch");
-}
-
-RoundBus::RoundResult RoundBus::exchange(AgentId i,
-                                         std::optional<Bytes> broadcast,
-                                         bool decided) {
-  std::unique_lock lock(mu_);
-  EBA_REQUIRE(i >= 0 && i < n_, "agent id out of range");
-  outbox_[static_cast<std::size_t>(i)] = std::move(broadcast);
-  decided_[static_cast<std::size_t>(i)] = decided ? 1 : 0;
-  ++submitted_;
-  const std::uint64_t gen = generation_;
-
-  if (submitted_ == n_) {
-    bool all = true;
-    for (char d : decided_) all = all && d != 0;
-
-    const auto un = static_cast<std::size_t>(n_);
-    std::vector<AgentSet> sent(un);
-    std::vector<AgentSet> received(un);
-    std::vector<AgentSet> delivered(un);
-    AgentSet senders;
-    for (AgentId from = 0; from < n_; ++from) {
-      if (!outbox_[static_cast<std::size_t>(from)]) continue;
-      senders.insert(from);
-      sent[static_cast<std::size_t>(from)] =
-          AgentSet::all(n_).minus(AgentSet{from});
-    }
-    alpha_.filter_broadcast(round_, senders, received, delivered);
-    // Each agent thread owns its inbox, so this bus copies per receiver.
-    for (AgentId to = 0; to < n_; ++to) {
-      auto& res = results_[static_cast<std::size_t>(to)];
-      res.round = round_;
-      res.all_decided = all;
-      res.inbox.assign(un, std::nullopt);
-      for (AgentId from : received[static_cast<std::size_t>(to)])
-        res.inbox[static_cast<std::size_t>(from)] =
-            outbox_[static_cast<std::size_t>(from)];
-    }
-    sent_log_.push_back(std::move(sent));
-    delivered_log_.push_back(std::move(delivered));
-
-    for (auto& slot : outbox_) slot.reset();
-    submitted_ = 0;
-    ++round_;
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    cv_.wait(lock, [&] { return generation_ != gen; });
-  }
-  return std::move(results_[static_cast<std::size_t>(i)]);
-}
-
-std::vector<AgentSet> RoundBus::delivered_log(int round) const {
-  std::lock_guard lock(mu_);
-  EBA_REQUIRE(round >= 0 && round < static_cast<int>(delivered_log_.size()),
-              "round not completed");
-  return delivered_log_[static_cast<std::size_t>(round)];
-}
-
-std::vector<AgentSet> RoundBus::sent_log(int round) const {
-  std::lock_guard lock(mu_);
-  EBA_REQUIRE(round >= 0 && round < static_cast<int>(sent_log_.size()),
-              "round not completed");
-  return sent_log_[static_cast<std::size_t>(round)];
-}
-
-int RoundBus::completed_rounds() const {
-  std::lock_guard lock(mu_);
-  return static_cast<int>(delivered_log_.size());
-}
-
 }  // namespace eba

@@ -1,28 +1,21 @@
-// Byte-level message buses with omission fault injection.
+// Byte-level message bus with omission fault injection: the paper's
+// synchronous round structure over real byte payloads.
 //
-// Two realizations of the paper's synchronous round structure over real
-// byte payloads:
-//
-//  * `BusPool` — the instance-oriented bus. A pool of slots, each hosting
-//    one agreement instance's rounds: the slot owns the instance's failure
-//    pattern and stages its payloads, and `exchange_round()` moves one full
-//    round of broadcasts through the adversary filter synchronously. Slots
-//    own no threads; whichever worker is currently advancing the instance
-//    (net/workload.hpp multiplexes thousands of instances over a fixed
-//    worker pool) drives the slot. Distinct slots may be driven
-//    concurrently; one slot must be driven by one worker at a time.
-//    A round stores each payload once — the outbox is moved into the
-//    result, one payload per broadcast sender or per addressed edge — and
-//    the adversary's verdict is a mask per receiver (`received`). Receivers
-//    read payloads through the `inbox` view, by reference: a broadcast
-//    costs O(n) allocations per round, not one payload copy per receiver.
-//  * `RoundBus` — the thread-per-agent bus kept for the legacy cluster
-//    runtime and barrier tests: each of n agent threads calls exchange()
-//    once per round, the call blocks until every agent submitted, and each
-//    thread gets its filtered inbox back.
+// `BusPool` is a pool of slots, each hosting one agreement instance's
+// rounds: the slot owns the instance's failure pattern and stages its
+// payloads, and `exchange_round()` moves one full round of broadcasts
+// through the adversary filter synchronously. Slots own no threads;
+// whichever worker is currently advancing the instance (net/workload.hpp
+// multiplexes thousands of instances over a fixed worker pool) drives the
+// slot. Distinct slots may be driven concurrently; one slot must be driven
+// by one worker at a time. A round stores each payload once — the outbox is
+// moved into the result, one payload per broadcast sender or per addressed
+// edge — and the adversary's verdict is a mask per receiver (`received`).
+// Receivers read payloads through the `inbox` view, by reference: a
+// broadcast costs O(n) allocations per round, not one payload copy per
+// receiver.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -192,48 +185,5 @@ inline const std::optional<Bytes>& BusPool::InboxView::Row::operator[](
     return detail::kNoPayload;
   return base_[from * stride_];
 }
-
-class RoundBus {
- public:
-  struct RoundResult {
-    int round = 0;
-    /// inbox[j]: payload received from agent j (self-delivery included).
-    std::vector<std::optional<Bytes>> inbox;
-    /// True iff every agent reported `decided` when submitting this round.
-    bool all_decided = false;
-  };
-
-  RoundBus(int n, FailurePattern alpha);
-
-  /// Submits agent `i`'s broadcast for the current round (nullopt = ⊥) and
-  /// its decision status, blocks for the round barrier, and returns the
-  /// filtered inbox. Every agent must call this exactly once per round.
-  [[nodiscard]] RoundResult exchange(AgentId i, std::optional<Bytes> broadcast,
-                                     bool decided);
-
-  /// Delivery log: delivered(m)[i] = receivers (other than i) that got i's
-  /// round-(m+1) payload. A round's log exists only once the round has
-  /// completed (all n agents returned from exchange()); asking for a round
-  /// that has not completed throws, it never returns a partial log.
-  [[nodiscard]] std::vector<AgentSet> delivered_log(int round) const;
-  /// Same completion contract as delivered_log().
-  [[nodiscard]] std::vector<AgentSet> sent_log(int round) const;
-  [[nodiscard]] int completed_rounds() const;
-
- private:
-  const int n_;
-  const FailurePattern alpha_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint64_t generation_ = 0;
-  int round_ = 0;
-  int submitted_ = 0;
-  std::vector<std::optional<Bytes>> outbox_;
-  std::vector<char> decided_;
-  std::vector<RoundResult> results_;  ///< per receiver, for the finished round
-  std::vector<std::vector<AgentSet>> sent_log_;
-  std::vector<std::vector<AgentSet>> delivered_log_;
-};
 
 }  // namespace eba

@@ -5,21 +5,12 @@
 // `run_cluster` is a single-instance wrapper over the instance-oriented
 // workload engine (net/workload.hpp): one Stepper + one bus slot, driven by
 // one worker. For many concurrent instances call `run_workload` directly.
-//
-// `run_cluster_thread_per_agent` keeps the seed's thread-per-agent model —
-// n agent threads synchronizing on the RoundBus barrier every round — as a
-// reference implementation: the equivalence tests pin the new engine
-// against it, and bench_throughput uses it as the aggregate-throughput
-// baseline. It spawns n threads per call; do not use it for workloads.
 #pragma once
 
-#include <thread>
 #include <vector>
 
 #include "core/types.hpp"
 #include "exchange/exchange.hpp"
-#include "net/bus.hpp"
-#include "net/serialize.hpp"
 #include "net/workload.hpp"
 
 namespace eba {
@@ -36,85 +27,6 @@ ClusterResult<X> run_cluster(const X& x, const P& act,
   WorkloadResult<X> result =
       run_workload(x, act, std::span<const InstanceSpec>(&spec, 1), t, opt);
   return std::move(result.instances.front());
-}
-
-template <ExchangeProtocol X, class P>
-ClusterResult<X> run_cluster_thread_per_agent(const X& x, const P& act,
-                                              const FailurePattern& alpha,
-                                              const std::vector<Value>& inits,
-                                              int t, int max_rounds = 0) {
-  // The RoundBus broadcasts one payload per agent per round; an exchange
-  // whose µ depends on the destination cannot ride it (see stepper.hpp).
-  static_assert(BroadcastExchange<X>,
-                "the thread-per-agent bus requires a broadcast exchange");
-  const int n = x.n();
-  EBA_REQUIRE(alpha.n() == n, "pattern/exchange agent count mismatch");
-  EBA_REQUIRE(static_cast<int>(inits.size()) == n, "inits size mismatch");
-  if (max_rounds <= 0) max_rounds = t + 4;
-
-  RoundBus bus(n, alpha);
-
-  // Each (round, agent) slot is written by exactly one thread.
-  std::vector<std::vector<Action>> actions(
-      static_cast<std::size_t>(max_rounds),
-      std::vector<Action>(static_cast<std::size_t>(n)));
-  std::vector<typename X::State> final_states;
-  final_states.reserve(static_cast<std::size_t>(n));
-  for (AgentId i = 0; i < n; ++i)
-    final_states.push_back(x.initial_state(i, inits[static_cast<std::size_t>(i)]));
-  std::vector<int> rounds_run(static_cast<std::size_t>(n), 0);
-
-  auto agent_main = [&](AgentId i) {
-    using Message = typename X::Message;
-    typename X::State& state = final_states[static_cast<std::size_t>(i)];
-    bool decided = false;
-    for (int m = 0; m < max_rounds; ++m) {
-      const Action a = act(state);
-      if (a.is_decide()) decided = true;
-      actions[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)] = a;
-
-      std::optional<Bytes> payload;
-      if (auto msg = x.message(state, a, /*dest=*/0)) payload = to_bytes(*msg);
-
-      RoundBus::RoundResult res = bus.exchange(i, std::move(payload), decided);
-
-      std::vector<std::optional<Message>> inbox(static_cast<std::size_t>(n));
-      for (AgentId j = 0; j < n; ++j)
-        if (res.inbox[static_cast<std::size_t>(j)])
-          inbox[static_cast<std::size_t>(j)] =
-              from_bytes<Message>(*res.inbox[static_cast<std::size_t>(j)]);
-
-      x.update(state, a,
-               std::span<const std::optional<Message>>(inbox));
-      rounds_run[static_cast<std::size_t>(i)] = m + 1;
-      if (res.all_decided) break;
-    }
-  };
-
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(n));
-    for (AgentId i = 0; i < n; ++i) threads.emplace_back(agent_main, i);
-  }
-
-  const int rounds = rounds_run.empty() ? 0 : rounds_run[0];
-  for (int r : rounds_run)
-    EBA_REQUIRE(r == rounds, "agents disagree on round count");
-
-  ClusterResult<X> out;
-  out.record.n = n;
-  out.record.t = t;
-  out.record.rounds = rounds;
-  out.record.inits = inits;
-  out.record.nonfaulty = alpha.nonfaulty();
-  actions.resize(static_cast<std::size_t>(rounds));
-  out.record.actions = std::move(actions);
-  for (int m = 0; m < rounds; ++m) {
-    out.record.sent.push_back(bus.sent_log(m));
-    out.record.delivered.push_back(bus.delivered_log(m));
-  }
-  out.final_states = std::move(final_states);
-  return out;
 }
 
 }  // namespace eba

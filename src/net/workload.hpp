@@ -8,9 +8,8 @@
 // round (serialize µ → slot.exchange_round → deserialize → δ), and requeues
 // it — so every admitted instance is concurrently in flight from admission
 // to completion, none owns a thread, and the worker count bounds CPU use,
-// not the instance count. This replaces the seed's thread-per-agent cluster
-// (n threads per run) as the execution model for cluster workloads;
-// `run_cluster` (net/cluster.hpp) is the single-instance wrapper.
+// not the instance count. This is the one execution model for cluster
+// runs; `run_cluster` (net/cluster.hpp) is the single-instance wrapper.
 //
 // Two entry points share the scheduler and the wire path:
 //
@@ -275,17 +274,6 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
   return stepper.done() ? RoundOutcome::completed : RoundOutcome::in_progress;
 }
 
-/// The plain variant: no staging hook. Returns true when the instance has
-/// completed (including "was already done").
-template <ExchangeProtocol X, class P>
-bool advance_wire_round(const X& x, Stepper<X, P>& stepper, BusPool& pool,
-                        BusPool::SlotId slot, bool sync_pattern) {
-  return advance_wire_round_staged<X, P>(
-             x, stepper, pool, slot, sync_pattern,
-             [](const std::vector<Action>&) { return true; }) !=
-         RoundOutcome::in_progress;
-}
-
 /// Round-sliced scheduler shared by both workload entry points: workers
 /// claim small batches of instance indices, advance each by one round via
 /// `step_one(idx)` (true = instance completed, already harvested), and
@@ -468,6 +456,17 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
   std::atomic<std::size_t> snapshots{0};
   std::atomic<std::size_t> crashes{0};
 
+  // A restored instance's trace stream restarts from its restored record:
+  // the rounds before the crash point are re-added, the lost tail is
+  // re-executed.
+  auto reopen_trace = [](auto& inst, std::size_t idx) {
+    if (!inst.trace) return;
+    const RunRecord& rec = inst.stepper.record();
+    inst.trace.emplace(static_cast<std::uint64_t>(idx), rec.n, rec.t,
+                       rec.nonfaulty, rec.inits);
+    inst.trace->add_record_rounds(rec);
+  };
+
   // Store-backed crash recovery: the power cut erases everything the
   // instance's log did not fsync, then the journal is reopened (torn-tail
   // scan), the newest full checkpoint restored, every logged delta round
@@ -487,12 +486,7 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
                                           recovered.stepper.time() - 1));
     inst.stepper = std::move(recovered.stepper);
     inst.slot = pool.acquire(inst.stepper.pattern(), inst.stepper.time());
-    if (inst.trace) {
-      const RunRecord& rec = inst.stepper.record();
-      inst.trace.emplace(static_cast<std::uint64_t>(idx), rec.n, rec.t,
-                         rec.nonfaulty, rec.inits);
-      inst.trace->add_record_rounds(rec);
-    }
+    reopen_trace(inst, idx);
   };
 
   auto step_one = [&](std::size_t idx) -> bool {
@@ -519,12 +513,7 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
         inst.strategy->restore_state(strategy_state);
         inst.stepper.set_adversary_hook(make_strategy_hook(*inst.strategy, t));
       }
-      if (inst.trace) {
-        const RunRecord& rec = inst.stepper.record();
-        inst.trace.emplace(static_cast<std::uint64_t>(idx), rec.n, rec.t,
-                           rec.nonfaulty, rec.inits);
-        inst.trace->add_record_rounds(rec);
-      }
+      reopen_trace(inst, idx);
       return false;  // requeue: re-execute from the snapshot
     }
 
@@ -644,9 +633,10 @@ WorkloadResult<X> run_workload(const X& x, const P& act,
 
 /// The adaptive-adversary workload: same scheduler and wire path, but each
 /// instance's pattern grows online. The stepper's hook (installed here from
-/// the instance's strategy) adds drops in begin_round(); advance_wire_round
-/// then mirrors the updated pattern into the slot, so wire-path filtering
-/// is bit-identical to the in-memory engines on the same seeded strategy.
+/// the instance's strategy) adds drops in begin_round();
+/// advance_wire_round_staged then mirrors the updated pattern into the
+/// slot, so wire-path filtering is bit-identical to the in-memory engines
+/// on the same seeded strategy.
 template <ExchangeProtocol X, class P>
 WorkloadResult<X> run_adaptive_workload(const X& x, const P& act,
                                         std::span<AdaptiveInstanceSpec> specs,

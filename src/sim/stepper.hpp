@@ -24,10 +24,10 @@
 //    inbox matrix.
 //
 // Broadcast rounds never build an n² inbox, in memory or over the wire:
-// every broadcast δ — generic_round's and the sender-major finish_round's —
-// runs through one loop (apply_broadcast) that assembles each receiver's
-// row in a reused n-slot buffer, and delivery is decided on masks by
-// FailurePattern::filter_broadcast.
+// every broadcast δ — generic_round's, the sender-major finish_round's and
+// the KBP synthesizer's — runs through one loop (apply_broadcast) that
+// assembles each receiver's row in a reused n-slot buffer, and delivery is
+// decided on masks by FailurePattern::filter_broadcast.
 //
 // Exchanges may opt into two engine fast paths:
 //
@@ -119,6 +119,35 @@ concept BorrowedRoundExchange =
       x.apply_round(s, a, std::declval<typename X::Snapshot>(), rec,
                     std::span<const typename X::Snapshot* const>{});
     };
+
+/// δ for one broadcast round — the one broadcast δ loop in the tree,
+/// shared by the stepper's generic_round and sender-major finish_round and
+/// by the KBP synthesizer (kripke/synthesis.hpp). Agent j's inbox row holds
+/// by_sender[i] for each i ∈ received[j] (the masks filter_broadcast
+/// fills). `row` is the caller's reused buffer, left all-⊥ between
+/// receivers, so once it has grown to n slots a round allocates no inbox.
+/// Declared inline so it gets the compiler's in-class inlining budget: the
+/// stepper's callers keep the loop inlined, as when it was a member.
+template <ExchangeProtocol X>
+inline void apply_broadcast(
+    const X& x, std::span<typename X::State> states,
+    std::span<const Action> actions,
+    std::span<const std::optional<typename X::Message>> by_sender,
+    std::span<const AgentSet> received,
+    std::vector<std::optional<typename X::Message>>& row) {
+  using Message = typename X::Message;
+  row.resize(states.size());
+  for (std::size_t j = 0; j < states.size(); ++j) {
+    const AgentSet from = received[j];
+    for (AgentId i : from) {
+      const auto ui = static_cast<std::size_t>(i);
+      row[ui] = by_sender[ui];
+    }
+    x.update(states[j], actions[j],
+             std::span<const std::optional<Message>>(row));
+    for (AgentId i : from) row[static_cast<std::size_t>(i)].reset();
+  }
+}
 
 /// Opt-in observer of the in-place engine: receives the state vector at
 /// time 0 and after every completed round. `MaterializingSink` recovers the
@@ -380,7 +409,8 @@ class Stepper {
                 "broadcast round size mismatch");
     bits_sent_ += bits;
     messages_sent_ += messages;
-    apply_broadcast(by_sender, received);
+    apply_broadcast(*x_, std::span<State>(states_), actions_, by_sender,
+                    received, row_);
     record_.sent.push_back(std::move(sent));
     record_.delivered.push_back(std::move(delivered));
     end_round();
@@ -408,26 +438,6 @@ class Stepper {
     if (sink_) sink_->on_states(time_, states_);
   }
 
-  /// δ for a broadcast round, shared by generic_round and the sender-major
-  /// finish_round: receiver j's inbox row holds by_sender[i] for each
-  /// i ∈ received[j]. The row buffer is reused and left all-⊥ between
-  /// receivers, so a round allocates no inbox at all.
-  void apply_broadcast(std::span<const std::optional<Message>> by_sender,
-                       std::span<const AgentSet> received) {
-    row_.resize(static_cast<std::size_t>(n_));
-    for (AgentId j = 0; j < n_; ++j) {
-      const AgentSet from = received[static_cast<std::size_t>(j)];
-      for (AgentId i : from) {
-        const auto ui = static_cast<std::size_t>(i);
-        row_[ui] = by_sender[ui];
-      }
-      x_->update(states_[static_cast<std::size_t>(j)],
-                 actions_[static_cast<std::size_t>(j)],
-                 std::span<const std::optional<Message>>(row_));
-      for (AgentId i : from) row_[static_cast<std::size_t>(i)].reset();
-    }
-  }
-
   /// §3 round, messages as values: µ per sender (once for broadcast
   /// exchanges, per destination otherwise), adversary filtering, δ.
   void generic_round(const std::vector<Action>& actions) {
@@ -452,7 +462,8 @@ class Stepper {
             AgentSet::all(n_).minus(AgentSet{i});
       }
       alpha_.filter_broadcast(time_, senders, received_, delivered);
-      apply_broadcast(by_sender_, received_);
+      apply_broadcast(*x_, std::span<State>(states_), actions_, by_sender_,
+                      received_, row_);
       for (auto& out : by_sender_) out.reset();
     } else {
       // Per-destination µ: correct for exchanges that address receivers

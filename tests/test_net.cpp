@@ -1,9 +1,7 @@
-// Messaging-layer tests: wire-format round trips, the round bus barrier and
-// fault injection, and end-to-end equivalence of the threaded cluster with
-// the abstract simulator.
+// Messaging-layer tests: wire-format round trips, decoder fuzzing, and
+// end-to-end equivalence of the cluster runtime (byte payloads through a
+// bus slot with fault injection) with the abstract simulator.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
@@ -240,68 +238,6 @@ TEST(SerializeFuzzTest, FrameLengthCannotOverread) {
   EXPECT_EQ(pos, out.size());
 }
 
-TEST(RoundBusTest, BarrierDeliversAndFilters) {
-  const int n = 3;
-  FailurePattern alpha(n, AgentSet{0, 1});
-  alpha.drop(0, 2, 0);
-  RoundBus bus(n, alpha);
-  std::vector<RoundBus::RoundResult> results(static_cast<std::size_t>(n));
-  {
-    std::vector<std::jthread> threads;
-    for (AgentId i = 0; i < n; ++i)
-      threads.emplace_back([&, i] {
-        results[static_cast<std::size_t>(i)] =
-            bus.exchange(i, Bytes{static_cast<std::uint8_t>(i)}, false);
-      });
-  }
-  // Agent 0 misses agent 2's payload; everyone else gets everything.
-  EXPECT_FALSE(results[0].inbox[2].has_value());
-  EXPECT_TRUE(results[0].inbox[1].has_value());
-  EXPECT_TRUE(results[1].inbox[2].has_value());
-  EXPECT_TRUE(results[2].inbox[2].has_value()) << "self-delivery";
-  EXPECT_EQ((*results[1].inbox[2])[0], 2);
-  EXPECT_FALSE(results[0].all_decided);
-  EXPECT_EQ(bus.completed_rounds(), 1);
-  EXPECT_EQ(bus.delivered_log(0)[2], AgentSet{1});
-}
-
-TEST(RoundBusTest, LogsThrowUntilTheRoundCompletes) {
-  const int n = 2;
-  RoundBus bus(n, FailurePattern::failure_free(n));
-  // No round has completed yet: the logs must refuse, not return garbage.
-  EXPECT_THROW((void)bus.delivered_log(0), std::logic_error);
-  EXPECT_THROW((void)bus.sent_log(0), std::logic_error);
-  EXPECT_EQ(bus.completed_rounds(), 0);
-  RoundBus::RoundResult r0, r1;
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(2);
-    threads.emplace_back([&] { r0 = bus.exchange(0, Bytes{1}, false); });
-    threads.emplace_back([&] { r1 = bus.exchange(1, Bytes{2}, false); });
-  }
-  EXPECT_EQ(bus.completed_rounds(), 1);
-  EXPECT_NO_THROW((void)bus.delivered_log(0));
-  EXPECT_NO_THROW((void)bus.sent_log(0));
-  // Round 1 has not completed: still out of bounds.
-  EXPECT_THROW((void)bus.delivered_log(1), std::logic_error);
-  EXPECT_THROW((void)bus.sent_log(1), std::logic_error);
-  EXPECT_THROW((void)bus.delivered_log(-1), std::logic_error);
-}
-
-TEST(RoundBusTest, AllDecidedFlagAggregates) {
-  const int n = 2;
-  RoundBus bus(n, FailurePattern::failure_free(n));
-  RoundBus::RoundResult r0, r1;
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(2);
-    threads.emplace_back([&] { r0 = bus.exchange(0, std::nullopt, true); });
-    threads.emplace_back([&] { r1 = bus.exchange(1, std::nullopt, true); });
-  }
-  EXPECT_TRUE(r0.all_decided);
-  EXPECT_TRUE(r1.all_decided);
-}
-
 template <class X, class P>
 void expect_cluster_matches_simulator(const X& x, const P& p,
                                       const FailurePattern& alpha,
@@ -350,25 +286,6 @@ TEST(ClusterTest, MatchesSimulatorPOptWithGraphPayloads) {
     const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
     const auto prefs = sample_preferences(n, rng);
     expect_cluster_matches_simulator(FipExchange(n), POpt(n, t), alpha, prefs, t);
-  }
-}
-
-TEST(ClusterTest, ThreadPerAgentMatchesSimulatorPOpt) {
-  // The legacy n-threads-per-run model, kept as the reference (and as the
-  // throughput-bench baseline), must still match the simulator.
-  const int n = 4;
-  const int t = 2;
-  Rng rng(34);
-  for (int k = 0; k < 3; ++k) {
-    const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
-    const auto prefs = sample_preferences(n, rng);
-    const auto cluster =
-        run_cluster_thread_per_agent(FipExchange(n), POpt(n, t), alpha, prefs, t);
-    const auto sim = simulate(FipExchange(n), POpt(n, t), alpha, prefs, t);
-    ASSERT_EQ(cluster.record.rounds, sim.record.rounds);
-    EXPECT_EQ(cluster.record.actions, sim.record.actions);
-    EXPECT_EQ(cluster.record.delivered, sim.record.delivered);
-    EXPECT_EQ(cluster.record.sent, sim.record.sent);
   }
 }
 

@@ -1,12 +1,13 @@
 // Equivalence suite for the instance-oriented run engine.
 //
 // The refactor's correctness oracle is RunRecord equality: the in-place
-// Stepper behind simulate(), the opt-in trace-sink materialization, the
-// single-instance run_cluster wrapper, the legacy thread-per-agent cluster,
-// and the many-instance worker-pool workload must all reproduce the seed
+// Stepper behind simulate(), the opt-in trace-sink materialization and the
+// many-instance worker-pool workload must all reproduce the seed
 // simulator's semantics (tests/reference_simulator.hpp, kept verbatim)
 // for seeded (pattern, preferences) sweeps across P_min / P_basic / P_opt —
-// including the early-decide and max_rounds-truncation edges.
+// including the early-decide and max_rounds-truncation edges. The
+// single-instance run_cluster wrapper is pinned against simulate() in
+// test_net.cpp.
 #include <gtest/gtest.h>
 
 #include "action/early_stop.hpp"
@@ -16,7 +17,6 @@
 #include "action/p_zero_biased.hpp"
 #include "core/spec.hpp"
 #include "failure/generators.hpp"
-#include "net/cluster.hpp"
 #include "net/workload.hpp"
 #include "reference_simulator.hpp"
 #include "sim/simulator.hpp"
@@ -774,24 +774,6 @@ TEST(AdaptiveWorkloadTest, GoReceiveDropsCrossTheSyncedWirePath) {
                                    210, "GO P_min n=64");
   expect_go_wire_matches_reference(BasicExchange(5), PBasic(5, 2), 2, 0.6, 24,
                                    211, "GO P_basic n=5");
-}
-
-TEST(ClusterWrapperTest, RunClusterEqualsThreadPerAgent) {
-  // The new single-instance wrapper and the legacy thread-per-agent model
-  // must agree record-for-record (both are also pinned against simulate()
-  // in test_net.cpp).
-  Rng rng(205);
-  for (int k = 0; k < 5; ++k) {
-    const auto alpha = sample_adversary(4, 2, 4, 0.4, rng);
-    const auto prefs = sample_preferences(4, rng);
-    const auto pooled = run_cluster(FipExchange(4), POpt(4, 2), alpha, prefs, 2);
-    const auto threaded = run_cluster_thread_per_agent(FipExchange(4),
-                                                       POpt(4, 2), alpha,
-                                                       prefs, 2);
-    expect_records_equal(pooled.record, threaded.record,
-                         "iter " + std::to_string(k));
-    EXPECT_EQ(pooled.final_states, threaded.final_states);
-  }
 }
 
 }  // namespace
