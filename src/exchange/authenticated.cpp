@@ -1,5 +1,7 @@
 #include "exchange/authenticated.hpp"
 
+#include <array>
+
 namespace eba {
 
 std::size_t hash_value(const AuthState& s) {
@@ -23,15 +25,17 @@ void AuthExchange::update(State& s, const Action& a,
   EBA_REQUIRE(static_cast<int>(inbox.size()) == n_, "inbox size mismatch");
   // δ runs on the pre-round state: the signatures in this inbox were
   // produced at the senders' pre-round time, which equals s.time in a
-  // synchronous round.
-  const int round_time = s.time;
-  detail::accumulate_report_round(
-      n_, t_, s, a, [&](AgentId j) -> const ReportMsg* {
-        const auto& m = inbox[static_cast<std::size_t>(j)];
-        if (!m) return nullptr;
-        if (m->sig != sign(j, s.self, round_time, m->payload)) return nullptr;
-        return &m->payload;
-      });
+  // synchronous round. Each slot is verified once, before the accumulator
+  // advances s.time; its conviction and budget passes both read the result.
+  std::array<const ReportMsg*, kMaxAgents> verified{};
+  for (AgentId j = 0; j < n_; ++j) {
+    const auto& m = inbox[static_cast<std::size_t>(j)];
+    if (m && m->sig == sign(j, s.self, s.time, m->payload))
+      verified[static_cast<std::size_t>(j)] = &m->payload;
+  }
+  detail::accumulate_report_round(n_, t_, s, a, [&](AgentId j) {
+    return verified[static_cast<std::size_t>(j)];
+  });
 }
 
 }  // namespace eba

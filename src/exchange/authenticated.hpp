@@ -12,7 +12,14 @@
 // lies, so the signatures all verify and P_auth decides exactly when P_es
 // does — it just prices what the signature costs (64 bits per message and
 // n distinct µ evaluations per sender per round). δ verifies every inbox
-// signature and treats a mismatch as ⊥, converting forgery into omission.
+// signature once and treats a mismatch as ⊥, converting forgery into
+// omission.
+//
+// The constructor caches one signer prefix per sender: a KeyedDigest64 that
+// has already absorbed the sender key's inner pad and the sender id. sign()
+// copies the prefix and absorbs only (dest, time, payload), so an edge costs
+// about 42 FNV byte-steps instead of about 90 (key derivation included), and
+// every signature is bit-identical to the from-scratch computation.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +27,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "audit/digest.hpp"
 #include "core/agent_set.hpp"
@@ -68,6 +76,11 @@ class AuthExchange {
       : n_(n), t_(t), master_key_(master_key) {
     EBA_REQUIRE(n >= 1 && n <= kMaxAgents, "agent count out of range");
     EBA_REQUIRE(t >= 0 && n - t >= 2, "E_auth requires 0 <= t <= n-2");
+    signers_.reserve(static_cast<std::size_t>(n));
+    for (AgentId i = 0; i < n; ++i) {
+      KeyedDigest64& d = signers_.emplace_back(agent_key(i));
+      d.u32(static_cast<std::uint32_t>(i));
+    }
   }
 
   [[nodiscard]] int n() const { return n_; }
@@ -83,11 +96,11 @@ class AuthExchange {
     return d.value();
   }
 
-  /// Signature over (sender, dest, time, payload) under the sender's key.
+  /// Signature over (sender, dest, time, payload) under the sender's key,
+  /// continued from the sender's cached prefix.
   [[nodiscard]] std::uint64_t sign(AgentId sender, AgentId dest, int time,
                                    const ReportMsg& m) const {
-    KeyedDigest64 d(agent_key(sender));
-    d.u32(static_cast<std::uint32_t>(sender));
+    KeyedDigest64 d = signers_[static_cast<std::size_t>(sender)];
     d.u32(static_cast<std::uint32_t>(dest));
     d.u32(static_cast<std::uint32_t>(time));
     auto tag = [&](const std::optional<Value>& v) {
@@ -137,6 +150,8 @@ class AuthExchange {
   int n_;
   int t_;
   std::uint64_t master_key_;
+  /// Per sender: KeyedDigest64(agent_key(i)) with i already absorbed.
+  std::vector<KeyedDigest64> signers_;
 };
 
 }  // namespace eba

@@ -193,6 +193,13 @@ void decode_message(Reader& r, AuthMsg& m) {
   m.sig = r.u64();
 }
 
+std::size_t encoded_size(const CommGraph& g) {
+  const auto row_bytes = static_cast<std::size_t>((g.n() + 7) / 8);
+  return 8 + 2 * static_cast<std::size_t>(g.time()) *
+                 static_cast<std::size_t>(g.n()) * row_bytes +
+         2 * row_bytes;
+}
+
 // Packed graph payload: header (n, time), then for each receiver row in
 // round-major order the known and value planes as ceil(n/8)-byte words, then
 // the two preference plane words. This ships the in-memory representation

@@ -13,6 +13,7 @@
 // must land in DecodeError, never UB (tests/test_net.cpp fuzzes this).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -76,6 +77,9 @@ class DecodeError : public std::runtime_error {
 
 class Writer {
  public:
+  /// Sizes the buffer for `bytes` more bytes up front; with an exact hint
+  /// (encoded_size) a payload costs one allocation.
+  void reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -128,30 +132,49 @@ void write_frame(Bytes& out, std::uint8_t kind, const Bytes& payload);
 [[nodiscard]] Frame read_frame(const Bytes& buf, std::size_t& pos);
 
 // -- Message codecs ----------------------------------------------------------
+//
+// Each codec's encoded_size(m) is the exact byte count encode_message writes;
+// to_bytes reserves it once. tests/test_net.cpp pins it for every codec.
 
 // E_min messages (a bare Value).
+[[nodiscard]] constexpr std::size_t encoded_size(Value) { return 1; }
 void encode_message(Writer& w, Value m);
 void decode_message(Reader& r, Value& m);
 
 // E_basic messages.
+[[nodiscard]] constexpr std::size_t encoded_size(BasicMsg) { return 1; }
 void encode_message(Writer& w, BasicMsg m);
 void decode_message(Reader& r, BasicMsg& m);
 
-// E_fip messages (a full communication graph).
+// E_fip messages (a full communication graph): 8 + 2·time·n·⌈n/8⌉ + 2·⌈n/8⌉
+// bytes (see encode_graph).
+[[nodiscard]] std::size_t encoded_size(const CommGraph& g);
+[[nodiscard]] inline std::size_t encoded_size(
+    const std::shared_ptr<const CommGraph>& m) {
+  EBA_REQUIRE(m != nullptr, "null graph message");
+  return encoded_size(*m);
+}
 void encode_message(Writer& w, const std::shared_ptr<const CommGraph>& m);
 void decode_message(Reader& r, std::shared_ptr<const CommGraph>& m);
 
 // E_relay messages (decide0 / decide1 / relay0).
+[[nodiscard]] constexpr std::size_t encoded_size(RelayMsg) { return 1; }
 void encode_message(Writer& w, RelayMsg m);
 void decode_message(Reader& r, RelayMsg& m);
 
-// E_report messages (fault/zero report).
+// E_report messages (fault/zero report): two tag bytes, two u64 sets.
+[[nodiscard]] constexpr std::size_t encoded_size(const ReportMsg&) {
+  return 18;
+}
 void encode_message(Writer& w, const ReportMsg& m);
 void decode_message(Reader& r, ReportMsg& m);
 
 // E_auth messages (signed report). The decoder checks the container shape
 // only; signature verification belongs to δ, which maps a bad signature to
 // an omission rather than a decode failure.
+[[nodiscard]] constexpr std::size_t encoded_size(const AuthMsg& m) {
+  return encoded_size(m.payload) + 8;
+}
 void encode_message(Writer& w, const AuthMsg& m);
 void decode_message(Reader& r, AuthMsg& m);
 
@@ -196,6 +219,7 @@ void decode_state(Reader& r, AuthState& s);
 template <class Message>
 [[nodiscard]] Bytes to_bytes(const Message& m) {
   Writer w;
+  w.reserve(encoded_size(m));
   encode_message(w, m);
   return w.take();
 }

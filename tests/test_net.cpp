@@ -215,6 +215,100 @@ TEST(SerializeFuzzTest, StateDecodersNeverEscape) {
       "relay-state");
 }
 
+/// The zoo payloads E_report and E_auth put on the wire: every tag
+/// combination a real µ emits, with nonempty sets in both planes.
+std::vector<ReportMsg> sample_reports() {
+  std::vector<ReportMsg> out;
+  for (const std::optional<Value>& ever :
+       {std::optional<Value>{}, std::optional<Value>(Value::zero),
+        std::optional<Value>(Value::one)}) {
+    out.push_back({.fresh_decide = {},
+                   .decided_ever = ever,
+                   .zeros = AgentSet{1, 63},
+                   .faults = AgentSet{0, 5, 17}});
+    if (ever)
+      out.push_back({.fresh_decide = ever,
+                     .decided_ever = ever,
+                     .zeros = {},
+                     .faults = AgentSet{2}});
+  }
+  return out;
+}
+
+TEST(SerializeFuzzTest, ReportAndAuthDecodersNeverEscape) {
+  const auto expect_malformed = [](const auto& decode) {
+    try {
+      decode();
+      FAIL() << "fresh_decide without matching decided_ever accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.kind(), DecodeError::Kind::malformed);
+    }
+  };
+  for (const ReportMsg& m : sample_reports()) {
+    const AuthMsg am{.payload = m, .sig = 0x0123456789abcdefull};
+    EXPECT_EQ(from_bytes<ReportMsg>(to_bytes(m)), m);
+    EXPECT_EQ(from_bytes<AuthMsg>(to_bytes(am)), am);
+    fuzz_decoder(
+        to_bytes(m), [](const Bytes& b) { (void)from_bytes<ReportMsg>(b); },
+        "report");
+    fuzz_decoder(
+        to_bytes(am), [](const Bytes& b) { (void)from_bytes<AuthMsg>(b); },
+        "auth");
+
+    // A fresh decision the sticky field does not carry never left a real µ.
+    if (!m.decided_ever) continue;
+    ReportMsg bad = m;
+    bad.fresh_decide =
+        *m.decided_ever == Value::zero ? Value::one : Value::zero;
+    expect_malformed([&] { (void)from_bytes<ReportMsg>(to_bytes(bad)); });
+    expect_malformed([&] {
+      (void)from_bytes<AuthMsg>(to_bytes(AuthMsg{.payload = bad, .sig = 0}));
+    });
+  }
+  ReportMsg unset;
+  unset.fresh_decide = Value::one;
+  expect_malformed([&] { (void)from_bytes<ReportMsg>(to_bytes(unset)); });
+}
+
+// -- Exact-size encoding: to_bytes reserves encoded_size(m) once --------------
+
+template <class Message>
+void expect_exact_size(const Message& m, const std::string& what) {
+  const Bytes b = to_bytes(m);
+  EXPECT_EQ(encoded_size(m), b.size()) << what;
+  EXPECT_EQ(b.capacity(), b.size()) << what << ": size hint reallocated";
+}
+
+TEST(SerializeTest, EncodedSizeIsExactForEveryCodec) {
+  for (Value v : {Value::zero, Value::one}) expect_exact_size(v, "value");
+  for (BasicMsg m : {BasicMsg::decide0, BasicMsg::decide1, BasicMsg::init1})
+    expect_exact_size(m, "basic");
+  for (RelayMsg m : {RelayMsg::decide0, RelayMsg::decide1, RelayMsg::relay0})
+    expect_exact_size(m, "relay");
+  for (const ReportMsg& m : sample_reports()) {
+    expect_exact_size(m, "report");
+    expect_exact_size(AuthMsg{.payload = m, .sig = ~0ull}, "auth");
+  }
+  EXPECT_EQ(encoded_size(ReportMsg{}), 18u);
+  EXPECT_EQ(encoded_size(AuthMsg{}), 26u);
+
+  for (int n : {1, 8, 9, 32, 64})
+    for (int time = 0; time <= 3; ++time) {
+      CommGraph g(n, 0, Value::one);
+      for (int m = 0; m < time; ++m) g.advance_round(0, AgentSet::all(n));
+      const auto msg = std::make_shared<const CommGraph>(g);
+      std::string what = "graph n=";
+      what += std::to_string(n);
+      what += " time=";
+      what += std::to_string(time);
+      expect_exact_size(msg, what);
+      const auto row = static_cast<std::size_t>((n + 7) / 8);
+      EXPECT_EQ(encoded_size(msg),
+                8 + 2 * static_cast<std::size_t>(time * n) * row + 2 * row)
+          << what;
+    }
+}
+
 TEST(SerializeFuzzTest, FrameLengthCannotOverread) {
   // A frame whose length field promises more than the buffer holds must be
   // a truncation error, not a read past the end.

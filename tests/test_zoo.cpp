@@ -239,6 +239,14 @@ TEST(ZooWirePath, AuthThreeEngineDifferential) {
                              n, t, 0x3e9, 12, "E_auth");
 }
 
+TEST(ZooWirePath, AuthThreeEngineDifferentialAtBenchmarkShape) {
+  // The pauth_n16 shape: 256 signed payloads per round through the byte bus.
+  const int n = 16;
+  const int t = 4;
+  expect_three_engines_agree(AuthExchange(n, t, kDefaultAuthKey), PAuth(n, t),
+                             n, t, 0x3eb, 12, "E_auth n=16");
+}
+
 TEST(ZooWirePath, ReportThreeEngineDifferential) {
   // The broadcast sibling through the same wire path: E_report payloads
   // round-trip the byte bus with the one-decode-per-sender fan-out.
@@ -251,6 +259,34 @@ TEST(ZooWirePath, ReportThreeEngineDifferential) {
 // ---------------------------------------------------------------------------
 // Signature semantics: a bad signature is an omission, not a crash
 // ---------------------------------------------------------------------------
+
+TEST(ZooAuth, CachedSignerPrefixMatchesFromScratchSignature) {
+  // sign() continues a per-sender prefix cached at construction; the result
+  // must equal the digest computed from the key, byte for byte.
+  const int n = 16;
+  const ReportMsg m{.fresh_decide = Value::one,
+                    .decided_ever = Value::one,
+                    .zeros = AgentSet{3, 9},
+                    .faults = AgentSet{0, 15}};
+  for (std::uint64_t master : {kDefaultAuthKey, std::uint64_t{0}}) {
+    const AuthExchange x(n, 4, master);
+    for (int time : {0, 3})
+      for (AgentId i = 0; i < n; ++i)
+        for (AgentId j = 0; j < n; ++j) {
+          KeyedDigest64 d(x.agent_key(i));
+          d.u32(static_cast<std::uint32_t>(i));
+          d.u32(static_cast<std::uint32_t>(j));
+          d.u32(static_cast<std::uint32_t>(time));
+          d.u8(2);  // fresh_decide = one
+          d.u8(2);  // decided_ever = one
+          d.word(m.zeros);
+          d.word(m.faults);
+          ASSERT_EQ(x.sign(i, j, time, m), d.value())
+              << "master=" << master << " time=" << time << " i=" << i
+              << " j=" << j;
+        }
+  }
+}
 
 TEST(ZooAuth, TamperedSignatureConvictsTheSender) {
   const int n = 4;
