@@ -14,11 +14,13 @@
 //    (net/checkpoint.hpp) against the round's DeltaPayload. Gates that the
 //    per-round delta is strictly smaller than the full checkpoint — the
 //    reason delta checkpoints exist.
-//  * crash_storms — mid-round power-cut storms through the durable store
-//    (MemVfs + RunLog + WAL intents): seeded mid-round crashes across
-//    P_min/SO, P_opt_go/GO and an adaptive-adversary GO workload; gates
-//    that every crashed-and-restored record equals the uninterrupted run's
-//    and every streamed trace verifies offline.
+//  * crash_storms — the bench-scale workload crash storms, all through the
+//    durable store (MemVfs + RunLog + WAL intents), the driver's one
+//    recovery path: one seeded boundary crash and two mid-round power cuts
+//    per instance across P_min/SO, P_opt/SO, P_opt_go/GO and an
+//    adaptive-adversary GO workload; gates that every crashed-and-recovered
+//    record equals the uninterrupted run's and every streamed trace
+//    verifies offline.
 //  * torn_sweep — a power cut with a torn final page at every byte offset
 //    (clean and corrupted): every tear must either recover the exact
 //    durable prefix or reject with a typed error; never a wrong record.
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "action/p_min.hpp"
+#include "action/p_opt.hpp"
 #include "action/p_opt_go.hpp"
 #include "audit/trace_file.hpp"
 #include "exchange/fip.hpp"
@@ -220,7 +223,7 @@ CheckpointRow run_checkpoints(int n, int t, std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Mid-round durable crash storms
+// Durable crash storms
 // ---------------------------------------------------------------------------
 
 struct StormRow {
@@ -235,6 +238,15 @@ struct StormRow {
   bool traces_ok = false;
   bool ok = false;
 };
+
+/// One boundary crash and two mid-round power cuts per instance, at seeded
+/// rounds in [1, t + 2].
+CrashSchedule mixed_storm(std::size_t count, int t, std::uint64_t seed) {
+  CrashSchedule storm = CrashSchedule::seeded(count, t + 2, seed + 1);
+  storm.mid_rounds =
+      CrashSchedule::seeded_mid_round(count, t + 2, seed + 2, 2).mid_rounds;
+  return storm;
+}
 
 template <class X, class P>
 StormRow run_storm(std::string label, const X& x, const P& act, int t,
@@ -256,9 +268,7 @@ StormRow run_storm(std::string label, const X& x, const P& act, int t,
   store.root = "wl";
   store.journal.page_size = 256;
   store.keep_checkpoints = 2;
-  CrashSchedule storm = CrashSchedule::seeded(count, t + 2, seed + 1);
-  storm.mid_rounds =
-      CrashSchedule::seeded_mid_round(count, t + 2, seed + 2, 2).mid_rounds;
+  const CrashSchedule storm = mixed_storm(count, t, seed);
   WorkloadOptions opt;
   opt.snapshot_every = 1;
   opt.crashes = &storm;
@@ -315,8 +325,7 @@ StormRow run_adaptive_storm(std::size_t count, std::uint64_t seed) {
   store.vfs = &vfs;
   store.root = "wl";
   store.journal.page_size = 256;
-  const CrashSchedule storm =
-      CrashSchedule::seeded_mid_round(count, row.t + 2, seed + 1, 2);
+  const CrashSchedule storm = mixed_storm(count, row.t, seed);
   WorkloadOptions opt;
   opt.snapshot_every = 1;
   opt.crashes = &storm;
@@ -336,7 +345,7 @@ StormRow run_adaptive_storm(std::size_t count, std::uint64_t seed) {
         plain.instances[k].record == crashed.instances[k].record;
     row.traces_ok = row.traces_ok && replay_verify(crashed.traces[k]).ok;
   }
-  row.ok = row.records_equal && row.traces_ok && row.crashes > 0;
+  row.ok = row.records_equal && row.traces_ok && row.crashes >= count;
   return row;
 }
 
@@ -449,6 +458,8 @@ int main() {
   std::vector<StormRow> storms;
   storms.push_back(run_storm("storm_p_min", MinExchange(6), PMin(6, 2), 2,
                              FailureModel::sending, 48, 0xd07a10));
+  storms.push_back(run_storm("storm_p_opt", FipExchange(6), POpt(6, 2), 2,
+                             FailureModel::sending, 48, 0xd07a13));
   storms.push_back(run_storm("storm_p_opt_go", FipExchange(6), POptGo(6, 2),
                              2, FailureModel::general, 48, 0xd07a11));
   storms.push_back(run_adaptive_storm(/*count=*/24, 0xd07a12));
@@ -457,7 +468,7 @@ int main() {
 
   // --- human-readable report (stderr) --------------------------------------
   std::cerr << "=== bench_durability: fsync'd journal, delta checkpoints, "
-               "mid-round crash storms, torn writes ===\n\n";
+               "crash storms, torn writes ===\n\n";
   Table atable({"append", "records", "bytes", "syncs", "seconds", "rec/s",
                 "MB/s", "ok"});
   for (const AppendRow* r :

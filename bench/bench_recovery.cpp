@@ -1,27 +1,25 @@
 // Crash-recovery and durability benchmark (BENCH_recovery.json).
 //
-// Four families of gated rows:
+// Three families of gated rows:
 //
 //  * replay (headline) — offline verification throughput of EBTR trace
 //    containers (audit/trace_file.hpp): a workload run streams one trace
 //    per instance, then `replay_verify` re-parses every container,
 //    re-derives its decision certificate and re-checks the EBA spec. Every
 //    trace must verify; the row reports traces/sec and MB/sec.
-//  * snapshot — the cost of durability: the same static workload run with
-//    and without an every-round checkpoint cadence (net/checkpoint.hpp).
-//    The records must be identical; the row reports the overhead ratio
-//    (informational — wall-clock ratios are machine-dependent).
-//  * crash_storm — seeded crash injection (WorkloadOptions::crashes) across
-//    P_min/P_opt under SO, P_opt_go under GO, and an adaptive-adversary GO
-//    workload: every instance is killed and restored mid-run, and the row
-//    gates that the crashed-and-restored records equal an uninterrupted
-//    run's and that every streamed trace still verifies.
+//  * snapshot — the cost of durability: the same static workload run
+//    without a store and with a MemVfs run log at an every-round checkpoint
+//    cadence (net/checkpoint.hpp, store/run_log.hpp). The records must be
+//    identical; the row reports the overhead ratio (informational —
+//    wall-clock ratios are machine-dependent).
 //  * tamper — a rejection sweep over one finished trace: sampled
 //    truncations and bit flips must ALL be rejected by the verifier.
 //
+// The bench-scale crash storms live in bench_durability.
+//
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_recovery.json by ci/run_benches.cmake, gated by ci/check_bench.py
-// --baseline-recovery); human-readable table on stderr. Exit code is
+// --baseline-recovery); human-readable summary on stderr. Exit code is
 // self-gating.
 #include <chrono>
 #include <cstdio>
@@ -31,16 +29,13 @@
 #include <utility>
 #include <vector>
 
-#include "action/p_min.hpp"
 #include "action/p_opt.hpp"
-#include "action/p_opt_go.hpp"
 #include "audit/trace_file.hpp"
 #include "exchange/fip.hpp"
-#include "exchange/min.hpp"
 #include "failure/generators.hpp"
 #include "net/workload.hpp"
 #include "stats/rng.hpp"
-#include "stats/table.hpp"
+#include "store/vfs.hpp"
 
 namespace eba::bench {
 namespace {
@@ -68,23 +63,6 @@ std::vector<InstanceSpec> make_specs(int n, int t, std::size_t count,
             ? sample_adversary(n, t, t + 2, 0.35, rng)
             : sample_go_adversary(n, t, t + 2, 0.35, 0.2, rng);
     specs.push_back({std::move(alpha), sample_preferences(n, rng)});
-  }
-  return specs;
-}
-
-/// Same-seeded adaptive instances, cycling every shipped GO strategy.
-std::vector<AdaptiveInstanceSpec> make_adaptive_specs(int n, int t,
-                                                      std::size_t count,
-                                                      std::uint64_t seed) {
-  const auto factories = shipped_strategies(n, t, FailureModel::general);
-  Rng rng(seed);
-  std::vector<AdaptiveInstanceSpec> specs;
-  specs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    AdaptiveInstanceSpec spec;
-    spec.strategy = factories[k % factories.size()].make(seed + k);
-    spec.inits = sample_preferences(n, rng);
-    specs.push_back(std::move(spec));
   }
   return specs;
 }
@@ -169,8 +147,13 @@ SnapshotRow run_snapshot(std::size_t count) {
   const auto plain = run_workload(x, act, specs, row.t);
   row.plain_seconds = seconds_since(start);
 
+  MemVfs vfs;
+  DurableStoreOptions store;
+  store.vfs = &vfs;
+  store.root = "wl";
   WorkloadOptions durable;
   durable.snapshot_every = 1;
+  durable.store = &store;
   start = Clock::now();
   const auto snapshotted = run_workload(x, act, specs, row.t, durable);
   row.durable_seconds = seconds_since(start);
@@ -186,117 +169,6 @@ SnapshotRow run_snapshot(std::size_t count) {
                            : 0;
   row.ok = row.records_equal && row.snapshots > count;
   return row;
-}
-
-// ---------------------------------------------------------------------------
-// Crash storms
-// ---------------------------------------------------------------------------
-
-struct CrashRow {
-  std::string label;
-  std::string model;  ///< "SO" or "GO"
-  int n = 0;
-  int t = 0;
-  std::size_t instances = 0;
-  std::size_t crashes = 0;
-  std::size_t snapshots = 0;
-  double seconds = 0;
-  bool records_equal = false;
-  bool traces_ok = false;
-  bool ok = false;
-};
-
-template <class X, class P>
-CrashRow run_crash_storm(std::string label, const X& x, const P& act, int t,
-                         FailureModel model, std::size_t count,
-                         std::uint64_t seed) {
-  CrashRow row;
-  row.label = std::move(label);
-  row.model = model == FailureModel::sending ? "SO" : "GO";
-  row.n = x.n();
-  row.t = t;
-  row.instances = count;
-  const auto specs = make_specs(row.n, t, count, model, seed);
-
-  const auto plain = run_workload(x, act, specs, t);
-
-  const CrashSchedule storm =
-      CrashSchedule::seeded(count, t + 2, seed + 1, /*crashes_per_instance=*/2);
-  WorkloadOptions opt;
-  opt.snapshot_every = 1;
-  opt.crashes = &storm;
-  opt.record_traces = true;
-  const Clock::time_point start = Clock::now();
-  const auto crashed = run_workload(x, act, specs, t, opt);
-  row.seconds = seconds_since(start);
-
-  row.crashes = crashed.crashes_injected;
-  row.snapshots = crashed.snapshots_taken;
-  row.records_equal = true;
-  row.traces_ok = true;
-  for (std::size_t k = 0; k < count; ++k) {
-    row.records_equal = row.records_equal &&
-                        plain.instances[k].record ==
-                            crashed.instances[k].record;
-    row.traces_ok = row.traces_ok && replay_verify(crashed.traces[k]).ok;
-  }
-  row.ok = row.records_equal && row.traces_ok && row.crashes > 0;
-  return row;
-}
-
-CrashRow run_adaptive_crash_storm(std::size_t count, std::uint64_t seed) {
-  CrashRow row;
-  row.label = "crash_adaptive_p_opt_go";
-  row.model = "GO";
-  row.n = 8;
-  row.t = 2;
-  row.instances = count;
-  const FipExchange x(row.n);
-  const POptGo act(row.n, row.t);
-
-  auto plain_specs = make_adaptive_specs(row.n, row.t, count, seed);
-  const auto plain = run_adaptive_workload(x, act,
-                                           std::span<AdaptiveInstanceSpec>(
-                                               plain_specs),
-                                           row.t);
-
-  auto crash_specs = make_adaptive_specs(row.n, row.t, count, seed);
-  const CrashSchedule storm =
-      CrashSchedule::seeded(count, row.t + 2, seed + 1,
-                            /*crashes_per_instance=*/2);
-  WorkloadOptions opt;
-  opt.snapshot_every = 1;
-  opt.crashes = &storm;
-  opt.record_traces = true;
-  const Clock::time_point start = Clock::now();
-  const auto crashed = run_adaptive_workload(
-      x, act, std::span<AdaptiveInstanceSpec>(crash_specs), row.t, opt);
-  row.seconds = seconds_since(start);
-
-  row.crashes = crashed.crashes_injected;
-  row.snapshots = crashed.snapshots_taken;
-  row.records_equal = true;
-  row.traces_ok = true;
-  for (std::size_t k = 0; k < count; ++k) {
-    row.records_equal = row.records_equal &&
-                        plain.instances[k].record ==
-                            crashed.instances[k].record;
-    row.traces_ok = row.traces_ok && replay_verify(crashed.traces[k]).ok;
-  }
-  row.ok = row.records_equal && row.traces_ok && row.crashes > 0;
-  return row;
-}
-
-void json_crash(std::ostringstream& out, const CrashRow& r,
-                const char* indent) {
-  out << indent << "{\"label\": \"" << r.label << "\", \"model\": \""
-      << r.model << "\", \"n\": " << r.n << ", \"t\": " << r.t
-      << ", \"instances\": " << r.instances << ", \"crashes\": " << r.crashes
-      << ", \"snapshots\": " << r.snapshots
-      << ", \"records_equal\": " << (r.records_equal ? "true" : "false")
-      << ", \"traces_ok\": " << (r.traces_ok ? "true" : "false")
-      << ", \"seconds\": " << fmt(r.seconds) << ", \"ok\": "
-      << (r.ok ? "true" : "false") << "}";
 }
 
 // ---------------------------------------------------------------------------
@@ -354,21 +226,11 @@ int main() {
   const ReplayRow replay = run_replay(/*count=*/256, /*repetitions=*/64);
   const SnapshotRow snapshot = run_snapshot(/*count=*/128);
 
-  std::vector<CrashRow> storms;
-  storms.push_back(run_crash_storm("crash_p_min", MinExchange(8), PMin(8, 2),
-                                   2, FailureModel::sending, 64, 0xeb7110));
-  storms.push_back(run_crash_storm("crash_p_opt", FipExchange(8), POpt(8, 2),
-                                   2, FailureModel::sending, 64, 0xeb7111));
-  storms.push_back(run_crash_storm("crash_p_opt_go", FipExchange(8),
-                                   POptGo(8, 2), 2, FailureModel::general, 64,
-                                   0xeb7112));
-  storms.push_back(run_adaptive_crash_storm(/*count=*/32, 0xeb7113));
-
   const TamperRow tamper = run_tamper();
 
   // --- human-readable report (stderr) --------------------------------------
-  std::cerr << "=== bench_recovery: trace replay, snapshots, crash storms, "
-               "tamper rejection ===\n\n";
+  std::cerr << "=== bench_recovery: trace replay, snapshots, tamper "
+               "rejection ===\n\n";
   std::cerr << "replay headline: " << replay.traces << " traces ("
             << replay.bytes << " bytes) verified in " << fmt(replay.seconds)
             << "s = " << fmt(replay.traces_per_sec) << " traces/s, "
@@ -379,14 +241,8 @@ int main() {
             << "s (" << fmt(snapshot.overhead_ratio) << "x, "
             << snapshot.snapshots << " snapshots)"
             << (snapshot.ok ? " (records identical)" : " (RECORDS DIVERGE)")
-            << "\n\n";
-  Table ctable({"crash storm", "model", "n", "t", "instances", "crashes",
-                "snapshots", "seconds", "ok"});
-  for (const CrashRow& r : storms)
-    ctable.row(r.label, r.model, r.n, r.t, r.instances, r.crashes, r.snapshots,
-               r.seconds, r.ok ? "yes" : "NO");
-  ctable.print(std::cerr);
-  std::cerr << "\ntamper sweep: " << tamper.rejected << "/" << tamper.mutations
+            << "\n";
+  std::cerr << "tamper sweep: " << tamper.rejected << "/" << tamper.mutations
             << " mutations rejected over a " << tamper.trace_bytes
             << "-byte trace" << (tamper.ok ? " (ok)" : " (SOME ACCEPTED)")
             << "\n";
@@ -411,12 +267,6 @@ int main() {
       << ", \"snapshots\": " << snapshot.snapshots
       << ", \"records_equal\": " << (snapshot.records_equal ? "true" : "false")
       << ", \"ok\": " << (snapshot.ok ? "true" : "false") << "},\n";
-  out << "  \"crash_storms\": [\n";
-  for (std::size_t i = 0; i < storms.size(); ++i) {
-    json_crash(out, storms[i], "    ");
-    out << (i + 1 < storms.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
   out << "  \"tamper\": {\"trace_bytes\": " << tamper.trace_bytes
       << ", \"mutations\": " << tamper.mutations
       << ", \"rejected\": " << tamper.rejected
@@ -435,13 +285,6 @@ int main() {
     std::cerr << "FAIL: every-round checkpoints changed the run records\n";
     failed = true;
   }
-  for (const CrashRow& r : storms)
-    if (!r.ok) {
-      std::cerr << "FAIL: " << r.label << ": records_equal="
-                << r.records_equal << " traces_ok=" << r.traces_ok
-                << " crashes=" << r.crashes << "\n";
-      failed = true;
-    }
   if (!tamper.ok) {
     std::cerr << "FAIL: tamper sweep accepted " << (tamper.mutations -
                                                     tamper.rejected)

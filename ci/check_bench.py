@@ -19,8 +19,8 @@ bench is a named series in the SERIES registry below; passing its
       the Example-7.1 anchor, adaptive-vs-static, violation-free fuzz rows,
       and headline search wall time.
   recovery   — replay-verification throughput, traces verifying offline,
-      snapshot/crash runs matching uninterrupted records, and the tamper
-      sweep rejecting every mutation.
+      store-backed snapshot runs matching uninterrupted records, and the
+      tamper sweep rejecting every mutation.
   scale      — orbit-level run reuse (bench_scale): headline relabel-path
       wall time against the committed baseline, the >=5x same-machine
       speedup of relabeling over re-simulation, every reuse row pinned
@@ -28,8 +28,9 @@ bench is a named series in the SERIES registry below; passing its
       sweep covering its unreduced space violation-free.
   durability — fsync'd journal append throughput (in-memory VFS; the disk
       row is informational), delta checkpoints staying smaller than full
-      ones, every mid-round durable crash storm matching its uninterrupted
-      records, and the torn-write sweep never surfacing a wrong record.
+      ones, every workload crash storm (present and non-empty) matching its
+      uninterrupted records, and the torn-write sweep never surfacing a
+      wrong record.
   zoo        — protocol comparison matrix (bench_zoo): headline matrix wall
       time, strict spec on every run, the early stoppers' min(f+2, t+2)
       round bound, and the P_opt <= P_es <= P_basic domination order.
@@ -242,8 +243,8 @@ def check_adversary(baseline_path, fresh_path, args, failures):
 def check_recovery(baseline_path, fresh_path, args, failures):
     """Gates BENCH_recovery.json: replay-verification throughput against the
     committed baseline, plus every correctness flag — traces verifying
-    offline, snapshot/crash runs matching uninterrupted records, and the
-    tamper sweep rejecting every mutation."""
+    offline, store-backed snapshot runs matching uninterrupted records, and
+    the tamper sweep rejecting every mutation."""
     baseline, fresh = load_pair(baseline_path, fresh_path)
 
     gate_headline_ratio("recovery replay",
@@ -259,12 +260,6 @@ def check_recovery(baseline_path, fresh_path, args, failures):
     if not snapshot.get("ok", False):
         failures.append("recovery snapshot: every-round checkpoints changed "
                         "the run records")
-    for row in fresh.get("crash_storms", []):
-        if not row.get("ok", False):
-            failures.append(
-                f"recovery {row.get('label')}: records_equal="
-                f"{row.get('records_equal')} traces_ok={row.get('traces_ok')} "
-                f"crashes={row.get('crashes')}")
     tamper = fresh.get("tamper", {})
     if not tamper.get("ok", False):
         failures.append(
@@ -323,8 +318,9 @@ def check_durability(baseline_path, fresh_path, args, failures):
     """Gates BENCH_durability.json: fsync'd journal append throughput on the
     in-memory VFS against the committed baseline (the disk row is
     informational — gated: false), delta checkpoints staying smaller than
-    full ones, every mid-round durable crash storm matching uninterrupted
-    records, and the torn-write sweep never surfacing a wrong record."""
+    full ones, every workload crash storm matching uninterrupted records (a
+    report without storm rows fails), and the torn-write sweep never
+    surfacing a wrong record."""
     baseline, fresh = load_pair(baseline_path, fresh_path)
 
     gate_headline_ratio("durability append",
@@ -345,7 +341,10 @@ def check_durability(baseline_path, fresh_path, args, failures):
         failures.append(
             f"durability checkpoints: delta bytes {ckpt.get('delta_bytes')} "
             f"not smaller than full bytes {ckpt.get('full_bytes')}")
-    for row in fresh.get("crash_storms", []):
+    storms = fresh.get("crash_storms", [])
+    if not storms:
+        failures.append("fresh durability report has no crash_storms rows")
+    for row in storms:
         if not row.get("ok", False):
             failures.append(
                 f"durability {row.get('label')}: records_equal="

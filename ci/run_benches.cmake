@@ -125,7 +125,7 @@ endif()
 
 # --- bench_recovery: emits its own JSON on stdout ----------------------------
 if(EXISTS ${BENCH_BIN_DIR}/bench_recovery)
-  message(STATUS "Running bench_recovery (trace replay + crash storms, native JSON)")
+  message(STATUS "Running bench_recovery (trace replay + snapshots + tamper sweep, native JSON)")
   execute_process(
     COMMAND ${BENCH_BIN_DIR}/bench_recovery
     RESULT_VARIABLE rec_rc
@@ -141,7 +141,7 @@ endif()
 
 # --- bench_durability: emits its own JSON on stdout --------------------------
 if(EXISTS ${BENCH_BIN_DIR}/bench_durability)
-  message(STATUS "Running bench_durability (journal + delta checkpoints + torn writes, native JSON)")
+  message(STATUS "Running bench_durability (journal + delta checkpoints + crash storms + torn writes, native JSON)")
   execute_process(
     COMMAND ${BENCH_BIN_DIR}/bench_durability
     RESULT_VARIABLE dur_rc

@@ -22,7 +22,8 @@
 // the remaining rounds (stepper or bus slot) starts from the right planes.
 // The adversary blob is AdversaryStrategy::checkpoint_state(), opaque here;
 // the caller rolls the strategy back with restore_state() and reinstalls
-// the hook before stepping (net/workload.hpp does this on crash recovery).
+// the hook before stepping (store/run_log.hpp's recover_run does this on
+// crash recovery).
 //
 // Invariants enforced on restore (beyond per-codec validation): magic,
 // version and frame CRC; record.rounds == time; the context fields match

@@ -26,15 +26,17 @@
 // inputs — enforced by tests/test_workload.cpp.
 //
 // The driver is also the crash-recovery harness (tests/test_recovery.cpp,
-// bench_recovery): with a snapshot cadence each instance checkpoints itself
-// (net/checkpoint.hpp) at round boundaries, a `CrashSchedule` kills the
-// instance's "process" at seeded rounds — slot released, in-memory state
-// discarded, stepper rebuilt from the last checkpoint, adaptive strategy
-// rolled back, slot re-acquired at the resume round — and, by engine
-// determinism, the crashed-and-restored run finishes with the exact record
-// an uninterrupted run produces. `record_traces` streams one EBTR trace
-// (audit/trace_file.hpp) per instance, re-opened from the restored record
-// after every crash.
+// bench_durability): with a durable store (DurableStoreOptions) each
+// instance journals a RunLog (store/run_log.hpp) — full checkpoints at the
+// snapshot cadence, one delta per round, one write-ahead intent per staged
+// round — and a `CrashSchedule` kills the instance's "process" at seeded
+// rounds, at a boundary or mid-round. Every crash recovers the same way: a
+// power cut drops whatever the log did not fsync, the slot is released,
+// and `recover_run` rebuilds the stepper (and rolls an adaptive strategy
+// back) from the journal; by engine determinism the crashed-and-recovered
+// run finishes with the exact record an uninterrupted run produces.
+// `record_traces` streams one EBTR trace (audit/trace_file.hpp) per
+// instance, re-opened from the recovered record after every crash.
 #pragma once
 
 #include <algorithm>
@@ -90,14 +92,14 @@ struct AdaptiveInstanceSpec {
 
 /// When instance k's "process" dies: after completing round `rounds[k][j]`,
 /// before starting the next one. Each scheduled crash fires exactly once —
-/// a restored instance re-executes the crashed rounds without re-dying at
-/// them, so every schedule terminates. Rounds must be sorted and >= 1.
+/// a recovered instance never re-dies at a round it already crashed in, so
+/// every schedule terminates. Rounds must be strictly increasing and >= 1.
 ///
 /// `mid_rounds[k]` schedules crashes *inside* a round instead: the process
 /// dies while round r is staged — its write-ahead intent is durable, no
-/// message has moved. Mid-round crashes require a durable store
-/// (WorkloadOptions::store): recovery replays the run log and completes the
-/// interrupted round from its intent record.
+/// message has moved — and recovery completes the round from its intent.
+/// Any crash requires a durable store (WorkloadOptions::store): every crash
+/// is a power cut followed by run-log recovery.
 struct CrashSchedule {
   std::vector<std::vector<int>> rounds;
   std::vector<std::vector<int>> mid_rounds;
@@ -137,9 +139,9 @@ struct CrashSchedule {
 /// Attaches the durable storage engine (src/store/) to a workload: each
 /// instance writes a RunLog journal under `root` + "/inst-<k>" — full
 /// checkpoints at the snapshot cadence, one delta per completed round, one
-/// write-ahead intent per staged round. Crashes then recover by power-cut +
-/// journal replay instead of from an in-memory byte vector, and mid-round
-/// crash points (CrashSchedule::mid_rounds) become available.
+/// write-ahead intent per staged round. The store is the only crash-recovery
+/// source: every scheduled crash is a power cut plus journal replay. A
+/// store requires a snapshot cadence, and a cadence requires a store.
 struct DurableStoreOptions {
   Vfs* vfs = nullptr;       ///< borrowed; MemVfs injects the power cuts
   std::string root;         ///< directory holding the per-instance logs
@@ -150,17 +152,18 @@ struct DurableStoreOptions {
 struct WorkloadOptions {
   int workers = 0;     ///< worker threads; 0 = hardware concurrency
   int max_rounds = 0;  ///< per-instance horizon; 0 = t+4
-  /// Checkpoint cadence in rounds (0 = never). With a cadence, every
-  /// instance snapshots at time 0 and after each `snapshot_every`-th
-  /// completed round; crashes restore from the latest snapshot.
+  /// Full-checkpoint cadence in rounds (0 = never). With a cadence, every
+  /// instance logs a checkpoint at time 0 and after each
+  /// `snapshot_every`-th completed round; recovery restores the newest one
+  /// and replays the logged deltas after it. Requires a store.
   int snapshot_every = 0;
   /// Crash-injection schedule (borrowed; may be null). Scheduling any crash
-  /// requires a snapshot cadence.
+  /// requires a store.
   const CrashSchedule* crashes = nullptr;
   /// Stream one durable EBTR trace per instance (WorkloadResult::traces).
   bool record_traces = false;
-  /// Durable storage engine (borrowed; may be null). Requires a snapshot
-  /// cadence; mandatory for mid-round crash schedules.
+  /// Durable storage engine (borrowed; may be null). Set together with a
+  /// snapshot cadence; mandatory for any crash schedule.
   const DurableStoreOptions* store = nullptr;
 };
 
@@ -345,8 +348,8 @@ void drive_round_sliced(std::size_t count, int workers, StepOne&& step_one) {
 }
 
 /// One scheduled instance with its durability state: the live stepper and
-/// slot, the last checkpoint (crash-restore source), the instance's crash
-/// schedule position, and the streaming trace writer.
+/// slot, the instance's crash schedule position, the streaming trace writer,
+/// and the run log (the crash-recovery source).
 template <ExchangeProtocol X, class P>
 struct ManagedInstance {
   ManagedInstance(Stepper<X, P> s, BusPool::SlotId sl,
@@ -356,10 +359,9 @@ struct ManagedInstance {
   Stepper<X, P> stepper;
   BusPool::SlotId slot = 0;
   AdversaryStrategy* strategy = nullptr;  ///< adaptive instances only
-  Bytes checkpoint;                       ///< latest EBCK snapshot
   std::span<const int> crash_rounds;      ///< borrowed from the schedule
   std::size_t next_crash = 0;             ///< each entry fires once
-  std::span<const int> mid_crash_rounds;  ///< mid-round entries (store only)
+  std::span<const int> mid_crash_rounds;  ///< mid-round entries
   std::size_t next_mid_crash = 0;
   std::optional<TraceWriter> trace;
   std::optional<RunLog> log;  ///< durable run log when a store is attached
@@ -377,43 +379,28 @@ inline std::span<const int> validated_crash_rounds(
   return mine;
 }
 
-inline std::span<const int> crash_rounds_for(const CrashSchedule* crashes,
-                                             std::size_t idx) {
-  if (!crashes) return {};
-  return validated_crash_rounds(crashes->rounds, idx);
-}
-
 /// Shared durability setup: attaches crash schedules, opens the streaming
-/// trace writers, and cuts every instance's time-0 checkpoint.
+/// trace writers, and creates every instance's run log with its time-0
+/// checkpoint.
 template <ExchangeProtocol X, class P>
 void prepare_durability(std::vector<ManagedInstance<X, P>>& instances,
                         const WorkloadOptions& opt,
                         WorkloadResult<X>& result) {
   EBA_REQUIRE(opt.snapshot_every >= 0, "negative snapshot cadence");
   bool any_crashes = false;
-  bool any_mid_crashes = false;
-  for (std::size_t k = 0; k < instances.size(); ++k) {
-    instances[k].crash_rounds = crash_rounds_for(opt.crashes, k);
-    any_crashes = any_crashes || !instances[k].crash_rounds.empty();
-    if (opt.crashes)
-      instances[k].mid_crash_rounds =
+  if (opt.crashes) {
+    for (std::size_t k = 0; k < instances.size(); ++k) {
+      auto& inst = instances[k];
+      inst.crash_rounds = validated_crash_rounds(opt.crashes->rounds, k);
+      inst.mid_crash_rounds =
           validated_crash_rounds(opt.crashes->mid_rounds, k);
-    any_mid_crashes = any_mid_crashes || !instances[k].mid_crash_rounds.empty();
+      any_crashes = any_crashes || !inst.crash_rounds.empty() ||
+                    !inst.mid_crash_rounds.empty();
+    }
   }
-  EBA_REQUIRE(!(any_crashes || any_mid_crashes) || opt.snapshot_every > 0,
-              "crash injection requires a snapshot cadence "
-              "(WorkloadOptions::snapshot_every)");
-  EBA_REQUIRE(!any_mid_crashes || opt.store != nullptr,
-              "mid-round crash injection requires a durable store "
+  EBA_REQUIRE(opt.store != nullptr || !(any_crashes || opt.snapshot_every > 0),
+              "crash injection and snapshots require a durable store "
               "(WorkloadOptions::store)");
-  if (opt.store) {
-    EBA_REQUIRE(opt.store->vfs != nullptr && !opt.store->root.empty(),
-                "durable store needs a vfs and a root directory");
-    EBA_REQUIRE(opt.store->keep_checkpoints >= 1,
-                "durable store must retain at least one checkpoint");
-    EBA_REQUIRE(opt.snapshot_every > 0,
-                "a durable store requires a snapshot cadence");
-  }
   if (opt.record_traces) {
     result.traces.resize(instances.size());
     for (std::size_t k = 0; k < instances.size(); ++k) {
@@ -422,24 +409,24 @@ void prepare_durability(std::vector<ManagedInstance<X, P>>& instances,
                                  rec.nonfaulty, rec.inits);
     }
   }
-  if (opt.snapshot_every > 0) {
-    for (auto& inst : instances) {
-      inst.checkpoint = checkpoint_stepper(
-          inst.stepper,
-          inst.strategy ? inst.strategy->checkpoint_state() : std::string{});
-      result.snapshots_taken += 1;
-    }
-  }
-  if (opt.store) {
-    for (std::size_t k = 0; k < instances.size(); ++k) {
-      auto& inst = instances[k];
-      inst.log_dir = opt.store->root;
-      inst.log_dir += "/inst-";
-      inst.log_dir += std::to_string(k);
-      inst.log.emplace(
-          RunLog::create(*opt.store->vfs, inst.log_dir, opt.store->journal));
-      inst.log->log_checkpoint(inst.checkpoint);
-    }
+  if (!opt.store) return;
+  EBA_REQUIRE(opt.store->vfs != nullptr && !opt.store->root.empty(),
+              "durable store needs a vfs and a root directory");
+  EBA_REQUIRE(opt.store->keep_checkpoints >= 1,
+              "durable store must retain at least one checkpoint");
+  EBA_REQUIRE(opt.snapshot_every > 0,
+              "a durable store requires a snapshot cadence");
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    auto& inst = instances[k];
+    inst.log_dir = opt.store->root;
+    inst.log_dir += "/inst-";
+    inst.log_dir += std::to_string(k);
+    inst.log.emplace(
+        RunLog::create(*opt.store->vfs, inst.log_dir, opt.store->journal));
+    inst.log->log_checkpoint(checkpoint_stepper(
+        inst.stepper,
+        inst.strategy ? inst.strategy->checkpoint_state() : std::string{}));
+    result.snapshots_taken += 1;
   }
 }
 
@@ -447,7 +434,7 @@ void prepare_durability(std::vector<ManagedInstance<X, P>>& instances,
 /// instance's stepper and slot exist: schedule, inject crashes, snapshot,
 /// harvest, time.
 template <ExchangeProtocol X, class P>
-void drive_workload(const X& x, const P& act, int t, BusPool& pool,
+void drive_workload(const X& x, const P& act, BusPool& pool,
                     std::vector<ManagedInstance<X, P>>& instances, int workers,
                     bool sync_pattern, const WorkloadOptions& opt,
                     WorkloadResult<X>& result) {
@@ -467,13 +454,16 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
     inst.trace->add_record_rounds(rec);
   };
 
-  // Store-backed crash recovery: the power cut erases everything the
-  // instance's log did not fsync, then the journal is reopened (torn-tail
-  // scan), the newest full checkpoint restored, every logged delta round
-  // replayed-and-verified, and a trailing write-ahead intent completed.
-  // recover_run throws on any divergence, so a recovered instance is
-  // guaranteed byte-identical to the pre-crash one up to its durable edge.
+  // The one crash-recovery path. The instance's "process" dies: its slot is
+  // released and the power cut erases everything its log did not fsync.
+  // A fresh process then reopens the journal (torn-tail scan), restores the
+  // newest full checkpoint, replays-and-verifies every logged delta round,
+  // and completes a trailing write-ahead intent. recover_run throws on any
+  // divergence, so a recovered instance is guaranteed byte-identical to the
+  // pre-crash one up to its durable edge.
   auto restore_from_store = [&](auto& inst, std::size_t idx) {
+    crashes.fetch_add(1, std::memory_order_relaxed);
+    pool.release(inst.slot);
     const DurableStoreOptions& store = *opt.store;
     store.vfs->power_cut(inst.log_dir + "/");
     inst.log.emplace(RunLog::open(*store.vfs, inst.log_dir, store.journal));
@@ -492,29 +482,12 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
   auto step_one = [&](std::size_t idx) -> bool {
     auto& inst = instances[idx];
 
-    // Crash injection: the instance's "process" dies here and a fresh one
-    // restores from the last durable snapshot. Everything in-memory — the
-    // stepper, the slot, the strategy's mutable state, the unfinished trace
-    // stream — is torn down and rebuilt exactly as real recovery would.
+    // Boundary crash injection: the instance dies between rounds.
     if (inst.next_crash < inst.crash_rounds.size() &&
         inst.stepper.time() >= inst.crash_rounds[inst.next_crash]) {
       inst.next_crash += 1;
-      crashes.fetch_add(1, std::memory_order_relaxed);
-      pool.release(inst.slot);
-      if (opt.store) {
-        restore_from_store(inst, idx);
-        return false;  // requeue: continue from the recovered round
-      }
-      std::string strategy_state;
-      inst.stepper = restore_stepper<X, P>(x, act, inst.checkpoint,
-                                           /*sink=*/nullptr, &strategy_state);
-      inst.slot = pool.acquire(inst.stepper.pattern(), inst.stepper.time());
-      if (inst.strategy) {
-        inst.strategy->restore_state(strategy_state);
-        inst.stepper.set_adversary_hook(make_strategy_hook(*inst.strategy, t));
-      }
-      reopen_trace(inst, idx);
-      return false;  // requeue: re-execute from the snapshot
+      restore_from_store(inst, idx);
+      return false;  // requeue: continue from the recovered round
     }
 
     // Staging hook: cut the round's durable intent record, and let a
@@ -547,8 +520,6 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
     const RoundOutcome outcome = advance_wire_round_staged<X, P>(
         x, inst.stepper, pool, inst.slot, sync_pattern, on_staged);
     if (outcome == RoundOutcome::aborted) {
-      crashes.fetch_add(1, std::memory_order_relaxed);
-      pool.release(inst.slot);
       restore_from_store(inst, idx);
       return false;  // requeue: recovery completed the interrupted round
     }
@@ -562,15 +533,12 @@ void drive_workload(const X& x, const P& act, int t, BusPool& pool,
                             rec.delivered.back());
     }
     if (!finished) {
-      if (opt.snapshot_every > 0 && advanced &&
+      if (inst.log && advanced &&
           inst.stepper.time() % opt.snapshot_every == 0) {
-        inst.checkpoint = checkpoint_stepper(
+        inst.log->log_checkpoint(checkpoint_stepper(
             inst.stepper,
-            inst.strategy ? inst.strategy->checkpoint_state() : std::string{});
-        if (inst.log) {
-          inst.log->log_checkpoint(inst.checkpoint);
-          inst.log->gc_keep_checkpoints(opt.store->keep_checkpoints);
-        }
+            inst.strategy ? inst.strategy->checkpoint_state() : std::string{}));
+        inst.log->gc_keep_checkpoints(opt.store->keep_checkpoints);
         snapshots.fetch_add(1, std::memory_order_relaxed);
       }
       return false;
@@ -626,7 +594,7 @@ WorkloadResult<X> run_workload(const X& x, const P& act,
 
   const int workers = resolve_workers(opt.workers, specs.size());
   result.workers = workers;
-  detail::drive_workload<X, P>(x, act, t, pool, instances, workers,
+  detail::drive_workload<X, P>(x, act, pool, instances, workers,
                                /*sync_pattern=*/false, opt, result);
   return result;
 }
@@ -671,7 +639,7 @@ WorkloadResult<X> run_adaptive_workload(const X& x, const P& act,
 
   const int workers = resolve_workers(opt.workers, specs.size());
   result.workers = workers;
-  detail::drive_workload<X, P>(x, act, t, pool, instances, workers,
+  detail::drive_workload<X, P>(x, act, pool, instances, workers,
                                /*sync_pattern=*/true, opt, result);
   return result;
 }

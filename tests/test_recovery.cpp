@@ -26,6 +26,8 @@
 #include "sim/adaptive.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+#include "store/run_log.hpp"
+#include "store/vfs.hpp"
 
 namespace eba {
 namespace {
@@ -414,159 +416,196 @@ TEST(BusPoolTest, AcquireAtResumeRoundFiltersTheRightRounds) {
   pool.release(slot);
 }
 
-TEST(WorkloadRecoveryTest, CrashInjectionRequiresSnapshotCadence) {
+TEST(WorkloadRecoveryTest, CrashesAndCadenceRequireAStore) {
+  // Every crash recovers from the run log, so a crash schedule or a
+  // checkpoint cadence without a store is a contract violation, and so is a
+  // store that never cuts a checkpoint to recover from.
   const MinExchange x(4);
   const PMin p(4, 1);
   std::vector<InstanceSpec> specs(
       2, {FailurePattern::failure_free(4), std::vector<Value>(4, Value::one)});
-  CrashSchedule crashes;
-  crashes.rounds = {{1}, {}};
-  WorkloadOptions opt;
-  opt.crashes = &crashes;  // no snapshot_every
-  EXPECT_THROW((void)run_workload(x, p, std::span(specs), 1, opt),
-               std::logic_error);
+  CrashSchedule boundary;
+  boundary.rounds = {{1}, {}};
+  const CrashSchedule mid = CrashSchedule::seeded_mid_round(2, 3, 9);
+  MemVfs vfs;
+  DurableStoreOptions store;
+  store.vfs = &vfs;
+  store.root = "wl";
+
+  WorkloadOptions boundary_only;
+  boundary_only.crashes = &boundary;
+  WorkloadOptions mid_only;
+  mid_only.crashes = &mid;
+  WorkloadOptions cadence_only;
+  cadence_only.snapshot_every = 1;
+  WorkloadOptions store_only;
+  store_only.store = &store;
+  for (const auto& [opt, what] :
+       {std::pair{boundary_only, "boundary crashes without a store"},
+        std::pair{mid_only, "mid-round crashes without a store"},
+        std::pair{cadence_only, "a cadence without a store"},
+        std::pair{store_only, "a store without a cadence"}})
+    EXPECT_THROW((void)run_workload(x, p, std::span(specs), 1, opt),
+                 std::logic_error)
+        << what;
 }
 
+/// A store's full-checkpoint cadence and GC retention.
+struct StoreCadence {
+  int snapshot_every;
+  int keep_checkpoints;
+};
+
+/// Every storm runs at each of these. Cadences above 1 make recovery replay
+/// several logged deltas past its checkpoint; keep_checkpoints = 1 lets the
+/// run log's GC drop every older recovery root.
+constexpr StoreCadence kCadences[] = {{1, 1}, {1, 2}, {2, 1},
+                                      {2, 2}, {3, 1}, {3, 2}};
+
+/// Store-backed crash storm: `run(opt)` drives the workload with every
+/// instance journaling its run log to a fresh MemVfs, and every crash in
+/// `crashes` — at a round boundary or mid-round — is a real power cut
+/// (unsynced bytes gone) followed by journal replay. At every cadence the
+/// storm's records, final states and streamed traces must be byte-identical
+/// to the uninterrupted `want` — the paper's §3 determinism made durable.
+template <class X, class Run>
+void expect_storm_matches(const WorkloadResult<X>& want,
+                          const CrashSchedule& crashes, Run&& run,
+                          const std::string& what, std::size_t min_crashes = 1,
+                          std::uint64_t key = 0) {
+  EXPECT_EQ(want.crashes_injected, 0u) << what;
+  const std::size_t count = want.instances.size();
+  for (const StoreCadence cadence : kCadences) {
+    const std::string at = what + " every " +
+                           std::to_string(cadence.snapshot_every) + " keep " +
+                           std::to_string(cadence.keep_checkpoints);
+    MemVfs vfs;
+    DurableStoreOptions store;
+    store.vfs = &vfs;
+    store.root = "wl";
+    store.journal.key = key;
+    store.journal.page_size = 256;
+    store.keep_checkpoints = cadence.keep_checkpoints;
+    WorkloadOptions opt;
+    opt.workers = 3;
+    opt.snapshot_every = cadence.snapshot_every;
+    opt.crashes = &crashes;
+    opt.record_traces = true;
+    opt.store = &store;
+    const WorkloadResult<X> got = run(opt);
+    EXPECT_GE(got.crashes_injected, min_crashes) << at;
+    if (cadence.snapshot_every == 1) {
+      EXPECT_GT(got.snapshots_taken, count) << at;
+    }
+
+    ASSERT_EQ(got.instances.size(), count) << at;
+    ASSERT_EQ(got.traces.size(), count) << at;
+    for (std::size_t k = 0; k < count; ++k) {
+      expect_records_equal(got.instances[k].record, want.instances[k].record,
+                           at + " instance " + std::to_string(k));
+      EXPECT_EQ(got.instances[k].final_states, want.instances[k].final_states)
+          << at << " instance " << k;
+      // The streamed trace — re-opened across crashes — is byte-identical to
+      // one written from the uninterrupted record, and verifies end-to-end.
+      EXPECT_EQ(got.traces[k], write_trace(want.instances[k].record,
+                                           static_cast<std::uint64_t>(k)))
+          << at << " instance " << k;
+      const ReplayReport report = replay_verify(got.traces[k]);
+      EXPECT_TRUE(report.ok) << at << " instance " << k << ": "
+                             << report.summary();
+    }
+    if (key != 0) {
+      // The on-disk journal really is keyed: opening without the key fails.
+      try {
+        (void)RunLog::open(vfs, "wl/inst-0");
+        ADD_FAILURE() << at << ": keyed journal opened without its key";
+      } catch (const DecodeError& e) {
+        EXPECT_EQ(e.kind(), DecodeError::Kind::key_mismatch) << at;
+      }
+    }
+  }
+}
+
+/// expect_storm_matches over fixed failure patterns, against the same
+/// workload run without crashes.
 template <class X, class P>
-void expect_crash_storm_matches(const X& x, const P& p, int t, int count,
-                                std::uint64_t seed, const std::string& what) {
+void expect_static_storm_matches(const X& x, const P& p, int t,
+                                 const std::vector<InstanceSpec>& specs,
+                                 const CrashSchedule& crashes,
+                                 const std::string& what,
+                                 std::size_t min_crashes = 1,
+                                 std::uint64_t key = 0) {
+  WorkloadOptions plain;
+  plain.workers = 3;
+  expect_storm_matches(
+      run_workload(x, p, std::span(specs), t, plain), crashes,
+      [&](const WorkloadOptions& opt) {
+        return run_workload(x, p, std::span(specs), t, opt);
+      },
+      what, min_crashes, key);
+}
+
+/// Two boundary crashes per instance at seeded rounds.
+template <class X, class P>
+void expect_boundary_storm_matches(const X& x, const P& p, int t, int count,
+                                   std::uint64_t seed,
+                                   const std::string& what) {
   Rng rng(seed);
   std::vector<InstanceSpec> specs;
   for (int k = 0; k < count; ++k)
     specs.push_back({sample_adversary(x.n(), t, t + 2, 0.4, rng),
                      sample_preferences(x.n(), rng)});
-
-  WorkloadOptions plain;
-  plain.workers = 3;
-  const auto want = run_workload(x, p, std::span(specs), t, plain);
-  EXPECT_EQ(want.crashes_injected, 0u);
-
-  const CrashSchedule crashes =
-      CrashSchedule::seeded(specs.size(), t + 2, seed + 1, 2);
-  WorkloadOptions crashy;
-  crashy.workers = 3;
-  crashy.snapshot_every = 1;
-  crashy.crashes = &crashes;
-  crashy.record_traces = true;
-  const auto got = run_workload(x, p, std::span(specs), t, crashy);
-  EXPECT_GT(got.crashes_injected, 0u) << what;
-  EXPECT_GT(got.snapshots_taken, specs.size()) << what;
-
-  ASSERT_EQ(got.instances.size(), want.instances.size());
-  ASSERT_EQ(got.traces.size(), specs.size()) << what;
-  for (std::size_t k = 0; k < specs.size(); ++k) {
-    expect_records_equal(got.instances[k].record, want.instances[k].record,
-                         what + " instance " + std::to_string(k));
-    EXPECT_EQ(got.instances[k].final_states, want.instances[k].final_states)
-        << what << " instance " << k;
-    // The streamed trace — re-opened across crashes — is byte-identical to
-    // one written from the final record, and verifies end-to-end.
-    EXPECT_EQ(got.traces[k],
-              write_trace(got.instances[k].record,
-                          static_cast<std::uint64_t>(k)))
-        << what << " instance " << k;
-    const ReplayReport report = replay_verify(got.traces[k]);
-    EXPECT_TRUE(report.ok) << what << " instance " << k << ": "
-                           << report.summary();
-  }
+  expect_static_storm_matches(
+      x, p, t, specs, CrashSchedule::seeded(specs.size(), t + 2, seed + 1, 2),
+      what);
 }
 
-TEST(WorkloadRecoveryTest, StaticCrashStormMatchesUninterruptedPMin) {
-  expect_crash_storm_matches(MinExchange(5), PMin(5, 2), 2, 16, 401, "p_min");
+TEST(WorkloadRecoveryTest, BoundaryCrashStormMatchesUninterruptedPMin) {
+  expect_boundary_storm_matches(MinExchange(5), PMin(5, 2), 2, 16, 401,
+                                "p_min");
 }
 
-TEST(WorkloadRecoveryTest, StaticCrashStormMatchesUninterruptedPOpt) {
-  expect_crash_storm_matches(FipExchange(4), POpt(4, 2), 2, 8, 402, "p_opt");
+TEST(WorkloadRecoveryTest, BoundaryCrashStormMatchesUninterruptedPOpt) {
+  expect_boundary_storm_matches(FipExchange(4), POpt(4, 2), 2, 8, 402,
+                                "p_opt");
 }
 
-// -- Durable-store crash injection -------------------------------------------
-
-/// Mid-round crash storms through the durable storage engine: every
-/// instance journals checkpoints/deltas/intents to a shared MemVfs, every
-/// scheduled crash is a real power cut (unsynced bytes gone) fired while a
-/// round is staged, and recovery replays the journal. The storm's records,
-/// final states and streamed traces must be byte-identical to an
-/// uninterrupted run — the paper's §3 determinism made durable.
+/// Both crash flavors at once: one boundary crash and two mid-round power
+/// cuts per instance.
 template <class X, class P>
-void expect_mid_round_storm_matches(const X& x, const P& p, FailureModel model,
-                                    int t, int count, std::uint64_t seed,
-                                    const std::string& what) {
+void expect_mixed_storm_matches(const X& x, const P& p, FailureModel model,
+                                int t, int count, std::uint64_t seed,
+                                const std::string& what) {
   std::vector<InstanceSpec> specs;
   for (int k = 0; k < count; ++k)
     specs.push_back({seeded_pattern(x.n(), t, model, seed + 7 * k),
                      seeded_prefs(x.n(), seed + 7 * k + 1)});
-
-  WorkloadOptions plain;
-  plain.workers = 3;
-  const auto want = run_workload(x, p, std::span(specs), t, plain);
-
-  MemVfs vfs;
-  DurableStoreOptions store;
-  store.vfs = &vfs;
-  store.root = "wl";
-  store.journal.page_size = 256;
-  store.keep_checkpoints = 2;
-
-  // Both flavors at once: boundary crashes and mid-round power cuts.
   CrashSchedule crashes = CrashSchedule::seeded(specs.size(), t + 2, seed + 1);
   crashes.mid_rounds =
       CrashSchedule::seeded_mid_round(specs.size(), t + 2, seed + 2, 2)
           .mid_rounds;
-
-  WorkloadOptions crashy;
-  crashy.workers = 3;
-  crashy.snapshot_every = 1;
-  crashy.crashes = &crashes;
-  crashy.record_traces = true;
-  crashy.store = &store;
-  const auto got = run_workload(x, p, std::span(specs), t, crashy);
-  EXPECT_GT(got.crashes_injected, specs.size()) << what;
-
-  ASSERT_EQ(got.instances.size(), want.instances.size());
-  for (std::size_t k = 0; k < specs.size(); ++k) {
-    expect_records_equal(got.instances[k].record, want.instances[k].record,
-                         what + " instance " + std::to_string(k));
-    EXPECT_EQ(got.instances[k].final_states, want.instances[k].final_states)
-        << what << " instance " << k;
-    EXPECT_EQ(got.traces[k],
-              write_trace(got.instances[k].record,
-                          static_cast<std::uint64_t>(k)))
-        << what << " instance " << k;
-    EXPECT_TRUE(replay_verify(got.traces[k]).ok) << what << " instance " << k;
-  }
+  expect_static_storm_matches(x, p, t, specs, crashes, what,
+                              /*min_crashes=*/specs.size() + 1);
 }
 
-TEST(DurableWorkloadTest, MidRoundCrashStormMatchesUninterruptedPMin) {
-  expect_mid_round_storm_matches(MinExchange(5), PMin(5, 2),
-                                 FailureModel::sending, 2, 10, 601, "p_min");
+TEST(DurableWorkloadTest, MixedCrashStormMatchesUninterruptedPMin) {
+  expect_mixed_storm_matches(MinExchange(5), PMin(5, 2), FailureModel::sending,
+                             2, 10, 601, "p_min");
 }
 
-TEST(DurableWorkloadTest, MidRoundCrashStormMatchesUninterruptedPBasic) {
-  expect_mid_round_storm_matches(BasicExchange(5), PBasic(5, 2),
-                                 FailureModel::sending, 2, 8, 602, "p_basic");
+TEST(DurableWorkloadTest, MixedCrashStormMatchesUninterruptedPBasic) {
+  expect_mixed_storm_matches(BasicExchange(5), PBasic(5, 2),
+                             FailureModel::sending, 2, 8, 602, "p_basic");
 }
 
-TEST(DurableWorkloadTest, MidRoundCrashStormMatchesUninterruptedPOpt) {
-  expect_mid_round_storm_matches(FipExchange(4), POpt(4, 2),
-                                 FailureModel::sending, 2, 8, 603, "p_opt");
+TEST(DurableWorkloadTest, MixedCrashStormMatchesUninterruptedPOpt) {
+  expect_mixed_storm_matches(FipExchange(4), POpt(4, 2),
+                             FailureModel::sending, 2, 8, 603, "p_opt");
 }
 
-TEST(DurableWorkloadTest, MidRoundCrashStormMatchesUninterruptedPOptGo) {
-  expect_mid_round_storm_matches(FipExchange(4), POptGo(4, 2),
-                                 FailureModel::general, 2, 8, 604, "p_opt_go");
-}
-
-TEST(DurableWorkloadTest, MidRoundCrashRequiresAStore) {
-  const MinExchange x(4);
-  const PMin p(4, 1);
-  std::vector<InstanceSpec> specs(
-      2, {FailurePattern::failure_free(4), std::vector<Value>(4, Value::one)});
-  const CrashSchedule crashes = CrashSchedule::seeded_mid_round(2, 3, 9);
-  WorkloadOptions opt;
-  opt.snapshot_every = 1;
-  opt.crashes = &crashes;  // mid-round entries but no store
-  EXPECT_THROW((void)run_workload(x, p, std::span(specs), 1, opt),
-               std::logic_error);
+TEST(DurableWorkloadTest, MixedCrashStormMatchesUninterruptedPOptGo) {
+  expect_mixed_storm_matches(FipExchange(4), POptGo(4, 2),
+                             FailureModel::general, 2, 8, 604, "p_opt_go");
 }
 
 TEST(DurableWorkloadTest, KeyedStoreStormStaysDeterministic) {
@@ -574,136 +613,64 @@ TEST(DurableWorkloadTest, KeyedStoreStormStaysDeterministic) {
   // every record, traces stay unkeyed (their bytes are pinned), results
   // unchanged.
   const int t = 2;
-  const MinExchange x(5);
-  const PMin p(5, t);
   std::vector<InstanceSpec> specs;
   for (int k = 0; k < 6; ++k)
     specs.push_back({seeded_pattern(5, t, FailureModel::sending, 701 + k),
                      seeded_prefs(5, 711 + k)});
-  WorkloadOptions plain;
-  plain.workers = 2;
-  const auto want = run_workload(x, p, std::span(specs), t, plain);
-
-  MemVfs vfs;
-  DurableStoreOptions store;
-  store.vfs = &vfs;
-  store.root = "wl";
-  store.journal.key = 0xC0FFEEull;
-  store.journal.page_size = 256;
-  const CrashSchedule crashes =
-      CrashSchedule::seeded_mid_round(specs.size(), t + 2, 721, 2);
-  WorkloadOptions crashy;
-  crashy.workers = 2;
-  crashy.snapshot_every = 1;
-  crashy.crashes = &crashes;
-  crashy.store = &store;
-  const auto got = run_workload(x, p, std::span(specs), t, crashy);
-  EXPECT_GT(got.crashes_injected, 0u);
-  for (std::size_t k = 0; k < specs.size(); ++k)
-    expect_records_equal(got.instances[k].record, want.instances[k].record,
-                         "keyed instance " + std::to_string(k));
-  // The on-disk journal really is keyed: opening without the key fails.
-  try {
-    (void)RunLog::open(vfs, "wl/inst-0");
-    FAIL() << "keyed journal opened without its key";
-  } catch (const DecodeError& e) {
-    EXPECT_EQ(e.kind(), DecodeError::Kind::key_mismatch);
-  }
+  expect_static_storm_matches(
+      MinExchange(5), PMin(5, t), t, specs,
+      CrashSchedule::seeded_mid_round(specs.size(), t + 2, 721, 2), "keyed",
+      /*min_crashes=*/1, /*key=*/0xC0FFEEull);
 }
 
-TEST(DurableWorkloadTest, AdaptiveMidRoundStormMatchesUninterrupted) {
-  // Adaptive strategies + durable mid-round recovery: the strategy's state
-  // blob rides in the journaled checkpoint, the realized drops ride in the
-  // write-ahead intents, and the recovered runs must still realize the
-  // exact pattern the uninterrupted adaptive runs do.
-  const int n = 4, t = 2;
-  const FipExchange x(n);
-  const POptGo p(n, t);
-
-  const int count = 6;
-  std::vector<std::vector<Value>> all_prefs;
-  std::vector<AdaptiveInstanceSpec> specs;
-  Rng rng(801);
-  const auto factories = shipped_strategies(n, t, FailureModel::general);
-  for (int k = 0; k < count; ++k) {
-    const auto prefs = sample_preferences(n, rng);
-    const auto& factory =
-        factories[static_cast<std::size_t>(k) % factories.size()];
-    specs.push_back({factory.make(static_cast<std::uint64_t>(k)), prefs});
-    all_prefs.push_back(prefs);
-  }
-
-  MemVfs vfs;
-  DurableStoreOptions store;
-  store.vfs = &vfs;
-  store.root = "wl";
-  store.journal.page_size = 256;
-  const CrashSchedule crashes =
-      CrashSchedule::seeded_mid_round(specs.size(), t + 2, 802, 2);
-  WorkloadOptions opt;
-  opt.workers = 3;
-  opt.snapshot_every = 1;
-  opt.crashes = &crashes;
-  opt.record_traces = true;
-  opt.store = &store;
-  const auto got = run_adaptive_workload(x, p, std::span(specs), t, opt);
-  EXPECT_GT(got.crashes_injected, 0u);
-
-  for (int k = 0; k < count; ++k) {
-    const std::size_t uk = static_cast<std::size_t>(k);
-    const auto& factory = factories[uk % factories.size()];
-    auto strat = factory.make(static_cast<std::uint64_t>(k));
-    const AdaptiveOutcome want = run_adaptive(x, p, *strat, all_prefs[uk], t);
-    expect_records_equal(got.instances[uk].record, want.summary.record,
-                         factory.name + " instance " + std::to_string(k));
-    EXPECT_TRUE(replay_verify(got.traces[uk]).ok)
-        << "instance " << k << ": "
-        << replay_verify(got.traces[uk]).summary();
-  }
-}
-
-TEST(WorkloadRecoveryTest, AdaptiveCrashStormMatchesUninterrupted) {
+TEST(WorkloadRecoveryTest, AdaptiveCrashStormsMatchUninterrupted) {
   // The full stack at once: adaptive strategies choosing drops online, the
-  // wire path mirroring them, snapshots carrying strategy state, and seeded
-  // crashes — against per-instance uninterrupted bare runs.
+  // wire path mirroring them, journaled checkpoints carrying strategy state,
+  // write-ahead intents carrying the realized drops, and seeded boundary and
+  // mid-round crashes — against per-instance uninterrupted bare runs.
   const int n = 4, t = 2;
   const FipExchange x(n);
   const POptGo p(n, t);
 
   const int count = 8;
   std::vector<std::vector<Value>> all_prefs;
-  std::vector<AdaptiveInstanceSpec> specs;
   Rng rng(501);
   const auto factories = shipped_strategies(n, t, FailureModel::general);
-  for (int k = 0; k < count; ++k) {
-    const auto prefs = sample_preferences(n, rng);
-    const auto& factory = factories[static_cast<std::size_t>(k) %
-                                    factories.size()];
-    specs.push_back({factory.make(static_cast<std::uint64_t>(k)), prefs});
-    all_prefs.push_back(prefs);
-  }
+  for (int k = 0; k < count; ++k)
+    all_prefs.push_back(sample_preferences(n, rng));
+  // Strategies are stateful, so every run gets freshly seeded ones.
+  const auto fresh_specs = [&] {
+    std::vector<AdaptiveInstanceSpec> specs;
+    for (int k = 0; k < count; ++k)
+      specs.push_back(
+          {factories[static_cast<std::size_t>(k) % factories.size()].make(
+               static_cast<std::uint64_t>(k)),
+           all_prefs[static_cast<std::size_t>(k)]});
+    return specs;
+  };
+  const auto run = [&](const WorkloadOptions& opt) {
+    auto specs = fresh_specs();
+    return run_adaptive_workload(x, p, std::span(specs), t, opt);
+  };
 
-  const CrashSchedule crashes = CrashSchedule::seeded(specs.size(), t + 2,
-                                                      502, 2);
-  WorkloadOptions opt;
-  opt.workers = 3;
-  opt.snapshot_every = 1;
-  opt.crashes = &crashes;
-  opt.record_traces = true;
-  const auto got = run_adaptive_workload(x, p, std::span(specs), t, opt);
-  EXPECT_GT(got.crashes_injected, 0u);
-
+  WorkloadOptions plain;
+  plain.workers = 3;
+  const auto want = run(plain);
   for (int k = 0; k < count; ++k) {
     const std::size_t uk = static_cast<std::size_t>(k);
     const auto& factory = factories[uk % factories.size()];
     auto strat = factory.make(static_cast<std::uint64_t>(k));
-    const AdaptiveOutcome want =
-        run_adaptive(x, p, *strat, all_prefs[uk], t);
-    expect_records_equal(got.instances[uk].record, want.summary.record,
+    expect_records_equal(want.instances[uk].record,
+                         run_adaptive(x, p, *strat, all_prefs[uk], t)
+                             .summary.record,
                          factory.name + " instance " + std::to_string(k));
-    const ReplayReport report = replay_verify(got.traces[uk]);
-    EXPECT_TRUE(report.ok) << "instance " << k << ": " << report.summary();
   }
+
+  expect_storm_matches(want, CrashSchedule::seeded(count, t + 2, 502, 2), run,
+                       "adaptive boundary");
+  expect_storm_matches(want,
+                       CrashSchedule::seeded_mid_round(count, t + 2, 802, 2),
+                       run, "adaptive mid-round");
 }
 
 }  // namespace
