@@ -1,7 +1,9 @@
 #include "action/p_opt.hpp"
 
 #include <algorithm>
+#include <vector>
 
+#include "action/p_opt_go.hpp"
 #include "graph/knowledge.hpp"
 
 namespace eba {
@@ -11,28 +13,29 @@ namespace eba {
 // mask intersections: cone.at(m) ∩ ActionTable decider masks enumerate every
 // (j, m) with a reachable, known decision in one word op per round.
 
-bool POpt::common_test(const CommGraph& g, AgentId self, Value v, int t,
-                       const ActionTable& known) {
+// ---------------------------------------------------------------------------
+// The rule, shared by both failure models.
+// ---------------------------------------------------------------------------
+
+template <class Model>
+bool OptimalRule<Model>::common_test(const CommGraph& g, AgentId self,
+                                     Value v, int t,
+                                     const ActionTable& known) {
   KnowledgeCache cache;
   return common_test(g, self, v, t, known, cache);
 }
 
-bool POpt::common_test(const CommGraph& g, AgentId self, Value v, int t,
-                       const ActionTable& known, KnowledgeCache& cache) {
+template <class Model>
+bool OptimalRule<Model>::common_test(const CommGraph& g, AgentId self,
+                                     Value v, int t, const ActionTable& known,
+                                     KnowledgeCache& cache) {
   const int m = g.time();
   if (m < 1) return false;
 
-  const AgentSet f_self =
-      cache.fault_row(g, m)[static_cast<std::size_t>(self)];
-  const AgentSet candidates = f_self.complement(g.n());
-
   // (a) The possibly-nonfaulty agents must have had distributed knowledge of
-  // exactly t faulty agents at time m-1 (Lemma A.20: equivalent to
-  // C_N(t-faulty) holding now).
-  const auto f_prev = cache.fault_row(g, m - 1);
-  AgentSet dist;
-  for (AgentId j : candidates)
-    dist = dist.united(f_prev[static_cast<std::size_t>(j)]);
+  // exactly t faulty agents at time m-1 — how an agent tells which faults
+  // are known is the model's business.
+  const auto [candidates, dist] = Model::attribute_faults(g, self, t, cache);
   if (dist.size() != t) return false;
 
   // (b) No possibly-nonfaulty agent may be known to have decided 1-v
@@ -57,8 +60,9 @@ bool POpt::common_test(const CommGraph& g, AgentId self, Value v, int t,
   return false;
 }
 
-bool POpt::cond0_test(const CommGraph& g, AgentId self, Value init,
-                      const ActionTable& known) {
+template <class Model>
+bool OptimalRule<Model>::cond0_test(const CommGraph& g, AgentId self,
+                                    Value init, const ActionTable& known) {
   const int m = g.time();
   if (m == 0) return init == Value::zero;
   // Only senders whose round-m message reached `self` can have shown it a
@@ -70,14 +74,88 @@ bool POpt::cond0_test(const CommGraph& g, AgentId self, Value init,
   return false;
 }
 
-bool POpt::cond1_test(const CommGraph& g, AgentId self,
-                      const ActionTable& known) {
+template <class Model>
+Action OptimalRule<Model>::decide_rule(const CommGraph& g, AgentId self,
+                                       Value init, bool decided, int t,
+                                       const ActionTable& known,
+                                       bool use_common,
+                                       KnowledgeCache& cache) {
+  if (decided) return Action::noop();
+  if (use_common) {
+    if (common_test(g, self, Value::zero, t, known, cache))
+      return Action::decide(Value::zero);
+    if (common_test(g, self, Value::one, t, known, cache))
+      return Action::decide(Value::one);
+  }
+  if (cond0_test(g, self, init, known) ||
+      Model::forced_zero(g, self, t, known, cache))
+    return Action::decide(Value::zero);
+  if (Model::cond1_test(g, self, t, known, cache))
+    return Action::decide(Value::one);
+  return Action::noop();
+}
+
+template <class Model>
+void OptimalRule<Model>::infer_actions(const FipState& s) const {
+  s.inferred.ensure(n_, s.time);
+  const Cone& cone = s.knowledge.cone(s.graph, s.self, s.time);
+  for (int m = 0; m <= s.time; ++m) {
+    for (AgentId j : cone.at(m)) {
+      if (j == s.self && m == s.time) continue;  // the action being computed
+      if (s.inferred.get(j, m) != KnownAction::unknown) continue;
+      // Plain extract_view: each (j, m) node is extracted exactly once over
+      // the state's lifetime, so memoizing its cone would be pure overhead.
+      const CommGraph view = extract_view(s.graph, j, m);
+      EBA_REQUIRE(view.pref(j) != PrefLabel::unknown,
+                  "reachable node with unknown own preference");
+      const Value init_j =
+          view.pref(j) == PrefLabel::zero ? Value::zero : Value::one;
+      const bool decided_before = s.inferred.decided_by(j, m - 1);
+      // The view is consulted up to three times (two common tests + cond_1);
+      // a view-local cache shares its cone and fault table across them.
+      KnowledgeCache view_cache;
+      const Action a = decide_rule(view, j, init_j, decided_before, t_,
+                                   s.inferred, use_common_, view_cache);
+      s.inferred.set(j, m, to_known(a));
+    }
+  }
+}
+
+template <class Model>
+Action OptimalRule<Model>::operator()(const FipState& s) const {
+  EBA_REQUIRE(s.graph.n() == n_, "state from a different system");
+  infer_actions(s);
+  return decide_rule(s.graph, s.self, s.init, s.decided.has_value(), t_,
+                     s.inferred, use_common_, s.knowledge);
+}
+
+// ---------------------------------------------------------------------------
+// Sending omissions.
+// ---------------------------------------------------------------------------
+
+FaultAttribution SendingOmissions::attribute_faults(const CommGraph& g,
+                                                    AgentId self, int /*t*/,
+                                                    KnowledgeCache& cache) {
+  const int m = g.time();
+  const AgentSet f_self =
+      cache.fault_row(g, m)[static_cast<std::size_t>(self)];
+  const AgentSet candidates = f_self.complement(g.n());
+  const auto f_prev = cache.fault_row(g, m - 1);
+  AgentSet dist;
+  for (AgentId j : candidates)
+    dist = dist.united(f_prev[static_cast<std::size_t>(j)]);
+  return {candidates, dist};
+}
+
+bool SendingOmissions::cond1_test(const CommGraph& g, AgentId self,
+                                  const ActionTable& known) {
   KnowledgeCache cache;
   return cond1_test(g, self, known, cache);
 }
 
-bool POpt::cond1_test(const CommGraph& g, AgentId self,
-                      const ActionTable& known, KnowledgeCache& cache) {
+bool SendingOmissions::cond1_test(const CommGraph& g, AgentId self,
+                                  const ActionTable& known,
+                                  KnowledgeCache& cache) {
   const int m = g.time();
   if (m == 0) return false;
 
@@ -117,57 +195,14 @@ bool POpt::cond1_test(const CommGraph& g, AgentId self,
   return false;
 }
 
-Action POpt::decide_rule(const CommGraph& g, AgentId self, Value init,
-                         bool decided, int t, const ActionTable& known,
-                         bool use_common, KnowledgeCache& cache) {
-  if (decided) return Action::noop();
-  if (use_common) {
-    if (common_test(g, self, Value::zero, t, known, cache))
-      return Action::decide(Value::zero);
-    if (common_test(g, self, Value::one, t, known, cache))
-      return Action::decide(Value::one);
-  }
-  if (cond0_test(g, self, init, known)) return Action::decide(Value::zero);
-  if (cond1_test(g, self, known, cache)) return Action::decide(Value::one);
-  return Action::noop();
-}
-
-void POpt::infer_actions(const FipState& s) const {
-  s.inferred.ensure(n_, s.time);
-  const Cone& cone = s.knowledge.cone(s.graph, s.self, s.time);
-  for (int m = 0; m <= s.time; ++m) {
-    for (AgentId j : cone.at(m)) {
-      if (j == s.self && m == s.time) continue;  // the action being computed
-      if (s.inferred.get(j, m) != KnownAction::unknown) continue;
-      // Plain extract_view: each (j, m) node is extracted exactly once over
-      // the state's lifetime, so memoizing its cone would be pure overhead.
-      const CommGraph view = extract_view(s.graph, j, m);
-      EBA_REQUIRE(view.pref(j) != PrefLabel::unknown,
-                  "reachable node with unknown own preference");
-      const Value init_j =
-          view.pref(j) == PrefLabel::zero ? Value::zero : Value::one;
-      const bool decided_before = s.inferred.decided_by(j, m - 1);
-      // The view is consulted up to three times (two common tests + cond_1);
-      // a view-local cache shares its cone and fault table across them.
-      KnowledgeCache view_cache;
-      const Action a = decide_rule(view, j, init_j, decided_before, t_,
-                                   s.inferred, use_common_, view_cache);
-      s.inferred.set(j, m, to_known(a));
-    }
-  }
-}
-
-Action POpt::operator()(const FipState& s) const {
-  EBA_REQUIRE(s.graph.n() == n_, "state from a different system");
-  infer_actions(s);
-  return decide_rule(s.graph, s.self, s.init, s.decided.has_value(), t_,
-                     s.inferred, use_common_, s.knowledge);
-}
-
-int POpt::evidence_ambiguity(const FipState& s, int t) {
+int SendingOmissions::evidence_ambiguity(const FipState& s, int t) {
   const AgentSet known =
       s.knowledge.fault_row(s.graph, s.time)[static_cast<std::size_t>(s.self)];
   return std::max(0, t - known.size());
 }
+
+// Both models are compiled here, out of line for every caller.
+template class OptimalRule<SendingOmissions>;
+template class OptimalRule<GeneralOmissions>;
 
 }  // namespace eba

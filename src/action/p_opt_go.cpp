@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "action/p_opt.hpp"
 #include "graph/knowledge.hpp"
 
 namespace eba {
@@ -37,7 +36,7 @@ bool any_fault_set(int n, int t, const Fn& fn) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// go_cond1_test — K_i "no agent can be deciding 0 in round m+1" over GO(t).
+// cond1_test — K_i "no agent can be deciding 0 in round m+1" over GO(t).
 //
 // An agent could be deciding 0 in round m+1 of some consistent world iff a
 // chain of fresh 0-decisions runs from an origin (an init-0 agent, or the
@@ -74,8 +73,9 @@ bool any_fault_set(int n, int t, const Fn& fn) {
 // Matching positions to occupants is a Hall-type problem with pools nested
 // increasing in m2, so per (S, window) a prefix count decides feasibility.
 // ---------------------------------------------------------------------------
-bool POptGo::go_cond1_test(const CommGraph& g, AgentId self, int t,
-                           const ActionTable& known, KnowledgeCache& cache) {
+bool GeneralOmissions::cond1_test(const CommGraph& g, AgentId self, int t,
+                                  const ActionTable& known,
+                                  KnowledgeCache& cache) {
   const int m = g.time();
   if (m == 0) return false;
   const int n = g.n();
@@ -171,68 +171,31 @@ bool POptGo::go_cond1_test(const CommGraph& g, AgentId self, int t,
   return !any_fault_set(n, t, chain_feasible);
 }
 
-// ---------------------------------------------------------------------------
-// go_common_test — the GO evaluation of K_i(C_N(t-faulty ∧ no-decided_N(1-v)
-// ∧ ∃v)), mirroring POpt::common_test with clause-based fault attribution.
-//
-// (a) Budget exhaustion: the pooled missing-edge evidence the observer
-//     knows its possibly-nonfaulty peers had at time m-1 must FORCE exactly
-//     t faults (lie in every <= t cover). The pooled evidence is a subset
-//     of the observer's own, so when it forces t agents the observer's
-//     candidate set equals the true nonfaulty set in every consistent
-//     world, every contributor is provably nonfaulty, and — nonfaulty
-//     pairs exchanging reliably under GO — the t-fault fact was distributed
-//     knowledge of N at m-1 and hence common knowledge at m (the GO
-//     analogue of Lemma A.20).
-// (b) No possibly-nonfaulty agent may be known to have decided 1-v.
-// (c) Some agent outside the forced fault set must have known ∃v at m-1.
-// ---------------------------------------------------------------------------
-bool POptGo::go_common_test(const CommGraph& g, AgentId self, Value v, int t,
-                            const ActionTable& known, KnowledgeCache& cache) {
+FaultAttribution GeneralOmissions::attribute_faults(const CommGraph& g,
+                                                    AgentId self, int t,
+                                                    KnowledgeCache& cache) {
   const int m = g.time();
-  if (m < 1) return false;
-
   const AgentSet f_self = go_known_faults(
       cache.go_evidence_row(g, m)[static_cast<std::size_t>(self)], t);
   const AgentSet candidates = f_self.complement(g.n());
-
   const auto ev_prev = cache.go_evidence_row(g, m - 1);
   OmissionEvidence pooled(g.n());
   for (AgentId j : candidates)
     pooled.unite(ev_prev[static_cast<std::size_t>(j)]);
-  const AgentSet dist = go_known_faults(pooled, t);
-  if (dist.size() != t) return false;
-
-  // (b) as in the SO test: one cone-level ∩ decider-mask ∩ candidates
-  // intersection per round covers every (j, m2) probe.
-  const Cone& cone = cache.cone(g, self, m);
-  const Value other = opposite(v);
-  for (int m2 = 0; m2 < m; ++m2) {
-    const AgentSet bad = other == Value::zero ? known.deciders0(m2)
-                                              : known.deciders1(m2);
-    if (!candidates.intersected(cone.at(m2)).intersected(bad).empty())
-      return false;
-  }
-
-  // (c) some agent believed nonfaulty must have known ∃v at time m-1.
-  for (AgentId j : dist.complement(g.n())) {
-    for (Value known_value : known_values(g, j, m - 1, cone))
-      if (known_value == v) return true;
-  }
-  return false;
+  return {candidates, go_known_faults(pooled, t)};
 }
 
 // ---------------------------------------------------------------------------
-// go_cond0_test — the GO evaluation of init=0 ∨ K_i(∨_j jdecided_j = 0).
+// forced_zero — the GO-only clause of init=0 ∨ K_i(∨_j jdecided_j = 0).
 //
-// The direct clause is the SO one: a delivered round-m message from a
-// sender whose round-m action is an inferred decide(0). GO adds an indirect
-// clause. Suppose the observer's evidence leaves some agents in NO <= t
-// cover — they are provably nonfaulty in every consistent world (typically
-// because the observer has proven itself receive-faulty and exhausted the
-// budget). Nonfaulty pairs exchange reliably, so a known 0-decision by a
-// provably-nonfaulty y in round m-1 (position m-2) reached every
-// provably-nonfaulty z in that round; a z known to be still undecided
+// The rule's direct clause (a delivered round-m message from a sender whose
+// round-m action is an inferred decide(0)) is shared with SO. GO adds an
+// indirect clause. Suppose the observer's evidence leaves some agents in NO
+// <= t cover — they are provably nonfaulty in every consistent world
+// (typically because the observer has proven itself receive-faulty and
+// exhausted the budget). Nonfaulty pairs exchange reliably, so a known
+// 0-decision by a provably-nonfaulty y in round m-1 (position m-2) reached
+// every provably-nonfaulty z in that round; a z known to be still undecided
 // through round m-1 (its actions through time m-2 are inferred noops)
 // therefore decides 0 in round m — in EVERY consistent world — even though
 // the observer saw neither the broadcast nor the decision. Earlier known
@@ -240,10 +203,9 @@ bool POptGo::go_common_test(const CommGraph& g, AgentId self, Value v, int t,
 // never show a provably-nonfaulty agent still undecided two rounds after
 // one (the cascade would already have reached it visibly).
 // ---------------------------------------------------------------------------
-bool POptGo::go_cond0_test(const CommGraph& g, AgentId self, Value init,
-                           int t, const ActionTable& known,
-                           KnowledgeCache& cache) {
-  if (POpt::cond0_test(g, self, init, known)) return true;
+bool GeneralOmissions::forced_zero(const CommGraph& g, AgentId self, int t,
+                                   const ActionTable& known,
+                                   KnowledgeCache& cache) {
   const int m = g.time();
   if (m < 2) return false;
 
@@ -267,51 +229,7 @@ bool POptGo::go_cond0_test(const CommGraph& g, AgentId self, Value init,
   return false;
 }
 
-Action POptGo::decide_rule(const CommGraph& g, AgentId self, Value init,
-                           bool decided, int t, const ActionTable& known,
-                           bool use_common, KnowledgeCache& cache) {
-  if (decided) return Action::noop();
-  if (use_common) {
-    if (go_common_test(g, self, Value::zero, t, known, cache))
-      return Action::decide(Value::zero);
-    if (go_common_test(g, self, Value::one, t, known, cache))
-      return Action::decide(Value::one);
-  }
-  if (go_cond0_test(g, self, init, t, known, cache))
-    return Action::decide(Value::zero);
-  if (go_cond1_test(g, self, t, known, cache)) return Action::decide(Value::one);
-  return Action::noop();
-}
-
-void POptGo::infer_actions(const FipState& s) const {
-  s.inferred.ensure(n_, s.time);
-  const Cone& cone = s.knowledge.cone(s.graph, s.self, s.time);
-  for (int m = 0; m <= s.time; ++m) {
-    for (AgentId j : cone.at(m)) {
-      if (j == s.self && m == s.time) continue;  // the action being computed
-      if (s.inferred.get(j, m) != KnownAction::unknown) continue;
-      const CommGraph view = extract_view(s.graph, j, m);
-      EBA_REQUIRE(view.pref(j) != PrefLabel::unknown,
-                  "reachable node with unknown own preference");
-      const Value init_j =
-          view.pref(j) == PrefLabel::zero ? Value::zero : Value::one;
-      const bool decided_before = s.inferred.decided_by(j, m - 1);
-      KnowledgeCache view_cache;
-      const Action a = decide_rule(view, j, init_j, decided_before, t_,
-                                   s.inferred, use_common_, view_cache);
-      s.inferred.set(j, m, to_known(a));
-    }
-  }
-}
-
-Action POptGo::operator()(const FipState& s) const {
-  EBA_REQUIRE(s.graph.n() == n_, "state from a different system");
-  infer_actions(s);
-  return decide_rule(s.graph, s.self, s.init, s.decided.has_value(), t_,
-                     s.inferred, use_common_, s.knowledge);
-}
-
-int POptGo::evidence_ambiguity(const FipState& s, int t) {
+int GeneralOmissions::evidence_ambiguity(const FipState& s, int t) {
   const OmissionEvidence& e = s.knowledge.go_evidence_row(
       s.graph, s.time)[static_cast<std::size_t>(s.self)];
   return go_possibly_faulty(e, t).minus(go_known_faults(e, t)).size();

@@ -1,5 +1,7 @@
 #include "core/types.hpp"
 
+#include <algorithm>
+
 namespace eba {
 
 std::string to_string(Value v) { return v == Value::zero ? "0" : "1"; }
@@ -24,6 +26,16 @@ std::optional<Decision> RunRecord::decision(AgentId i) const {
     if (a.is_decide()) return Decision{a.value(), m + 1};
   }
   return std::nullopt;
+}
+
+int RunRecord::last_nonfaulty_round() const {
+  int worst = 0;
+  for (AgentId i : nonfaulty) {
+    const auto d = decision(i);
+    if (!d) return -1;
+    worst = std::max(worst, d->round);
+  }
+  return worst;
 }
 
 }  // namespace eba

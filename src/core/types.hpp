@@ -84,6 +84,9 @@ struct RunRecord {
   /// First round in which i decides, or nullopt.
   [[nodiscard]] std::optional<Decision> decision(AgentId i) const;
 
+  /// Largest decision round over nonfaulty agents; -1 if some never decide.
+  [[nodiscard]] int last_nonfaulty_round() const;
+
   friend bool operator==(const RunRecord&, const RunRecord&) = default;
 };
 

@@ -2,18 +2,7 @@
 
 #include <sstream>
 
-#include "action/authenticated.hpp"
-#include "action/early_stop.hpp"
-#include "action/p_basic.hpp"
-#include "action/p_min.hpp"
-#include "action/p_opt.hpp"
-#include "action/p_opt_go.hpp"
-#include "exchange/authenticated.hpp"
-#include "exchange/basic.hpp"
-#include "exchange/fip.hpp"
-#include "exchange/min.hpp"
-#include "exchange/report.hpp"
-#include "sim/drivers.hpp"
+#include "sim/protocol_table.hpp"
 #include "stats/rng.hpp"
 
 namespace eba {
@@ -207,48 +196,11 @@ AdversaryHook make_strategy_hook(AdversaryStrategy& strat, int t) {
 
 AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n, int t,
                                     AdaptiveRunOptions opt) {
-  switch (k) {
-    case ProtocolKind::p_min:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(MinExchange(n), PMin(n, t), s, inits, t, opt);
-      };
-    case ProtocolKind::p_basic:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(BasicExchange(n), PBasic(n, t), s, inits, t, opt);
-      };
-    case ProtocolKind::p_opt:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(FipExchange(n), POpt(n, t), s, inits, t, opt);
-      };
-    case ProtocolKind::p_opt_p0:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(FipExchange(n),
-                            POpt(n, t, POpt::CommonKnowledge::disabled), s,
-                            inits, t, opt);
-      };
-    case ProtocolKind::p_opt_go:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(FipExchange(n), POptGo(n, t), s, inits, t, opt);
-      };
-    case ProtocolKind::p_opt_go_p0:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(FipExchange(n),
-                            POptGo(n, t, POptGo::CommonKnowledge::disabled),
-                            s, inits, t, opt);
-      };
-    case ProtocolKind::early_stop:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(ReportExchange(n, t), PEarlyStop(n, t), s, inits,
-                            t, opt);
-      };
-    case ProtocolKind::authenticated:
-      return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
-        return run_adaptive(AuthExchange(n, t, kDefaultAuthKey), PAuth(n, t),
-                            s, inits, t, opt);
-      };
-  }
-  EBA_REQUIRE(false, "unknown protocol kind");
-  return {};
+  return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
+    return with_protocol(k, n, t, [&](const auto& x, const auto& p) {
+      return run_adaptive(x, p, s, inits, t, opt);
+    });
+  };
 }
 
 }  // namespace eba

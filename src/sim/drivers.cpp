@@ -1,29 +1,9 @@
 #include "sim/drivers.hpp"
 
-#include "action/authenticated.hpp"
-#include "action/early_stop.hpp"
-#include "action/p_basic.hpp"
-#include "action/p_min.hpp"
-#include "action/p_opt.hpp"
-#include "action/p_opt_go.hpp"
-#include "exchange/authenticated.hpp"
-#include "exchange/basic.hpp"
-#include "exchange/fip.hpp"
-#include "exchange/min.hpp"
-#include "exchange/report.hpp"
+#include "sim/protocol_table.hpp"
 #include "sim/stepper.hpp"
 
 namespace eba {
-
-int RunSummary::last_nonfaulty_round() const {
-  int worst = 0;
-  for (AgentId i : record.nonfaulty) {
-    const auto& d = decisions[static_cast<std::size_t>(i)];
-    if (!d) return -1;
-    worst = std::max(worst, d->round);
-  }
-  return worst;
-}
 
 int RunSummary::round_of(AgentId i) const {
   const auto& d = decisions[static_cast<std::size_t>(i)];
@@ -57,57 +37,35 @@ RunSummary summarize(const X& x, const P& p, const FailurePattern& alpha,
 }  // namespace
 
 RunDriver make_min_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(MinExchange(n), PMin(n, t), alpha, inits, t, opt);
-  };
+  return make_driver(ProtocolKind::p_min, n, t, opt);
 }
 
 RunDriver make_basic_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(BasicExchange(n), PBasic(n, t), alpha, inits, t, opt);
-  };
+  return make_driver(ProtocolKind::p_basic, n, t, opt);
 }
 
 RunDriver make_fip_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n), POpt(n, t), alpha, inits, t, opt);
-  };
+  return make_driver(ProtocolKind::p_opt, n, t, opt);
 }
 
 RunDriver make_fip_p0_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n),
-                     POpt(n, t, POpt::CommonKnowledge::disabled), alpha, inits,
-                     t, opt);
-  };
+  return make_driver(ProtocolKind::p_opt_p0, n, t, opt);
 }
 
 RunDriver make_go_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n), POptGo(n, t), alpha, inits, t, opt);
-  };
+  return make_driver(ProtocolKind::p_opt_go, n, t, opt);
 }
 
 RunDriver make_go_p0_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(FipExchange(n),
-                     POptGo(n, t, POptGo::CommonKnowledge::disabled), alpha,
-                     inits, t, opt);
-  };
+  return make_driver(ProtocolKind::p_opt_go_p0, n, t, opt);
 }
 
 RunDriver make_early_stop_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(ReportExchange(n, t), PEarlyStop(n, t), alpha, inits, t,
-                     opt);
-  };
+  return make_driver(ProtocolKind::early_stop, n, t, opt);
 }
 
 RunDriver make_auth_driver(int n, int t, DriveOptions opt) {
-  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
-    return summarize(AuthExchange(n, t, kDefaultAuthKey), PAuth(n, t), alpha,
-                     inits, t, opt);
-  };
+  return make_driver(ProtocolKind::authenticated, n, t, opt);
 }
 
 const char* to_string(ProtocolKind k) {
@@ -139,26 +97,11 @@ FailureModel model_of(ProtocolKind k) {
 }
 
 RunDriver make_driver(ProtocolKind k, int n, int t, DriveOptions opt) {
-  switch (k) {
-    case ProtocolKind::p_min:
-      return make_min_driver(n, t, opt);
-    case ProtocolKind::p_basic:
-      return make_basic_driver(n, t, opt);
-    case ProtocolKind::p_opt:
-      return make_fip_driver(n, t, opt);
-    case ProtocolKind::p_opt_p0:
-      return make_fip_p0_driver(n, t, opt);
-    case ProtocolKind::p_opt_go:
-      return make_go_driver(n, t, opt);
-    case ProtocolKind::p_opt_go_p0:
-      return make_go_p0_driver(n, t, opt);
-    case ProtocolKind::early_stop:
-      return make_early_stop_driver(n, t, opt);
-    case ProtocolKind::authenticated:
-      return make_auth_driver(n, t, opt);
-  }
-  EBA_REQUIRE(false, "unknown protocol kind");
-  return {};
+  return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
+    return with_protocol(k, n, t, [&](const auto& x, const auto& p) {
+      return summarize(x, p, alpha, inits, t, opt);
+    });
+  };
 }
 
 std::vector<NamedDriver> paper_drivers(int n, int t, DriveOptions opt) {

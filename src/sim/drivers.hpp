@@ -24,7 +24,9 @@ struct RunSummary {
   RunRecord record;
 
   /// Largest decision round over nonfaulty agents; -1 if some never decide.
-  [[nodiscard]] int last_nonfaulty_round() const;
+  [[nodiscard]] int last_nonfaulty_round() const {
+    return record.last_nonfaulty_round();
+  }
   /// Decision round of agent i, or -1.
   [[nodiscard]] int round_of(AgentId i) const;
 };
@@ -81,7 +83,7 @@ enum class ProtocolKind : std::uint8_t {
 /// SO(t) otherwise.
 [[nodiscard]] FailureModel model_of(ProtocolKind k);
 
-/// The factory-function drivers above, dispatched on the enum.
+/// The driver for kind k; the factory functions above are named shorthands.
 [[nodiscard]] RunDriver make_driver(ProtocolKind k, int n, int t,
                                     DriveOptions opt = {});
 

@@ -29,16 +29,6 @@ struct Accumulator {
   }
 };
 
-int last_nonfaulty(const RunRecord& rec) {
-  int worst = 0;
-  for (AgentId i : rec.nonfaulty) {
-    const auto d = rec.decision(i);
-    if (!d) return -1;
-    worst = std::max(worst, d->round);
-  }
-  return worst;
-}
-
 std::size_t suppressed_messages(const RunRecord& rec) {
   std::size_t total = 0;
   for (std::size_t m = 0; m < rec.sent.size(); ++m)
@@ -64,7 +54,7 @@ PatternScore ambiguity_score(const FipExchange& x, const P& act, int t,
     for (AgentId i : alpha.nonfaulty())
       amb += P::evidence_ambiguity(st.states()[static_cast<std::size_t>(i)],
                                    t);
-    acc.add(amb, last_nonfaulty(st.record()), st.time());
+    acc.add(amb, st.record().last_nonfaulty_round(), st.time());
   }
   return acc.out;
 }
@@ -81,18 +71,15 @@ PatternEvaluator make_pattern_evaluator(ObjectiveConfig cfg) {
                     cfg.protocol == ProtocolKind::p_opt_go,
                 "evidence_ambiguity needs the full-information protocols");
     auto x = std::make_shared<FipExchange>(cfg.n);
-    if (cfg.protocol == ProtocolKind::p_opt) {
-      auto p = std::make_shared<POpt>(cfg.n, cfg.t);
+    const auto evaluator = [&](auto p) -> PatternEvaluator {
       return [cfg = std::move(cfg), x, p,
               horizon](const FailurePattern& alpha) {
         return ambiguity_score(*x, *p, cfg.t, horizon, cfg.prefs, alpha);
       };
-    }
-    auto p = std::make_shared<POptGo>(cfg.n, cfg.t);
-    return
-        [cfg = std::move(cfg), x, p, horizon](const FailurePattern& alpha) {
-          return ambiguity_score(*x, *p, cfg.t, horizon, cfg.prefs, alpha);
-        };
+    };
+    if (cfg.protocol == ProtocolKind::p_opt)
+      return evaluator(std::make_shared<POpt>(cfg.n, cfg.t));
+    return evaluator(std::make_shared<POptGo>(cfg.n, cfg.t));
   }
 
   RunDriver drive = make_driver(cfg.protocol, cfg.n, cfg.t,

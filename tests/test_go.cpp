@@ -344,10 +344,11 @@ TEST(GoFaults, DeafAgentEventuallyDecidesOne) {
   EXPECT_TRUE(check_eba(z.record).ok());
 }
 
-// The indirect go_cond0 clause in action: a partially deaf agent that SAW
-// the 0-decision (relayed once) but whose budget proves the cascade among
-// the provably-nonfaulty peers is completing right now decides 0 with it —
-// even though it never received a just-decided message directly.
+// The GO-only cond_0 clause (GeneralOmissions::forced_zero) in action: a
+// partially deaf agent that SAW the 0-decision (relayed once) but whose
+// budget proves the cascade among the provably-nonfaulty peers is completing
+// right now decides 0 with it — even though it never received a
+// just-decided message directly.
 TEST(GoFaults, PartiallyDeafAgentJoinsTheForcedCascade) {
   const int n = 3;
   const int t = 1;

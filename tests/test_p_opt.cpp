@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "action/p_opt.hpp"
+#include "action/p_opt_go.hpp"
 #include "core/spec.hpp"
 #include "failure/generators.hpp"
 #include "graph/knowledge.hpp"
@@ -123,6 +124,35 @@ TEST(POptConditions, CommonZeroBlockedByKnownOneDecision) {
   EXPECT_FALSE(POpt::common_test(s3.graph, 0, Value::zero, t, s3.inferred));
 }
 
+TEST(POptConditions, CommonZeroTakesPriorityOverCommonOne) {
+  // n=4, t=2, agents 0 and 1 faulty. Agent 1 (init 0) decides 0 in round 1
+  // and agent 0 follows in round 2, each hidden from agents 2 and 3 in its
+  // deciding round. At time 3 the nonfaulty agents know both faults and that
+  // ∃0 and ∃1 were known at time 2, so common_0 and common_1 both hold; P1
+  // tests common_0 first, so they decide 0.
+  const int n = 4;
+  const int t = 2;
+  FailurePattern alpha(n, AgentSet{2, 3});
+  for (AgentId to : {2, 3}) {
+    alpha.drop(0, 1, to);
+    alpha.drop(1, 0, to);
+  }
+  const std::vector<Value> prefs = {Value::one, Value::zero, Value::one,
+                                    Value::one};
+  SimulateOptions opt;
+  opt.max_rounds = 4;
+  opt.stop_when_all_decided = false;
+  const POpt p(n, t);
+  const auto run = simulate(FipExchange(n), p, alpha, prefs, t, opt);
+
+  const FipState& s3 = run.states[3][2];
+  p.infer_actions(s3);
+  EXPECT_TRUE(POpt::common_test(s3.graph, 2, Value::zero, t, s3.inferred));
+  EXPECT_TRUE(POpt::common_test(s3.graph, 2, Value::one, t, s3.inferred));
+  for (AgentId i : {2, 3})
+    EXPECT_EQ(run.record.decision(i), (Decision{Value::zero, 4})) << i;
+}
+
 TEST(POptInference, TablesAreConsistentWithActualActions) {
   // Whatever an agent infers about (j, m) must match what j actually did.
   const int n = 5;
@@ -170,17 +200,31 @@ TEST(POptInference, SilentAgentStaysUnknown) {
   EXPECT_EQ(s.inferred.get(3, 1), KnownAction::unknown);
 }
 
-TEST(POptProtocol, RejectsForeignState) {
-  const POpt p(4, 1);
+// The constructor and state guards of the shared rule, per failure model
+// and with the common-knowledge lines on and off.
+template <class P>
+class OptimalRuleBothModels : public ::testing::Test {};
+using Models = ::testing::Types<POpt, POptGo>;
+TYPED_TEST_SUITE(OptimalRuleBothModels, Models);
+
+TYPED_TEST(OptimalRuleBothModels, RejectsForeignState) {
+  using CK = typename TypeParam::CommonKnowledge;
   const FipExchange x(3);
   const FipState s = x.initial_state(0, Value::one);
-  EXPECT_THROW((void)p(s), std::logic_error);
+  for (CK ck : {CK::enabled, CK::disabled}) {
+    const TypeParam p(4, 1, ck);
+    EXPECT_THROW((void)p(s), std::logic_error);
+  }
 }
 
-TEST(POptProtocol, BoundsValidated) {
-  EXPECT_THROW(POpt(3, 2), std::logic_error);  // needs n - t >= 2
-  EXPECT_THROW(POpt(3, -1), std::logic_error);
-  EXPECT_NO_THROW(POpt(3, 1));
+TYPED_TEST(OptimalRuleBothModels, BoundsValidated) {
+  using CK = typename TypeParam::CommonKnowledge;
+  for (CK ck : {CK::enabled, CK::disabled}) {
+    EXPECT_THROW(TypeParam(3, 2, ck), std::logic_error);  // needs n - t >= 2
+    EXPECT_THROW(TypeParam(3, -1, ck), std::logic_error);
+    EXPECT_NO_THROW(TypeParam(3, 1, ck));
+    EXPECT_EQ(TypeParam(3, 1, ck).t(), 1);
+  }
 }
 
 }  // namespace
