@@ -87,6 +87,10 @@ class Writer {
   /// rows of communication graphs (nbytes = ceil(n / 8)).
   void word(std::uint64_t v, int nbytes);
   [[nodiscard]] Bytes take() { return std::move(out_); }
+  /// The bytes written so far, in place: a writer reused across payloads
+  /// (clear, encode, read bytes()) keeps its buffer.
+  [[nodiscard]] const Bytes& bytes() const { return out_; }
+  void clear() { out_.clear(); }
 
  private:
   Bytes out_;

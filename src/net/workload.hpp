@@ -40,6 +40,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -496,18 +497,19 @@ void drive_workload(const X& x, const P& act, BusPool& pool,
     const auto on_staged = [&](const std::vector<Action>& actions) -> bool {
       if (!inst.log) return true;
       const int m = inst.stepper.time();
-      IntentPayload intent;
-      intent.round = m;
-      intent.actions = actions;
       const FailurePattern& alpha = inst.stepper.pattern();
       const int n = inst.stepper.n();
-      intent.dropped_send.reserve(static_cast<std::size_t>(n));
-      intent.dropped_receive.reserve(static_cast<std::size_t>(n));
+      std::array<AgentSet, kMaxAgents> dropped_send;
+      std::array<AgentSet, kMaxAgents> dropped_receive;
       for (AgentId i = 0; i < n; ++i) {
-        intent.dropped_send.push_back(alpha.dropped(m, i));
-        intent.dropped_receive.push_back(alpha.dropped_receive(m, i));
+        dropped_send[static_cast<std::size_t>(i)] = alpha.dropped(m, i);
+        dropped_receive[static_cast<std::size_t>(i)] =
+            alpha.dropped_receive(m, i);
       }
-      inst.log->log_intent(intent);
+      const auto un = static_cast<std::size_t>(n);
+      inst.log->log_intent(
+          IntentView{m, actions, std::span(dropped_send).first(un),
+                     std::span(dropped_receive).first(un)});
       if (inst.next_mid_crash < inst.mid_crash_rounds.size() &&
           m + 1 == inst.mid_crash_rounds[inst.next_mid_crash]) {
         inst.next_mid_crash += 1;

@@ -19,14 +19,14 @@ constexpr std::size_t kHeaderBytes = 4 + 8 + 1 + 4;  // magic, seq, kind, len
 constexpr std::size_t kTrailerBytes = 8 + 4;         // auth, crc
 constexpr std::uint32_t kMaxPayload = 1u << 28;
 
-void put_u32(Bytes& b, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    b.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+void store_u32(std::uint8_t* at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    at[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
 }
 
-void put_u64(Bytes& b, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    b.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
+void store_u64(std::uint8_t* at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    at[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
 }
 
 [[nodiscard]] std::uint32_t get_u32(const Bytes& b, std::size_t pos) {
@@ -44,7 +44,8 @@ void put_u64(Bytes& b, std::uint64_t v) {
 }
 
 [[nodiscard]] std::uint64_t auth_of(std::uint64_t key, std::uint64_t seq,
-                                    std::uint8_t kind, const Bytes& payload) {
+                                    std::uint8_t kind,
+                                    std::span<const std::uint8_t> payload) {
   KeyedDigest64 d(key);
   d.u64(seq);
   d.u8(kind);
@@ -129,18 +130,20 @@ std::string Journal::seg_path(std::uint64_t id) const {
 }
 
 void Journal::write_manifest() {
-  Bytes payload;
-  put_u64(payload, KeyedDigest64::key_check_word(opt_.key));
-  put_u32(payload, opt_.page_size);
-  put_u32(payload, static_cast<std::uint32_t>(seg_ids_.size()));
+  Writer payload;
+  payload.u64(KeyedDigest64::key_check_word(opt_.key));
+  payload.u32(opt_.page_size);
+  payload.u32(static_cast<std::uint32_t>(seg_ids_.size()));
   for (std::size_t i = 0; i < seg_ids_.size(); ++i) {
-    put_u64(payload, seg_ids_[i]);
-    put_u64(payload, seg_first_seq_[i]);
+    payload.u64(seg_ids_[i]);
+    payload.u64(seg_first_seq_[i]);
   }
 
-  Bytes out(kManifestMagic, kManifestMagic + 4);
-  put_u32(out, kManifestVersion);
-  write_frame(out, kManifestFrame, payload);
+  Writer head;
+  for (const std::uint8_t c : kManifestMagic) head.u8(c);
+  head.u32(kManifestVersion);
+  Bytes out = head.take();
+  write_frame(out, kManifestFrame, payload.take());
 
   const std::string tmp = dir_ + "/MANIFEST.tmp";
   auto file = vfs_->create(tmp);
@@ -286,22 +289,27 @@ Journal Journal::open(Vfs& vfs, const std::string& dir,
   return j;
 }
 
-std::uint64_t Journal::append(std::uint8_t kind, const Bytes& payload) {
+std::uint64_t Journal::append(std::uint8_t kind,
+                              std::span<const std::uint8_t> payload) {
   if (payload.size() > kMaxPayload)
     throw IoError("journal payload too large");
   if (active_size_ >= opt_.segment_bytes) roll_segment();
   const std::uint64_t seq = last_seq_ + 1;
-  Bytes rec(kRecordMagic, kRecordMagic + 4);
-  put_u64(rec, seq);
-  rec.push_back(kind);
-  put_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  put_u64(rec, auth_of(opt_.key, seq, kind, payload));
-  put_u32(rec, crc32(rec));
-  rec.resize(static_cast<std::size_t>(round_up(rec.size(), opt_.page_size)),
-             0);
-  active_->append(rec);
-  active_size_ += rec.size();
+  const std::size_t body = kHeaderBytes + payload.size() + kTrailerBytes;
+  // Frame in place: the zero fill is the page padding, and the buffer keeps
+  // its capacity from record to record.
+  frame_.assign(static_cast<std::size_t>(round_up(body, opt_.page_size)), 0);
+  std::uint8_t* rec = frame_.data();
+  std::copy(kRecordMagic, kRecordMagic + 4, rec);
+  store_u64(rec + 4, seq);
+  rec[12] = kind;
+  store_u32(rec + 13, static_cast<std::uint32_t>(payload.size()));
+  std::copy(payload.begin(), payload.end(), rec + kHeaderBytes);
+  const std::size_t auth_at = kHeaderBytes + payload.size();
+  store_u64(rec + auth_at, auth_of(opt_.key, seq, kind, payload));
+  store_u32(rec + auth_at + 8, crc32(rec, auth_at + 8));
+  active_->append(frame_);
+  active_size_ += frame_.size();
   last_seq_ = seq;
   return seq;
 }

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,8 @@ class Journal {
 
   /// Appends one record; returns its sequence number. Durable only after
   /// the next sync(). Rolls to a new segment when the active one is full.
-  std::uint64_t append(std::uint8_t kind, const Bytes& payload);
+  std::uint64_t append(std::uint8_t kind,
+                       std::span<const std::uint8_t> payload);
 
   /// fsync of the active segment: every appended record becomes durable.
   void sync();
@@ -132,6 +134,7 @@ class Journal {
   std::unique_ptr<File> active_;
   std::uint64_t active_size_ = 0;
   std::uint64_t last_seq_ = 0;
+  Bytes frame_;  ///< append's reused record buffer (one padded record)
 };
 
 }  // namespace eba

@@ -51,14 +51,14 @@ std::vector<AgentSet> decode_rows(Reader& r, int n, bool forbid_self) {
   return rows;
 }
 
-void encode_rows(Writer& w, const std::vector<AgentSet>& rows, int n) {
+void encode_rows(Writer& w, std::span<const AgentSet> rows, int n) {
   const int row_bytes = (n + 7) / 8;
   for (const AgentSet& s : rows) w.word(s.bits(), row_bytes);
 }
 
 }  // namespace
 
-void encode_delta(Writer& w, const DeltaPayload& delta) {
+void encode_delta(Writer& w, const DeltaView& delta) {
   const int n = static_cast<int>(delta.actions.size());
   EBA_REQUIRE(static_cast<int>(delta.sent.size()) == n &&
                   static_cast<int>(delta.delivered.size()) == n,
@@ -86,7 +86,7 @@ DeltaPayload decode_delta(Reader& r) {
   return delta;
 }
 
-void encode_intent(Writer& w, const IntentPayload& intent) {
+void encode_intent(Writer& w, const IntentView& intent) {
   const int n = static_cast<int>(intent.actions.size());
   EBA_REQUIRE(static_cast<int>(intent.dropped_send.size()) == n &&
                   static_cast<int>(intent.dropped_receive.size()) == n,
@@ -108,16 +108,11 @@ IntentPayload decode_intent(Reader& r) {
   return intent;
 }
 
-DeltaPayload delta_of_record(const RunRecord& record, int m) {
+DeltaView delta_of_record(const RunRecord& record, int m) {
   EBA_REQUIRE(m >= 0 && m < record.rounds,
               "delta round outside the recorded run");
   const std::size_t um = static_cast<std::size_t>(m);
-  DeltaPayload delta;
-  delta.round = m;
-  delta.actions = record.actions[um];
-  delta.sent = record.sent[um];
-  delta.delivered = record.delivered[um];
-  return delta;
+  return {m, record.actions[um], record.sent[um], record.delivered[um]};
 }
 
 RunLog::RunLog(Journal&& journal) : journal_(std::move(journal)) {
@@ -141,17 +136,19 @@ void RunLog::log_checkpoint(const Bytes& checkpoint_bytes) {
   journal_.sync();
 }
 
-void RunLog::log_delta(const DeltaPayload& delta) {
-  Writer w;
-  encode_delta(w, delta);
-  journal_.append(kRunLogDelta, w.take());
+void RunLog::log_delta(const DeltaView& delta) {
+  buf_.clear();
+  buf_.reserve(round_record_size(static_cast<int>(delta.actions.size())));
+  encode_delta(buf_, delta);
+  journal_.append(kRunLogDelta, buf_.bytes());
   journal_.sync();
 }
 
-void RunLog::log_intent(const IntentPayload& intent) {
-  Writer w;
-  encode_intent(w, intent);
-  journal_.append(kRunLogIntent, w.take());
+void RunLog::log_intent(const IntentView& intent) {
+  buf_.clear();
+  buf_.reserve(round_record_size(static_cast<int>(intent.actions.size())));
+  encode_intent(buf_, intent);
+  journal_.append(kRunLogIntent, buf_.bytes());
   journal_.sync();
 }
 

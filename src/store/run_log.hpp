@@ -30,6 +30,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,32 +45,65 @@ inline constexpr std::uint8_t kRunLogCheckpoint = 1;
 inline constexpr std::uint8_t kRunLogDelta = 2;
 inline constexpr std::uint8_t kRunLogIntent = 3;
 
-/// One completed round, as logged incrementally.
+/// One completed round's planes, borrowed from wherever they live — a run
+/// record (delta_of_record) or a decoded DeltaPayload. The one form
+/// encode_delta and RunLog::log_delta take, so logging a round copies no
+/// plane.
+struct DeltaView {
+  int round = 0;  ///< pattern round index m (the round just completed)
+  std::span<const Action> actions;
+  std::span<const AgentSet> sent;
+  std::span<const AgentSet> delivered;
+};
+
+/// One completed round, as decoded from the log.
 struct DeltaPayload {
   int round = 0;  ///< pattern round index m (the round just completed)
   std::vector<Action> actions;
   std::vector<AgentSet> sent;
   std::vector<AgentSet> delivered;
+
+  operator DeltaView() const { return {round, actions, sent, delivered}; }
 };
 
-/// One staged (in-flight) round: what is about to happen, durably, before
-/// any message moves.
+/// One staged (in-flight) round, borrowed: what is about to happen,
+/// durably, before any message moves. The one form encode_intent and
+/// RunLog::log_intent take.
+struct IntentView {
+  int round = 0;  ///< pattern round index m (the round being staged)
+  std::span<const Action> actions;
+  /// dropped_send[i] = receivers the pattern drops from sender i this round.
+  std::span<const AgentSet> dropped_send;
+  /// dropped_receive[i] = senders receiver i drops this round.
+  std::span<const AgentSet> dropped_receive;
+};
+
+/// One staged round, as decoded from the log.
 struct IntentPayload {
   int round = 0;  ///< pattern round index m (the round being staged)
   std::vector<Action> actions;
-  /// dropped_send[i] = receivers the pattern drops from sender i this round.
   std::vector<AgentSet> dropped_send;
-  /// dropped_receive[i] = senders receiver i drops this round.
   std::vector<AgentSet> dropped_receive;
+
+  operator IntentView() const {
+    return {round, actions, dropped_send, dropped_receive};
+  }
 };
 
-void encode_delta(Writer& w, const DeltaPayload& delta);
+/// Exact encoded size of a delta or intent record over n agents: round and
+/// population words, one action byte per agent, two planes of n rows.
+[[nodiscard]] constexpr std::size_t round_record_size(int n) {
+  const auto un = static_cast<std::size_t>(n);
+  return 8 + un + 2 * un * ((un + 7) / 8);
+}
+
+void encode_delta(Writer& w, const DeltaView& delta);
 [[nodiscard]] DeltaPayload decode_delta(Reader& r);
-void encode_intent(Writer& w, const IntentPayload& intent);
+void encode_intent(Writer& w, const IntentView& intent);
 [[nodiscard]] IntentPayload decode_intent(Reader& r);
 
-/// Extracts a DeltaPayload for round `m` straight from a run record.
-[[nodiscard]] DeltaPayload delta_of_record(const RunRecord& record, int m);
+/// Round `m` of a run record, as a delta borrowing the record's planes.
+[[nodiscard]] DeltaView delta_of_record(const RunRecord& record, int m);
 
 /// The durable log of one instance. Every log_* call appends and fsyncs:
 /// when it returns, the record survives a power cut.
@@ -81,8 +115,8 @@ class RunLog {
                                    const JournalOptions& opt = {});
 
   void log_checkpoint(const Bytes& checkpoint_bytes);
-  void log_delta(const DeltaPayload& delta);
-  void log_intent(const IntentPayload& intent);
+  void log_delta(const DeltaView& delta);
+  void log_intent(const IntentView& intent);
 
   /// Lets the journal drop segments that only hold records older than the
   /// newest `keep` full checkpoints. `keep` >= 1.
@@ -96,6 +130,7 @@ class RunLog {
 
   Journal journal_;
   std::vector<std::uint64_t> checkpoint_seqs_;
+  Writer buf_;  ///< reused encode buffer of log_delta/log_intent
 };
 
 /// The outcome of recover_run: a live stepper positioned exactly where the

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/assert.hpp"
+
 namespace eba {
 
 // -- MemVfs ------------------------------------------------------------------
@@ -85,8 +87,9 @@ void MemVfs::rename(const std::string& from, const std::string& to) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = live_.find(from);
   if (it == live_.end()) throw IoError("rename source missing: " + from);
+  if (from == to) return;  // POSIX: renaming a file onto itself is a no-op
   live_[to] = it->second;
-  live_.erase(from);
+  live_.erase(it);
 }
 
 void MemVfs::remove(const std::string& path) {
@@ -105,11 +108,28 @@ void MemVfs::truncate(const std::string& path, std::uint64_t size) {
   inode.synced = std::min(inode.synced, inode.data.size());
 }
 
+namespace {
+
+/// The entries of an ordered path map whose key starts with `prefix`. They
+/// are contiguous and begin at lower_bound(prefix), so finding them costs
+/// O(log N + entries under the prefix), whatever else the map holds.
+template <class Map>
+auto prefix_range(Map& paths, const std::string& prefix) {
+  const auto first = paths.lower_bound(prefix);
+  auto last = first;
+  while (last != paths.end() &&
+         last->first.compare(0, prefix.size(), prefix) == 0)
+    ++last;
+  return std::pair{first, last};
+}
+
+}  // namespace
+
 std::vector<std::string> MemVfs::list(const std::string& prefix) const {
   const std::lock_guard<std::mutex> lock(mu_);
+  const auto [first, last] = prefix_range(live_, prefix);
   std::vector<std::string> out;
-  for (const auto& [path, inode] : live_)
-    if (path.compare(0, prefix.size(), prefix) == 0) out.push_back(path);
+  for (auto it = first; it != last; ++it) out.push_back(it->first);
   return out;
 }
 
@@ -119,43 +139,39 @@ void MemVfs::sync_dir(const std::string& prefix) {
   // replaced by the live names. File CONTENT durability is per-inode and
   // unchanged — a name committed by the dir fsync still only keeps the
   // bytes its own fsync covered.
-  for (auto it = durable_.begin(); it != durable_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0)
-      it = durable_.erase(it);
-    else
-      ++it;
-  }
-  for (const auto& [path, inode] : live_)
-    if (path.compare(0, prefix.size(), prefix) == 0) durable_[path] = inode;
+  const auto [d_first, d_last] = prefix_range(durable_, prefix);
+  const auto next = durable_.erase(d_first, d_last);
+  const auto [l_first, l_last] = prefix_range(live_, prefix);
+  for (auto it = l_first; it != l_last; ++it)
+    durable_.emplace_hint(next, it->first, it->second);
 }
 
 void MemVfs::power_cut(const std::string& prefix,
                        const std::optional<TearSpec>& tear) {
   const std::lock_guard<std::mutex> lock(mu_);
+  EBA_REQUIRE(!tear || tear->path.compare(0, prefix.size(), prefix) == 0,
+              "torn file lies outside the power-cut prefix");
   // 1. The live namespace under `prefix` reverts to the durable one:
   //    unsynced creations vanish, unsynced renames/removes roll back.
-  for (auto it = live_.begin(); it != live_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0)
-      it = live_.erase(it);
-    else
-      ++it;
-  }
-  for (const auto& [path, inode] : durable_)
-    if (path.compare(0, prefix.size(), prefix) == 0) live_[path] = inode;
+  const auto [l_first, l_last] = prefix_range(live_, prefix);
+  const auto next = live_.erase(l_first, l_last);
+  const auto [first, last] = prefix_range(durable_, prefix);
+  for (auto it = first; it != last; ++it)
+    live_.emplace_hint(next, it->first, it->second);
 
   // 2. Every surviving file's content reverts to its synced prefix —
   //    except the torn file, which keeps `keep` extra bytes of its
-  //    unsynced tail (and optionally a corrupted final byte).
-  for (const auto& [path, inode] : live_) {
-    if (path.compare(0, prefix.size(), prefix) != 0) continue;
-    std::size_t survive = inode->synced;
-    const bool torn = tear && tear->path == path;
-    if (torn) survive = std::min(inode->synced + tear->keep,
-                                 inode->data.size());
-    inode->data.resize(survive);
-    inode->synced = std::min(inode->synced, survive);
-    if (torn && tear->corrupt && survive > inode->synced)
-      inode->data[survive - 1] ^= 0x5A;
+  //    unsynced tail (and optionally a corrupted final byte). The
+  //    survivors are exactly the durable names under `prefix`.
+  for (auto it = first; it != last; ++it) {
+    Inode& inode = *it->second;
+    std::size_t survive = inode.synced;
+    const bool torn = tear && tear->path == it->first;
+    if (torn) survive = std::min(inode.synced + tear->keep, inode.data.size());
+    inode.data.resize(survive);
+    inode.synced = std::min(inode.synced, survive);
+    if (torn && tear->corrupt && survive > inode.synced)
+      inode.data[survive - 1] ^= 0x5A;
   }
 }
 

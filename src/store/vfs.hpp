@@ -27,6 +27,15 @@
 // rename, remove) is durable only after `Vfs::sync_dir()` on its
 // directory. `rename` is atomic in the live view either way — what the
 // power cut decides is whether it happened at all.
+//
+// The cost contract of MemVfs's prefix operations (`list`, `sync_dir`,
+// `power_cut`): each costs O(log N + k), where N is the number of paths
+// the MemVfs holds and k the number under the prefix. One MemVfs can hold
+// thousands of instances' journals (the workload engine gives each its own
+// directory), and a crash or directory sync of one instance never pays for
+// the files of another. Prefixes are plain string prefixes: "a/1/" covers
+// "a/1/x" but not "a/10/x" or the bare file "a/1", and "" covers every
+// path.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +73,8 @@ class File {
 
 /// A torn write: how much of the cut file's unsynced tail survived the
 /// power cut, and whether its final surviving byte was corrupted mid-write.
+/// `path` must lie under the cut's prefix (MemVfs::power_cut requires it),
+/// so a torn-write sweep cannot silently tear nothing.
 struct TearSpec {
   std::string path;       ///< the file whose tail is torn
   std::size_t keep = 0;   ///< unsynced bytes that made it to the platter
@@ -85,7 +96,8 @@ class Vfs {
       const std::string& path) const = 0;
   [[nodiscard]] virtual bool exists(const std::string& path) const = 0;
   /// Atomic replace: `to` is either its old content or `from`'s, never a
-  /// mixture. Durable only after sync_dir().
+  /// mixture. Durable only after sync_dir(). `rename(p, p)` of an existing
+  /// `p` is a no-op, as in POSIX.
   virtual void rename(const std::string& from, const std::string& to) = 0;
   virtual void remove(const std::string& path) = 0;
   /// Truncates `path` to `size` bytes (torn-tail amputation on recovery).
@@ -111,7 +123,9 @@ class Vfs {
 
 /// In-memory VFS with power-cut and write-fault injection. Thread-safe:
 /// the workload engine drives many instances' journals (disjoint path
-/// prefixes) through one shared MemVfs from its worker pool.
+/// prefixes) through one shared MemVfs from its worker pool. One mutex
+/// guards it; the prefix operations touch only their own range of the
+/// ordered maps (see the cost contract above).
 class MemVfs final : public Vfs {
  public:
   [[nodiscard]] std::unique_ptr<File> open_append(

@@ -13,6 +13,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -164,6 +167,300 @@ TEST(MemVfsTest, InjectedWriteFailureIsPartialAndTyped) {
   // The fault disarms after firing once.
   f->append(bytes_of({9}));
   EXPECT_EQ(f->size(), 5u);
+}
+
+TEST(MemVfsTest, PrefixOpsTouchOnlyTheirOwnDirectory) {
+  // Neighbours of "a/1/" on every side of the ordered map: the bare file
+  // "a/1" and "a/0/" sort before it, "a/10/" and "a/2/" after. Each holds
+  // synced bytes, an unsynced tail, and an unsynced creation, so a cut that
+  // strays drops a tail and a directory sync that strays commits a name.
+  const std::vector<std::string> neighbours = {"a/0/f", "a/1", "a/10/f",
+                                               "a/2/f"};
+  const std::vector<std::string> all = {"a/0/f", "a/1", "a/1/f", "a/10/f",
+                                        "a/2/f"};
+  const auto populate = [&](MemVfs& vfs) {
+    for (const std::string& path : all) {
+      auto f = vfs.create(path);
+      f->append(bytes_of({1, 2}));
+      f->sync();
+    }
+    vfs.sync_dir("a/");
+    for (const std::string& path : all) {
+      auto f = vfs.open_append(path);
+      f->append(bytes_of({3}));
+      auto g = vfs.create(path + ".new");  // name not yet durable
+      g->append(bytes_of({4}));
+      g->sync();
+    }
+  };
+  // Live view, then (after a full power cut) durable view, of one path.
+  const auto snapshot = [](MemVfs& vfs, const std::string& path) {
+    return vfs.exists(path) ? vfs.read(path) : Bytes{0xEE};
+  };
+
+  for (const bool cut : {true, false}) {
+    SCOPED_TRACE(cut ? "power_cut" : "sync_dir");
+    MemVfs touched;
+    MemVfs untouched;
+    populate(touched);
+    populate(untouched);
+    if (cut)
+      touched.power_cut("a/1/");
+    else
+      touched.sync_dir("a/1/");
+
+    const std::vector<std::string> own =
+        cut ? std::vector<std::string>{"a/1/f"}
+            : std::vector<std::string>{"a/1/f", "a/1/f.new"};
+    EXPECT_EQ(touched.list("a/1/"), own) << "list strayed outside its directory";
+    for (const std::string& path : neighbours)
+      for (const std::string& name : {path, path + ".new"})
+        EXPECT_EQ(snapshot(touched, name), snapshot(untouched, name))
+            << name << " changed in the live view";
+    // The op did act inside "a/1/": the cut dropped the tail and the
+    // creation, the directory sync made the creation durable.
+    EXPECT_EQ(touched.read("a/1/f"),
+              cut ? bytes_of({1, 2}) : bytes_of({1, 2, 3}));
+
+    touched.power_cut("");
+    untouched.power_cut("");
+    for (const std::string& path : neighbours)
+      for (const std::string& name : {path, path + ".new"})
+        EXPECT_EQ(snapshot(touched, name), snapshot(untouched, name))
+            << name << " changed in the durable view";
+    EXPECT_EQ(touched.exists("a/1/f.new"), !cut);
+    EXPECT_FALSE(untouched.exists("a/1/f.new"));
+    // The empty prefix covers everything: no unsynced byte or name left.
+    for (const std::string& path : touched.list(""))
+      EXPECT_EQ(touched.read(path).size(), path.ends_with(".new") ? 1u : 2u)
+          << path;
+  }
+}
+
+TEST(MemVfsTest, TearOutsideTheCutPrefixIsRefused) {
+  // A sweep whose TearSpec names a file the cut does not cover would tear
+  // nothing and pass vacuously; the VFS refuses it instead, untouched.
+  MemVfs vfs;
+  for (const char* path : {"d/f", "e/f"}) {
+    auto f = vfs.create(path);
+    f->append(bytes_of({1}));
+    f->sync();
+    f->append(bytes_of({2}));
+  }
+  vfs.sync_dir("");
+  TearSpec tear;
+  tear.path = "e/f";
+  tear.keep = 1;
+  EXPECT_THROW(vfs.power_cut("d/", tear), std::logic_error);
+  EXPECT_EQ(vfs.read("d/f"), bytes_of({1, 2}));
+  EXPECT_EQ(vfs.read("e/f"), bytes_of({1, 2}));
+  tear.path = "d/f";
+  vfs.power_cut("d/", tear);
+  EXPECT_EQ(vfs.read("d/f"), bytes_of({1, 2}));
+}
+
+/// rename(p, p) must leave p in place, as POSIX rename (and so DiskVfs)
+/// does. `root` is the directory the files go under.
+void expect_self_rename_is_a_noop(Vfs& vfs, const std::string& root) {
+  const std::string path = root + "/a";
+  {
+    auto f = vfs.create(path);
+    f->append(bytes_of({5, 6}));
+    f->sync();
+  }
+  vfs.sync_dir(root + "/");
+  vfs.rename(path, path);
+  ASSERT_TRUE(vfs.exists(path)) << "self-rename deleted the file";
+  EXPECT_EQ(vfs.read(path), bytes_of({5, 6}));
+  EXPECT_EQ(vfs.list(root + "/"), std::vector<std::string>{path});
+  EXPECT_THROW(vfs.rename(root + "/missing", root + "/missing"), IoError);
+}
+
+TEST(MemVfsTest, SelfRenameIsANoOp) {
+  MemVfs vfs;
+  expect_self_rename_is_a_noop(vfs, "d");
+  vfs.power_cut("d/");
+  EXPECT_EQ(vfs.read("d/a"), bytes_of({5, 6}));
+}
+
+TEST(DiskVfsTest, SelfRenameIsANoOp) {
+  char tmpl[] = "/tmp/eba_store_test_XXXXXX";
+  char* dir_c = ::mkdtemp(tmpl);
+  ASSERT_NE(dir_c, nullptr);
+  DiskVfs vfs;
+  expect_self_rename_is_a_noop(vfs, dir_c);
+  std::filesystem::remove_all(dir_c);
+}
+
+/// MemVfs's namespace semantics written the slow, obvious way: every prefix
+/// operation scans every path. The differential test below runs MemVfs and
+/// this model through the same random operations and demands the same
+/// observable state after each one.
+class ScanModelVfs {
+ public:
+  struct Inode {
+    Bytes data;
+    std::size_t synced = 0;
+  };
+  using Handle = std::shared_ptr<Inode>;
+
+  Handle create(const std::string& path) {
+    return live_[path] = std::make_shared<Inode>();
+  }
+  Handle open_append(const std::string& path) {
+    Handle& slot = live_[path];
+    if (!slot) slot = std::make_shared<Inode>();
+    return slot;
+  }
+  /// False when `from` does not exist.
+  bool rename(const std::string& from, const std::string& to) {
+    const auto it = live_.find(from);
+    if (it == live_.end()) return false;
+    const Handle inode = it->second;
+    live_.erase(it);
+    live_[to] = inode;
+    return true;
+  }
+  void remove(const std::string& path) { live_.erase(path); }
+  [[nodiscard]] const Inode* find(const std::string& path) const {
+    const auto it = live_.find(path);
+    return it == live_.end() ? nullptr : it->second.get();
+  }
+  [[nodiscard]] std::vector<std::string> list(const std::string& prefix) const {
+    std::vector<std::string> out;
+    for (const auto& [path, inode] : live_)
+      if (under(path, prefix)) out.push_back(path);
+    return out;
+  }
+  void sync_dir(const std::string& prefix) {
+    std::erase_if(durable_, [&](const auto& e) { return under(e.first, prefix); });
+    for (const auto& [path, inode] : live_)
+      if (under(path, prefix)) durable_[path] = inode;
+  }
+  void power_cut(const std::string& prefix, const std::optional<TearSpec>& tear) {
+    std::erase_if(live_, [&](const auto& e) { return under(e.first, prefix); });
+    for (const auto& [path, inode] : durable_)
+      if (under(path, prefix)) live_[path] = inode;
+    for (const auto& [path, inode] : live_) {
+      if (!under(path, prefix)) continue;
+      std::size_t survive = inode->synced;
+      const bool torn = tear && tear->path == path;
+      if (torn)
+        survive = std::min(inode->synced + tear->keep, inode->data.size());
+      inode->data.resize(survive);
+      inode->synced = std::min(inode->synced, survive);
+      if (torn && tear->corrupt && survive > inode->synced)
+        inode->data[survive - 1] ^= 0x5A;
+    }
+  }
+
+ private:
+  static bool under(const std::string& path, const std::string& prefix) {
+    return path.compare(0, prefix.size(), prefix) == 0;
+  }
+  std::map<std::string, Handle> live_;
+  std::map<std::string, Handle> durable_;
+};
+
+TEST(MemVfsTest, RandomOpsMatchAFullScanModel) {
+  // Paths and prefixes chosen to sit next to each other in the ordered
+  // map: a range that ends one key early or runs one key past its prefix
+  // diverges from the model within a few operations.
+  const std::vector<std::string> paths = {"a",      "a/1",    "a/1/x",
+                                          "a/1/y",  "a/10/x", "a/2/x",
+                                          "a/0/x",  "b/x",    "b/y/z"};
+  const std::vector<std::string> prefixes = {"",     "a",     "a/",
+                                             "a/1",  "a/1/",  "a/10/",
+                                             "a/2/", "b/",    "c/"};
+  const auto pick = [](Rng& rng, const std::vector<std::string>& from) {
+    return from[static_cast<std::size_t>(
+        rng.below(static_cast<int>(from.size())))];
+  };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    MemVfs vfs;
+    ScanModelVfs model;
+    std::vector<std::unique_ptr<File>> files;
+    std::vector<ScanModelVfs::Handle> handles;
+    for (int step = 0; step < 250; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      const std::string path = pick(rng, paths);
+      const std::string prefix = pick(rng, prefixes);
+      const auto k = files.empty()
+                         ? 0
+                         : static_cast<std::size_t>(
+                               rng.below(static_cast<int>(files.size())));
+      switch (rng.below(9)) {
+        case 0:
+          files.push_back(vfs.create(path));
+          handles.push_back(model.create(path));
+          break;
+        case 1:
+          files.push_back(vfs.open_append(path));
+          handles.push_back(model.open_append(path));
+          break;
+        case 2:
+          if (files.empty()) break;
+          {
+            Bytes b(static_cast<std::size_t>(1 + rng.below(5)));
+            for (std::uint8_t& byte : b)
+              byte = static_cast<std::uint8_t>(rng.below(256));
+            files[k]->append(b);
+            handles[k]->data.insert(handles[k]->data.end(), b.begin(),
+                                    b.end());
+          }
+          break;
+        case 3:
+          if (files.empty()) break;
+          files[k]->sync();
+          handles[k]->synced = handles[k]->data.size();
+          break;
+        case 4: {
+          const std::string to = pick(rng, paths);
+          bool threw = false;
+          try {
+            vfs.rename(path, to);
+          } catch (const IoError&) {
+            threw = true;
+          }
+          ASSERT_EQ(threw, !model.rename(path, to));
+          break;
+        }
+        case 5:
+          vfs.remove(path);
+          model.remove(path);
+          break;
+        case 6:
+          vfs.sync_dir(prefix);
+          model.sync_dir(prefix);
+          break;
+        case 7: {
+          std::optional<TearSpec> tear;
+          if (path.starts_with(prefix) && rng.chance(0.5)) {
+            tear = TearSpec{path, static_cast<std::size_t>(rng.below(4)),
+                            rng.chance(0.5)};
+          }
+          vfs.power_cut(prefix, tear);
+          model.power_cut(prefix, tear);
+          break;
+        }
+        default:
+          ASSERT_EQ(vfs.list(prefix), model.list(prefix)) << prefix;
+          break;
+      }
+      ASSERT_EQ(vfs.list(""), model.list(""));
+      for (const std::string& p : paths) {
+        const ScanModelVfs::Inode* inode = model.find(p);
+        ASSERT_EQ(vfs.exists(p), inode != nullptr) << p;
+        if (inode) {
+          ASSERT_EQ(vfs.read(p), inode->data) << p;
+        }
+      }
+      for (std::size_t h = 0; h < files.size(); ++h)
+        ASSERT_EQ(files[h]->size(), handles[h]->data.size()) << "handle " << h;
+    }
+  }
 }
 
 // -- Keyed digests -----------------------------------------------------------
@@ -765,10 +1062,12 @@ TEST(RunLogTest, DivergentDeltaAndForgedIntentRejected) {
     Stepper<MinExchange, PMin> stepper(fx.x, fx.p, fx.alpha, fx.inits, fx.t);
     log.log_checkpoint(checkpoint_stepper(stepper));
     ASSERT_TRUE(stepper.step());
-    DeltaPayload delta = delta_of_record(stepper.record(), 0);
+    DeltaView delta = delta_of_record(stepper.record(), 0);
     // Forge agent 0's logged action: the replayed round cannot realize it.
-    delta.actions[0] = delta.actions[0].is_decide() ? Action::noop()
-                                                    : Action::decide(Value::zero);
+    std::vector<Action> forged(delta.actions.begin(), delta.actions.end());
+    forged[0] = forged[0].is_decide() ? Action::noop()
+                                      : Action::decide(Value::zero);
+    delta.actions = forged;
     log.log_delta(delta);
   }
   {
