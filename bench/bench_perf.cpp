@@ -2,9 +2,9 @@
 //
 // google-benchmark timings for the building blocks of the polynomial-time
 // optimal FIP — graph merge, cone construction, view extraction, the
-// common/cond tests — and end-to-end run simulation for all three
-// protocols, as a function of n. Near-polynomial scaling in n is the
-// empirical counterpart of Prop 7.9.
+// common/cond tests, view inference over a whole cone — and end-to-end run
+// simulation for all three protocols, as a function of n. Near-polynomial
+// scaling in n is the empirical counterpart of Prop 7.9.
 #include <benchmark/benchmark.h>
 
 #include "action/p_basic.hpp"
@@ -14,6 +14,7 @@
 #include "graph/knowledge.hpp"
 #include "net/serialize.hpp"
 #include "sim/simulator.hpp"
+#include "stats/rng.hpp"
 
 namespace eba::bench {
 namespace {
@@ -28,6 +29,20 @@ FipState sample_state(int n, int t, int rounds) {
   opt.max_rounds = rounds;
   opt.stop_when_all_decided = false;
   auto run = simulate(FipExchange(n), noop, alpha, all_ones(n), t, opt);
+  return run.states.back()[0];
+}
+
+/// Agent 0's state at time `rounds` of a seeded random SO(t) run (each
+/// faulty sender's message dropped with probability 0.35).
+FipState seeded_state(int n, int t, int rounds, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto alpha = sample_adversary(n, t, rounds + 1, 0.35, rng);
+  auto noop = [](const FipState&) { return Action::noop(); };
+  SimulateOptions opt;
+  opt.max_rounds = rounds;
+  opt.stop_when_all_decided = false;
+  auto run = simulate(FipExchange(n), noop, alpha, sample_preferences(n, rng),
+                      t, opt);
   return run.states.back()[0];
 }
 
@@ -92,6 +107,23 @@ void BM_Cond1Test(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Cond1Test)->Arg(8)->Arg(16)->Arg(32);
+
+// View inference from scratch: d(j, m) for every node of the agent's cone,
+// each evaluated on its reconstructed view (the per-node work behind Prop
+// 7.9). The table is cleared every iteration; the thread's inference
+// scratch is warm after the first, as in a long-running worker.
+void BM_InferActions(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int t = n / 4;
+  const FipState s = seeded_state(n, t, t + 2, 20261017);
+  const POpt p(n, t);
+  for (auto _ : state) {
+    s.inferred = ActionTable{};
+    p.infer_actions(s);
+    benchmark::DoNotOptimize(s.inferred);
+  }
+}
+BENCHMARK(BM_InferActions)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_GraphSerialize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,7 +1,6 @@
 #include "action/p_opt.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "action/p_opt_go.hpp"
 #include "graph/knowledge.hpp"
@@ -12,6 +11,26 @@ namespace eba {
 // reachability in the graph under evaluation — is realized below as whole
 // mask intersections: cone.at(m) ∩ ActionTable decider masks enumerate every
 // (j, m) with a reachable, known decision in one word op per round.
+
+namespace {
+
+/// The buffers view inference rebuilds in place for every (j, m) node: the
+/// node's cone, its reconstructed view G_{j,m} and that view's knowledge
+/// cache. The view keeps one address and a strictly increasing revision
+/// across refills, so the cache never answers from an earlier node.
+struct InferScratch {
+  Cone cone;
+  CommGraph view = CommGraph::blank(1, 0);
+  KnowledgeCache cache;
+};
+
+/// One scratch per thread, shared by both models' rules (see p_opt.hpp).
+InferScratch& infer_scratch() {
+  thread_local InferScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // The rule, shared by both failure models.
@@ -53,10 +72,8 @@ bool OptimalRule<Model>::common_test(const CommGraph& g, AgentId self,
 
   // (c) Some agent believed nonfaulty at time m-1 must have known ∃v then
   // (Prop A.2(c): C_N(t-faulty ∧ ∃v) ⇔ C_N(t-faulty) ∧ ⊖(∨_{j∈N} K_j ∃v)).
-  for (AgentId j : dist.complement(g.n())) {
-    for (Value known_value : known_values(g, j, m - 1, cone))
-      if (known_value == v) return true;
-  }
+  for (AgentId j : dist.complement(g.n()))
+    if (known_values(g, j, m - 1, cone).contains(v)) return true;
   return false;
 }
 
@@ -99,23 +116,26 @@ template <class Model>
 void OptimalRule<Model>::infer_actions(const FipState& s) const {
   s.inferred.ensure(n_, s.time);
   const Cone& cone = s.knowledge.cone(s.graph, s.self, s.time);
+  InferScratch& scratch = infer_scratch();
   for (int m = 0; m <= s.time; ++m) {
     for (AgentId j : cone.at(m)) {
       if (j == s.self && m == s.time) continue;  // the action being computed
       if (s.inferred.get(j, m) != KnownAction::unknown) continue;
-      // Plain extract_view: each (j, m) node is extracted exactly once over
-      // the state's lifetime, so memoizing its cone would be pure overhead.
-      const CommGraph view = extract_view(s.graph, j, m);
+      // Each (j, m) node is extracted exactly once over the state's
+      // lifetime, so its cone and view are not memoized — only rebuilt in
+      // the thread's scratch buffers.
+      scratch.cone.rebuild(s.graph, j, m);
+      extract_view_into(scratch.view, s.graph, scratch.cone);
+      const CommGraph& view = scratch.view;
       EBA_REQUIRE(view.pref(j) != PrefLabel::unknown,
                   "reachable node with unknown own preference");
       const Value init_j =
           view.pref(j) == PrefLabel::zero ? Value::zero : Value::one;
       const bool decided_before = s.inferred.decided_by(j, m - 1);
       // The view is consulted up to three times (two common tests + cond_1);
-      // a view-local cache shares its cone and fault table across them.
-      KnowledgeCache view_cache;
+      // the view's cache shares its cone and fault table across them.
       const Action a = decide_rule(view, j, init_j, decided_before, t_,
-                                   s.inferred, use_common_, view_cache);
+                                   s.inferred, use_common_, scratch.cache);
       s.inferred.set(j, m, to_known(a));
     }
   }
@@ -174,23 +194,19 @@ bool SendingOmissions::cond1_test(const CommGraph& g, AgentId self,
   for (int m2 = 0; m2 <= m; ++m2)
     known_decided =
         known_decided.united(cone.at(m2).intersected(known.deciders(m2)));
-
-  // Bucket the potential extenders by last_heard: buckets[k] counts the
-  // undecided agents with last_heard = k - 1, so the number of extenders at
-  // chain position m2 (agents last heard before m2 and not known decided) is
-  // the prefix sum up to bucket m2.
-  std::vector<int> buckets(static_cast<std::size_t>(m) + 2, 0);
-  for (AgentId j : known_decided.complement(g.n()))
-    ++buckets[static_cast<std::size_t>(cone.last_heard(j)) + 1];
+  const AgentSet undecided = known_decided.complement(g.n());
 
   // Prop A.7 (contrapositive): the agent knows no one can be deciding 0 iff
   // for some chain position m2 in (len, m] there are fewer potential
-  // extenders than the hidden chain would need. Because the extender sets
-  // are nested in m2, this is exactly Hall's condition for the hidden chain.
-  int extenders = 0;
-  for (int m2 = 0; m2 <= m; ++m2) {
-    extenders += buckets[static_cast<std::size_t>(m2)];
-    if (m2 > len && extenders < m2 - len) return true;
+  // extenders than the hidden chain would need. The extenders at m2 are the
+  // undecided agents last heard before m2 — those in no cone level m' >= m2
+  // — so walking m2 down from m grows one heard-at-or-after union. Because
+  // the extender sets are nested in m2, this is exactly Hall's condition
+  // for the hidden chain.
+  AgentSet heard_since;
+  for (int m2 = m; m2 > len; --m2) {
+    heard_since = heard_since.united(cone.at(m2));
+    if (undecided.minus(heard_since).size() < m2 - len) return true;
   }
   return false;
 }

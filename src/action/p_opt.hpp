@@ -35,6 +35,23 @@
 // operators f, D, V, d of §A.2.7; the d (inferred action) entries are
 // memoized in the state's ActionTable, each node being inferred exactly once
 // when it first enters the hears-from cone.
+//
+// Inferring d(j, m) means evaluating the rule on the reconstructed view
+// G_{j,m}. That per-node work runs in one per-thread scratch — a Cone, a view
+// CommGraph and the view's KnowledgeCache — rebuilt in place for every node,
+// so steady-state inference allocates nothing per node. The scratch is a
+// function-local thread_local in p_opt.cpp, shared by both models:
+//
+//   * not per state: a workload keeps every agent state of every in-flight
+//     instance alive (32,768 FipStates at n = 32), and one scratch each
+//     would multiply the working set for buffers only one node uses at a
+//     time;
+//   * not per protocol object: the rule is a const function object that
+//     worker threads share, so a member scratch would be a data race.
+//
+// Each agent still infers every node of its own cone itself; inferred actions
+// are never shared across the agents of an instance, so the per-agent cost
+// of Prop 7.9 is what gets measured.
 #pragma once
 
 #include "core/types.hpp"
@@ -96,7 +113,9 @@ class OptimalRule : public Model {
                                        Value init, const ActionTable& known);
 
   /// Fills s.inferred with d(j, m) for every node in the hears-from cone of
-  /// (s.self, s.time). Exposed for tests; operator() calls it.
+  /// (s.self, s.time), evaluating the rule on each node's view in the
+  /// calling thread's inference scratch. Exposed for tests; operator() calls
+  /// it.
   void infer_actions(const FipState& s) const;
 
   [[nodiscard]] int t() const { return t_; }

@@ -22,12 +22,22 @@ CommGraph::CommGraph(int n, AgentId self, Value own_init) : n_(n), time_(0) {
 
 CommGraph CommGraph::blank(int n, int time) {
   CommGraph g(n, 0, Value::zero);
-  g.pref_known_ = 0;
-  g.pref_value_ = 0;
-  g.time_ = time;
-  g.known_.assign(static_cast<std::size_t>(time) * static_cast<std::size_t>(n), 0);
-  g.value_.assign(static_cast<std::size_t>(time) * static_cast<std::size_t>(n), 0);
+  g.reset_blank(n, time);
   return g;
+}
+
+void CommGraph::reset_blank(int n, int time) {
+  EBA_REQUIRE(n >= 1 && n <= kMaxAgents, "agent count out of range");
+  EBA_REQUIRE(time >= 0, "negative graph time");
+  n_ = n;
+  time_ = time;
+  pref_known_ = 0;
+  pref_value_ = 0;
+  const std::size_t words =
+      static_cast<std::size_t>(time) * static_cast<std::size_t>(n);
+  known_.assign(words, 0);
+  value_.assign(words, 0);
+  ++revision_;
 }
 
 void CommGraph::advance_round(AgentId self, AgentSet received_from) {

@@ -144,6 +144,10 @@ class CommGraph {
 
   /// Uninformative graph of the given shape, used by view extraction.
   static CommGraph blank(int n, int time);
+  /// Resets this graph in place to blank(n, time), reusing its row storage.
+  /// The revision strictly increases, so a KnowledgeCache bound to this
+  /// graph's address never answers from the graph's previous contents.
+  void reset_blank(int n, int time);
 
   /// The graph under the agent renaming π (perm[i] = new id of agent i):
   /// edge (π(from), m) -> (π(to), m+1) carries the label of (from, m) ->
@@ -158,9 +162,9 @@ class CommGraph {
   [[nodiscard]] CommGraph relabeled(const Renaming& ren) const;
 
   /// Mutation counter: bumped by every set_label/set_pref/set_row/
-  /// advance_round/merge. KnowledgeCache keys its memoized cones and fault
-  /// tables on (graph address, revision), so derived knowledge is recomputed
-  /// only when the graph actually changed.
+  /// advance_round/merge/reset_blank. KnowledgeCache keys its memoized cones
+  /// and fault tables on (graph address, revision), so derived knowledge is
+  /// recomputed only when the graph actually changed.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   friend bool operator==(const CommGraph& a, const CommGraph& b) {

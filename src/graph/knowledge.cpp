@@ -3,14 +3,16 @@
 namespace eba {
 namespace {
 
-/// Fault-table rows 0..up_to (inclusive), flat row-major with stride n —
-/// the single implementation of the f recurrence, shared by the free query
-/// functions and KnowledgeCache. Row m is derived from row m-1 with
-/// whole-row masks: the definite-absent senders of (m-1, j) join f(j, m) as
-/// one OR, and each definite-present sender contributes its previous row.
-std::vector<AgentSet> fault_rows_flat(const CommGraph& g, int up_to) {
+/// Fills `f` with fault-table rows 0..up_to (inclusive), flat row-major
+/// with stride n, reusing its storage — the single implementation of the f
+/// recurrence, shared by the free query functions and KnowledgeCache. Row m
+/// is derived from row m-1 with whole-row masks: the definite-absent senders
+/// of (m-1, j) join f(j, m) as one OR, and each definite-present sender
+/// contributes its previous row.
+void fault_rows_into(std::vector<AgentSet>& f, const CommGraph& g,
+                     int up_to) {
   const std::size_t n = static_cast<std::size_t>(g.n());
-  std::vector<AgentSet> f((static_cast<std::size_t>(up_to) + 1) * n);
+  f.assign((static_cast<std::size_t>(up_to) + 1) * n, AgentSet{});
   for (int m = 1; m <= up_to; ++m) {
     const AgentSet* prev = f.data() + (static_cast<std::size_t>(m) - 1) * n;
     AgentSet* cur = f.data() + static_cast<std::size_t>(m) * n;
@@ -21,30 +23,45 @@ std::vector<AgentSet> fault_rows_flat(const CommGraph& g, int up_to) {
       cur[j] = acc;
     }
   }
+}
+
+std::vector<AgentSet> fault_rows_flat(const CommGraph& g, int up_to) {
+  std::vector<AgentSet> f;
+  fault_rows_into(f, g, up_to);
   return f;
 }
 
-/// Evidence-table rows 0..up_to (inclusive), flat row-major with stride n —
-/// the GO twin of fault_rows_flat. Row m derives from row m-1 the same way:
-/// j's definite-absent round-(m-1→m) senders join as fresh clauses, and each
-/// definite-present sender contributes its previous evidence.
-std::vector<OmissionEvidence> go_evidence_rows_flat(const CommGraph& g,
-                                                    int up_to) {
+/// Fills the first (up_to+1)*n entries of `e` with evidence-table rows
+/// 0..up_to, flat row-major with stride n — the GO twin of fault_rows_into.
+/// `e` grows if needed and never shrinks, and each entry is overwritten in
+/// place, so a reused table keeps every entry's adjacency storage. Row m
+/// derives from row m-1 the same way: j's definite-absent round-(m-1→m)
+/// senders join as fresh clauses, and each definite-present sender
+/// contributes its previous evidence.
+void go_evidence_rows_into(std::vector<OmissionEvidence>& e,
+                           const CommGraph& g, int up_to) {
   const std::size_t n = static_cast<std::size_t>(g.n());
-  std::vector<OmissionEvidence> e((static_cast<std::size_t>(up_to) + 1) * n,
-                                  OmissionEvidence(g.n()));
+  const std::size_t rows = static_cast<std::size_t>(up_to) + 1;
+  if (e.size() < rows * n) e.resize(rows * n);
+  for (std::size_t j = 0; j < n; ++j) e[j].reset(g.n());
   for (int m = 1; m <= up_to; ++m) {
     const OmissionEvidence* prev =
         e.data() + (static_cast<std::size_t>(m) - 1) * n;
     OmissionEvidence* cur = e.data() + static_cast<std::size_t>(m) * n;
     for (AgentId j = 0; j < g.n(); ++j) {
-      OmissionEvidence acc = prev[j];
+      OmissionEvidence& acc = cur[j];
+      acc = prev[j];
       acc.add_senders(g.absent_senders(m - 1, j), j);
       for (AgentId from : g.present_senders(m - 1, j))
         acc.unite(prev[from]);
-      cur[j] = std::move(acc);
     }
   }
+}
+
+std::vector<OmissionEvidence> go_evidence_rows_flat(const CommGraph& g,
+                                                    int up_to) {
+  std::vector<OmissionEvidence> e;
+  go_evidence_rows_into(e, g, up_to);
   return e;
 }
 
@@ -117,10 +134,15 @@ std::vector<std::vector<OmissionEvidence>> go_evidence_table(
   return e;
 }
 
-Cone::Cone(const CommGraph& g, AgentId target, int m_top)
-    : m_top_(m_top), last_heard_(static_cast<std::size_t>(g.n()), -1) {
+Cone::Cone(const CommGraph& g, AgentId target, int m_top) {
+  rebuild(g, target, m_top);
+}
+
+void Cone::rebuild(const CommGraph& g, AgentId target, int m_top) {
   EBA_REQUIRE(m_top >= 0 && m_top <= g.time(), "cone top out of range");
   EBA_REQUIRE(target >= 0 && target < g.n(), "agent id out of range");
+  m_top_ = m_top;
+  last_heard_.assign(static_cast<std::size_t>(g.n()), -1);
   members_.assign(static_cast<std::size_t>(m_top) + 1, AgentSet{});
   members_[static_cast<std::size_t>(m_top)].insert(target);
   for (int m = m_top; m > 0; --m) {
@@ -142,17 +164,15 @@ void KnowledgeCache::sync(const CommGraph& g) {
   graph_ = &g;
   revision_ = g.revision();
   have_faults_ = false;
-  faults_.clear();
   have_go_evidence_ = false;
-  go_evidence_.clear();
-  cones_.clear();
+  ++epoch_;
 }
 
 std::span<const AgentSet> KnowledgeCache::fault_row(const CommGraph& g, int m) {
   sync(g);
   const std::size_t n = static_cast<std::size_t>(g.n());
   if (!have_faults_) {
-    faults_ = fault_rows_flat(g, g.time());
+    fault_rows_into(faults_, g, g.time());
     have_faults_ = true;
   }
   EBA_REQUIRE(m >= 0 && m <= g.time(), "time out of range");
@@ -164,7 +184,7 @@ std::span<const OmissionEvidence> KnowledgeCache::go_evidence_row(
   sync(g);
   const std::size_t n = static_cast<std::size_t>(g.n());
   if (!have_go_evidence_) {
-    go_evidence_ = go_evidence_rows_flat(g, g.time());
+    go_evidence_rows_into(go_evidence_, g, g.time());
     have_go_evidence_ = true;
   }
   EBA_REQUIRE(m >= 0 && m <= g.time(), "time out of range");
@@ -173,46 +193,43 @@ std::span<const OmissionEvidence> KnowledgeCache::go_evidence_row(
 
 const Cone& KnowledgeCache::cone(const CommGraph& g, AgentId target, int m_top) {
   sync(g);
-  if (cones_.empty()) {
-    cone_stride_ = g.time() + 1;
-    cones_.resize(static_cast<std::size_t>(g.n()) *
-                  static_cast<std::size_t>(cone_stride_));
+  ConeSlot* spare = nullptr;
+  for (const auto& slot : cones_) {
+    if (slot->epoch != epoch_) {
+      if (spare == nullptr) spare = slot.get();
+    } else if (slot->target == target && slot->m_top == m_top) {
+      return slot->cone;
+    }
   }
-  EBA_REQUIRE(target >= 0 && target < g.n(), "agent out of range");
-  EBA_REQUIRE(m_top >= 0 && m_top < cone_stride_, "time out of range");
-  auto& cell = cones_[static_cast<std::size_t>(target) *
-                          static_cast<std::size_t>(cone_stride_) +
-                      static_cast<std::size_t>(m_top)];
-  if (!cell) cell.emplace(g, target, m_top);
-  return *cell;
+  if (spare == nullptr)
+    spare = cones_.emplace_back(std::make_unique<ConeSlot>()).get();
+  spare->cone.rebuild(g, target, m_top);  // validates before the slot goes live
+  spare->epoch = epoch_;
+  spare->target = target;
+  spare->m_top = m_top;
+  return spare->cone;
 }
 
-namespace {
-
-CommGraph extract_view_from_cone(const CommGraph& g, const Cone& cone, int m) {
-  CommGraph view = CommGraph::blank(g.n(), m);
+void extract_view_into(CommGraph& out, const CommGraph& g, const Cone& cone) {
+  EBA_REQUIRE(&out != &g, "extract_view_into cannot overwrite its source");
+  const int m = cone.top();
+  out.reset_blank(g.n(), m);
   const AgentSet full = AgentSet::all(g.n());
   for (int m2 = 1; m2 <= m; ++m2) {
     for (AgentId to : cone.at(m2)) {
       const AgentSet known = g.known_senders(m2 - 1, to);
       EBA_REQUIRE(known == full,
                   "extract_view target is not in the owner's cone");
-      view.set_row(m2 - 1, to, known, g.present_senders(m2 - 1, to));
+      out.set_row(m2 - 1, to, known, g.present_senders(m2 - 1, to));
     }
   }
-  for (AgentId k : cone.at(0)) view.set_pref(k, g.pref(k));
-  return view;
+  for (AgentId k : cone.at(0)) out.set_pref(k, g.pref(k));
 }
-
-}  // namespace
 
 CommGraph extract_view(const CommGraph& g, AgentId j, int m) {
-  return extract_view_from_cone(g, Cone(g, j, m), m);
-}
-
-CommGraph extract_view(const CommGraph& g, AgentId j, int m,
-                       KnowledgeCache& cache) {
-  return extract_view_from_cone(g, cache.cone(g, j, m), m);
+  CommGraph view = CommGraph::blank(g.n(), 0);
+  extract_view_into(view, g, Cone(g, j, m));
+  return view;
 }
 
 AgentSet known_faults(const CommGraph& g, AgentId j, int m) {
@@ -255,15 +272,15 @@ AgentSet cone_roots(const CommGraph& g, AgentId j, int m) {
   return frontier;
 }
 
-std::vector<Value> known_values(const CommGraph& g, AgentId j, int m,
-                                const Cone& owner_cone) {
-  std::vector<Value> out;
+ValueSet known_values(const CommGraph& g, AgentId j, int m,
+                      const Cone& owner_cone) {
+  ValueSet out;
   if (!owner_cone.contains(j, m)) return out;
   const AgentSet roots = cone_roots(g, j, m);
   const AgentSet zeros = roots.intersected(g.known_prefs().minus(g.one_prefs()));
   const AgentSet ones = roots.intersected(g.known_prefs().intersected(g.one_prefs()));
-  if (!zeros.empty()) out.push_back(Value::zero);
-  if (!ones.empty()) out.push_back(Value::one);
+  if (!zeros.empty()) out.insert(Value::zero);
+  if (!ones.empty()) out.insert(Value::one);
   return out;
 }
 

@@ -36,9 +36,16 @@
 // per graph *revision*, so the P_opt tests — which interrogate the same
 // graph several times per round — rebuild derived knowledge only when the
 // graph actually changes.
+//
+// Every derived object has an in-place form (Cone::rebuild,
+// extract_view_into, a cache that keeps its storage across revisions), so a
+// caller that visits many nodes — P_opt's view inference — reuses one set
+// of buffers instead of allocating per node.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -55,7 +62,14 @@ namespace eba {
 /// OR per member. last_{ij} is precomputed for all j during construction.
 class Cone {
  public:
+  /// An empty cone, to be filled by rebuild().
+  Cone() = default;
   Cone(const CommGraph& g, AgentId target, int m_top);
+
+  /// Recomputes this cone as Cone(g, target, m_top), reusing its storage:
+  /// no allocation once the buffers have held a cone at least this tall
+  /// over at least as many agents.
+  void rebuild(const CommGraph& g, AgentId target, int m_top);
 
   [[nodiscard]] bool contains(AgentId j, int m) const {
     return m >= 0 && m <= m_top_ && members_[static_cast<std::size_t>(m)].contains(j);
@@ -75,7 +89,7 @@ class Cone {
   }
 
  private:
-  int m_top_;
+  int m_top_ = -1;
   std::vector<AgentSet> members_;  ///< by time 0..m_top
   std::vector<int> last_heard_;    ///< by agent, -1 if absent everywhere
 };
@@ -93,6 +107,8 @@ class OmissionEvidence {
       : adj_(static_cast<std::size_t>(n)) {}
 
   [[nodiscard]] int n() const { return static_cast<int>(adj_.size()); }
+  /// Empties the clause set over n agents, reusing the adjacency storage.
+  void reset(int n) { adj_.assign(static_cast<std::size_t>(n), AgentSet{}); }
   [[nodiscard]] AgentSet adj(AgentId a) const {
     return adj_[static_cast<std::size_t>(a)];
   }
@@ -164,20 +180,28 @@ class OmissionEvidence {
 /// must only ever be used with the graph it lives next to (FipState owns one
 /// per agent graph).
 ///
+/// Storage survives a revision: a stale cache is invalidated in O(1) — no
+/// entry is freed — and the next query refills the f table, the evidence
+/// table and its cones in place. A cache bound to one graph that is
+/// rebuilt over and over (P_opt's per-thread view scratch, which keeps one
+/// address and a strictly increasing revision across resets) therefore
+/// stops allocating once its buffers fit the largest graph it has seen.
+///
+/// A fresh cache costs no more than the tables and cones actually asked
+/// for: nothing is pre-sized per (agent, time). Cones sit in a short list
+/// searched linearly, one heap slot each so a returned reference survives
+/// later cone() calls; the rules consult one cone per graph revision.
+///
 /// Copies start empty: the simulator snapshots agent states every round, and
 /// duplicating memoized cones into history would cost more than recomputing
-/// the rare entries a copy ever asks for. Moves keep their contents.
+/// the rare entries a copy ever asks for. Copy-assignment invalidates and
+/// keeps the target's storage. Moves keep their contents.
 class KnowledgeCache {
  public:
   KnowledgeCache() = default;
   KnowledgeCache(const KnowledgeCache&) {}
   KnowledgeCache& operator=(const KnowledgeCache&) {
     graph_ = nullptr;
-    have_faults_ = false;
-    faults_.clear();
-    have_go_evidence_ = false;
-    go_evidence_.clear();
-    cones_.clear();
     return *this;
   }
   KnowledgeCache(KnowledgeCache&&) = default;
@@ -200,6 +224,15 @@ class KnowledgeCache {
   [[nodiscard]] const Cone& cone(const CommGraph& g, AgentId target, int m_top);
 
  private:
+  struct ConeSlot {
+    std::uint64_t epoch = 0;  ///< the sync epoch it was built in
+    AgentId target = 0;
+    int m_top = 0;
+    Cone cone;
+  };
+
+  /// Invalidates every entry (without freeing) unless `g` is the graph and
+  /// revision of the last sync.
   void sync(const CommGraph& g);
 
   /// Graph identity + revision at the last sync. The address is only ever
@@ -212,22 +245,24 @@ class KnowledgeCache {
   bool have_faults_ = false;
   std::vector<AgentSet> faults_;  ///< (time+1) rows of n, row-major
   bool have_go_evidence_ = false;
-  std::vector<OmissionEvidence> go_evidence_;  ///< (time+1) rows of n
-  /// Flat (target, m_top) memo, lazily sized to n * (time+1) on first cone()
-  /// after a sync: index target * cone_stride_ + m_top. The dense direct
-  /// index replaces a hash lookup that showed up in every cached
-  /// common_test; optional because Cone has no default constructor.
-  std::vector<std::optional<Cone>> cones_;
-  int cone_stride_ = 0;  ///< time+1 at the sizing sync
+  /// (time+1) rows of n, row-major. Never shrinks: entries past the current
+  /// table keep their adjacency storage for a taller graph later.
+  std::vector<OmissionEvidence> go_evidence_;
+  /// Cones built since the last invalidation carry the current epoch_;
+  /// the other slots are storage from earlier revisions, rebuilt in place
+  /// on demand. epoch_ rises with every invalidating sync.
+  std::vector<std::unique_ptr<ConeSlot>> cones_;
+  std::uint64_t epoch_ = 0;
 };
 
 /// Reconstructs G_{j,m'} from `g`. Precondition: (j, m') is in the cone of
 /// g's owner (i.e. `owner_cone.contains(j, m')`), so every edge into the
 /// extracted cone carries a definite label in `g`.
 [[nodiscard]] CommGraph extract_view(const CommGraph& g, AgentId j, int m);
-/// As above, but reuses/memoizes the (j, m) cone through `cache`.
-[[nodiscard]] CommGraph extract_view(const CommGraph& g, AgentId j, int m,
-                                     KnowledgeCache& cache);
+/// In-place form: overwrites `out` (reset_blank, so its storage and address
+/// are reused and its revision increases) with G_{j,m'}, where `cone` is the
+/// cone of (j, m') in `g`. `out` must not be `g`.
+void extract_view_into(CommGraph& out, const CommGraph& g, const Cone& cone);
 
 /// f(j, m, g): the faulty agents the owner of g knows that j knew about at
 /// time m (paper §7). f(j, 0, g) is empty; for m > 0 it is the union of the
@@ -248,10 +283,32 @@ class KnowledgeCache {
 /// allocations — for callers that only need the roots (known_values).
 [[nodiscard]] AgentSet cone_roots(const CommGraph& g, AgentId j, int m);
 
+/// A subset of the preference values {0, 1}, as a two-bit mask.
+class ValueSet {
+ public:
+  constexpr ValueSet() = default;
+  constexpr ValueSet(std::initializer_list<Value> values) {
+    for (Value v : values) insert(v);
+  }
+  [[nodiscard]] constexpr bool contains(Value v) const {
+    return (bits_ & bit(v)) != 0;
+  }
+  [[nodiscard]] constexpr bool empty() const { return bits_ == 0; }
+  constexpr void insert(Value v) { bits_ |= bit(v); }
+
+  friend constexpr bool operator==(ValueSet, ValueSet) = default;
+
+ private:
+  [[nodiscard]] static constexpr std::uint8_t bit(Value v) {
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(v));
+  }
+  std::uint8_t bits_ = 0;
+};
+
 /// V(j, m, g): the set of initial values the owner knows j knew at time m.
 /// Per the paper this is empty unless (j, m) is in the owner's cone; the
 /// caller supplies the owner's cone to enforce that.
-[[nodiscard]] std::vector<Value> known_values(const CommGraph& g, AgentId j,
-                                              int m, const Cone& owner_cone);
+[[nodiscard]] ValueSet known_values(const CommGraph& g, AgentId j, int m,
+                                    const Cone& owner_cone);
 
 }  // namespace eba

@@ -180,11 +180,10 @@ TEST(KnownValuesTest, TracksWhoKnewWhichInitsWhen) {
   const CommGraph& g = states[1].graph;
   const Cone cone(g, 1, 2);
   // At time 0, agent 0 knew only its own 0; agent 1 only its own 1.
-  EXPECT_EQ(known_values(g, 0, 0, cone), std::vector<Value>{Value::zero});
-  EXPECT_EQ(known_values(g, 1, 0, cone), std::vector<Value>{Value::one});
+  EXPECT_EQ(known_values(g, 0, 0, cone), ValueSet{Value::zero});
+  EXPECT_EQ(known_values(g, 1, 0, cone), ValueSet{Value::one});
   // At time 1 everyone knows both values.
-  EXPECT_EQ(known_values(g, 1, 1, cone),
-            (std::vector<Value>{Value::zero, Value::one}));
+  EXPECT_EQ(known_values(g, 1, 1, cone), (ValueSet{Value::zero, Value::one}));
   // Unreachable nodes yield the empty set.
   EXPECT_TRUE(known_values(g, 2, 2, cone).empty());
 }
