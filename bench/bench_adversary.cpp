@@ -18,10 +18,10 @@
 //    a measured, regression-gated claim rather than an extrapolation.
 //
 // Output: machine-readable JSON on stdout (written verbatim to
-// BENCH_adversary.json by ci/run_benches.cmake, gated by ci/check_bench.py
-// --baseline-adversary); human-readable table on stderr. Exit code is
-// self-gating. `--fuzz-smoke` runs a seconds-budget fuzz subset only (for
-// ci/verify.sh) and writes no JSON.
+// BENCH_adversary.json by ci/run_benches.cmake; its "gate" block names the
+// headline search wall time for ci/check_bench.py); human-readable table on
+// stderr. Exit code is self-gating. `--fuzz-smoke` runs a seconds-budget
+// fuzz subset only (for ci/verify.sh) and writes no JSON.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -396,6 +396,8 @@ int main(int argc, char** argv) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"name\": \"bench_adversary\",\n";
+  out << "  \"gate\": {\"metric\": \"headline.seconds\", "
+         "\"better\": \"lower\"},\n";
   out << "  \"headline\": ";
   json_worst_case(out, headline, "");
   out << ",\n";

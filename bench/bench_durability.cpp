@@ -26,9 +26,9 @@
 //    durable prefix or reject with a typed error; never a wrong record.
 //
 // Output: machine-readable JSON on stdout (written verbatim to
-// BENCH_durability.json by ci/run_benches.cmake, gated by ci/check_bench.py
-// --baseline-durability); human-readable table on stderr. Exit code is
-// self-gating.
+// BENCH_durability.json by ci/run_benches.cmake; its "gate" block names the
+// headline in-memory append throughput for ci/check_bench.py);
+// human-readable table on stderr. Exit code is self-gating.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -498,6 +498,8 @@ int main() {
   std::ostringstream out;
   out << "{\n";
   out << "  \"name\": \"bench_durability\",\n";
+  out << "  \"gate\": {\"metric\": \"headline.records_per_sec\", "
+         "\"better\": \"higher\"},\n";
   out << "  \"headline\": ";
   json_append(out, mem_row, /*gated=*/true);
   out << ",\n";
@@ -538,6 +540,10 @@ int main() {
   }
   if (!ckpt.ok) {
     std::cerr << "FAIL: delta checkpoints are not smaller than full ones\n";
+    failed = true;
+  }
+  if (storms.empty()) {
+    std::cerr << "FAIL: no crash_storms rows\n";
     failed = true;
   }
   for (const StormRow& r : storms)

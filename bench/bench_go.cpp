@@ -19,9 +19,9 @@
 //     n = 8, t = 4 (n = 2t, unidentifiable) both must take t+2.
 //
 // Output: machine-readable JSON on stdout (written verbatim to
-// BENCH_go.json by ci/run_benches.cmake); human-readable table on stderr.
-// Exit code is nonzero when any self-check fails; ci/check_bench.py
-// additionally gates the headline wall time against the committed baseline.
+// BENCH_go.json by ci/run_benches.cmake; its "gate" block names the headline
+// sweep wall time for ci/check_bench.py); human-readable table on stderr.
+// Exit code is nonzero when any self-check fails.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -190,7 +190,9 @@ int run() {
         << ", \"ok\": " << (e.ok ? "true" : "false") << "}";
   };
   std::ostringstream out;
-  out << "{\n  \"headline\": ";
+  out << "{\n  \"gate\": {\"metric\": \"headline.seconds\", "
+         "\"better\": \"lower\"},\n";
+  out << "  \"headline\": ";
   json_sweep(out, headline);
   out << ",\n  \"sweep_n5\": ";
   json_sweep(out, n5);

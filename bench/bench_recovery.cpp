@@ -18,9 +18,9 @@
 // The bench-scale crash storms live in bench_durability.
 //
 // Output: machine-readable JSON on stdout (written verbatim to
-// BENCH_recovery.json by ci/run_benches.cmake, gated by ci/check_bench.py
-// --baseline-recovery); human-readable summary on stderr. Exit code is
-// self-gating.
+// BENCH_recovery.json by ci/run_benches.cmake; its "gate" block names the
+// headline replay throughput for ci/check_bench.py); human-readable summary
+// on stderr. Exit code is self-gating.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -251,6 +251,8 @@ int main() {
   std::ostringstream out;
   out << "{\n";
   out << "  \"name\": \"bench_recovery\",\n";
+  out << "  \"gate\": {\"metric\": \"headline.traces_per_sec\", "
+         "\"better\": \"higher\"},\n";
   out << "  \"headline\": {\"label\": \"replay_verify\", \"n\": " << replay.n
       << ", \"t\": " << replay.t << ", \"traces\": " << replay.traces
       << ", \"bytes\": " << replay.bytes

@@ -21,9 +21,9 @@
 //     space.
 //
 // Output: machine-readable JSON on stdout (written verbatim to
-// BENCH_scale.json by ci/run_benches.cmake); human-readable table on
-// stderr. Exit code is nonzero when any self-check fails; ci/check_bench.py
-// additionally gates the headline wall time against the committed baseline.
+// BENCH_scale.json by ci/run_benches.cmake; its "gate" block names the
+// headline relabel-path wall time for ci/check_bench.py); human-readable
+// table on stderr. Exit code is nonzero when any self-check fails.
 #include <chrono>
 #include <iostream>
 #include <limits>
@@ -226,7 +226,9 @@ int run() {
         << ", \"spec_ok\": " << (p.spec_ok ? "true" : "false") << "}";
   };
   std::ostringstream out;
-  out << "{\n  \"headline\": ";
+  out << "{\n  \"gate\": {\"metric\": \"headline.seconds\", "
+         "\"better\": \"lower\"},\n";
+  out << "  \"headline\": ";
   json_reuse(out, headline);
   out << ",\n  \"min_speedup\": " << kMinSpeedup;
   out << ",\n  \"reuse\": [\n";
@@ -245,6 +247,10 @@ int run() {
   std::cout << out.str();
 
   bool ok = true;
+  if (reuse.empty() || spec.empty()) {
+    std::cerr << "\nFAIL: no reuse or no spec_scale rows\n";
+    ok = false;
+  }
   if (headline.speedup < kMinSpeedup) {
     std::cerr << "\nFAIL: headline relabel speedup below " << kMinSpeedup
               << "x\n";

@@ -18,10 +18,11 @@
 // drops P_es (and P_opt) to round 3 while P_basic pays t+2.
 //
 // Output: machine-readable JSON on stdout (written to BENCH_zoo.json by
-// ci/run_benches.cmake); human-readable table on stderr. Exit code is
-// nonzero when any self-check fails; ci/check_bench.py additionally gates
-// the headline wall time against the committed baseline and every boolean
-// bit in the file. `--smoke` restricts to n = 8 for ci/verify.sh.
+// ci/run_benches.cmake; its "gate" block names the headline matrix wall time
+// for ci/check_bench.py); human-readable table on stderr. Exit code is
+// nonzero when any self-check fails or a protocol is missing from the
+// matrix. `--smoke` restricts to n = 8 for ci/verify.sh and prints no gate
+// block, so a smoke report can never pass as a baseline's fresh run.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -144,7 +145,11 @@ int run(bool smoke) {
             << (m.domination_ok ? "ok" : "FAIL") << "\n";
 
   std::ostringstream out;
-  out << "{\n  \"headline\": {\"seconds\": " << total_seconds
+  out << "{\n";
+  if (!smoke)
+    out << "  \"gate\": {\"metric\": \"headline.seconds\", "
+           "\"better\": \"lower\"},\n";
+  out << "  \"headline\": {\"seconds\": " << total_seconds
       << ", \"rows\": " << m.rows.size() << ", \"smoke\": "
       << (smoke ? "true" : "false")
       << ", \"spec_ok\": " << (m.spec_ok ? "true" : "false")
@@ -164,7 +169,16 @@ int run(bool smoke) {
   out << "  ]\n}\n";
   std::cout << out.str();
 
-  const bool ok = m.spec_ok && m.bounds_ok && m.domination_ok;
+  bool all_protocols = true;
+  for (const char* name : {"P_min", "P_basic", "P_opt", "P_es", "P_auth"}) {
+    const auto is_name = [&](const Row& r) { return r.protocol == name; };
+    if (std::none_of(m.rows.begin(), m.rows.end(), is_name)) {
+      std::cerr << "FAIL: " << name << " is missing from the matrix\n";
+      all_protocols = false;
+    }
+  }
+  const bool ok =
+      m.spec_ok && m.bounds_ok && m.domination_ok && all_protocols;
   if (!ok) std::cerr << "FAIL: a zoo self-check failed\n";
   return ok ? 0 : 1;
 }

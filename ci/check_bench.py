@@ -1,59 +1,47 @@
 #!/usr/bin/env python3
 """Perf regression gate for the committed BENCH_*.json baselines.
 
-Compares a freshly produced google-benchmark JSON report (bench_perf →
-BENCH_perf.json) against the committed baseline and fails if any gated
-benchmark regressed by more than the allowed factor (default 2x, per the
-ROADMAP "CI perf regression gate" item). Beyond bench_perf, each native-JSON
-bench is a named series in the SERIES registry below; passing its
---baseline-<name>/--fresh-<name> pair runs the matching checker:
+Every native-JSON bench checks its own correctness bits and exits nonzero on
+any failure, so by the time this gate runs those bits already held. What is
+left is the one thing a bench cannot judge from its own run: whether its
+headline slid against the committed baseline. Each such bench prints
 
-  throughput — headline decided-instances/sec, the 1000-instance
-      completion floor, and worker scaling.
-  synthesis  — headline optimized wall time, the >=5x same-machine speedup
-      over the pre-optimization synthesizer, and every point's decisions
-      matching its reference.
-  go         — headline representative-world sweep wall time, spec coverage
-      and correctness of every sweep, and the Example-7.1 GO shortcut rows.
-  adversary  — worst-case search rows finding the analytic worst rounds,
-      the Example-7.1 anchor, adaptive-vs-static, violation-free fuzz rows,
-      and headline search wall time.
-  recovery   — replay-verification throughput, traces verifying offline,
-      store-backed snapshot runs matching uninterrupted records, and the
-      tamper sweep rejecting every mutation.
-  scale      — orbit-level run reuse (bench_scale): headline relabel-path
-      wall time against the committed baseline, the >=5x same-machine
-      speedup of relabeling over re-simulation, every reuse row pinned
-      bit-identical to re-simulation, and every representative-world spec
-      sweep covering its unreduced space violation-free.
-  durability — fsync'd journal append throughput (in-memory VFS; the disk
-      row is informational), delta checkpoints staying smaller than full
-      ones, every workload crash storm (present and non-empty) matching its
-      uninterrupted records, and the torn-write sweep never surfacing a
-      wrong record.
-  zoo        — protocol comparison matrix (bench_zoo): headline matrix wall
-      time, strict spec on every run, the early stoppers' min(f+2, t+2)
-      round bound, and the P_opt <= P_es <= P_basic domination order.
+  "gate": {"metric": "<dotted path>", "better": "lower"|"higher"}
 
-Only hot-path benchmarks are gated, and the threshold is deliberately
-coarse (2x): the committed baseline and a CI runner are different machines,
-so the gate is meant to catch algorithmic regressions (a hot path sliding
-back toward the pre-packed implementation), not few-percent noise. The
-speedup checks have no such caveat — they are same-machine ratios. Refresh
-the committed baselines (cmake --build build --target bench_all) whenever a
-PR intentionally changes these numbers.
+naming its headline. This checker has two parts:
+
+  * bench_perf — the google-benchmark report; every GATED BM_* row present
+    in the baseline must be present in the fresh report and within
+    MAX_RATIO in cpu time, and at least one row must be comparable.
+  * every baseline in --baseline-dir that declares a gate — the fresh
+    report of the same name must exist, declare the same gate, and hold a
+    finite, positive headline within MAX_RATIO of the baseline's.
+
+Both fail closed: a bench that did not run leaves no fresh file, and a
+missing file fails the gate. So the fresh reports must go to their own
+directory, never over the committed baselines; a --fresh-dir that is the
+baseline directory fails outright.
+
+The ratio is deliberately coarse (2x): the committed baseline and a CI runner
+are different machines, so the gate catches algorithmic regressions, not
+few-percent noise. Same-machine floors (the synthesis and relabel 5x
+speedups, worker scaling) live in the benches themselves. Refresh the
+committed baselines (cmake --build build --target bench_all) whenever a PR
+intentionally changes these numbers.
 
 Usage:
-  ci/check_bench.py --baseline BENCH_perf.json --fresh fresh/BENCH_perf.json \
-      [--baseline-<series> BENCH_<series>.json \
-       --fresh-<series> fresh/BENCH_<series>.json]... \
-      [--max-ratio 2.0] [--min-synthesis-speedup 5.0] \
-      [--min-scale-speedup 5.0]
+  cmake -DBENCH_BIN_DIR=$PWD/build -DREPO_ROOT=$PWD/fresh \\
+      -P ci/run_benches.cmake
+  ci/check_bench.py --baseline-dir . --fresh-dir fresh
 """
 
 import argparse
 import json
+import math
+import os
 import sys
+
+MAX_RATIO = 2.0
 
 # Benchmarks whose regression fails the gate. Names must match the
 # google-benchmark "name" field exactly.
@@ -77,340 +65,17 @@ GATED = [
 ]
 
 
-def load_pair(baseline_path, fresh_path):
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    with open(fresh_path) as fh:
-        fresh = json.load(fh)
-    return baseline, fresh
+def load(path, failures):
+    """Returns the parsed report at path, or None after recording why not."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:
+        failures.append(f"{os.path.basename(path)}: unreadable ({err})")
+        return None
 
 
-def gate_headline_ratio(label, base_value, fresh_value, max_ratio, failures,
-                        unit="s", lower_is_better=True):
-    """Prints one baseline/fresh/ratio line and appends a failure when the
-    fresh value regressed by more than max_ratio."""
-    if lower_is_better:
-        ratio = fresh_value / base_value if base_value > 0 else float("inf")
-    else:
-        ratio = base_value / fresh_value if fresh_value > 0 else float("inf")
-    flag = " <-- REGRESSION" if ratio > max_ratio else ""
-    print(f"{label:<24} {base_value:>11.4f}{unit} {fresh_value:>11.4f}{unit} "
-          f"{ratio:>7.2f}x{flag}")
-    if ratio > max_ratio:
-        failures.append(
-            f"{label}: {fresh_value:.4f}{unit} vs baseline "
-            f"{base_value:.4f}{unit} ({ratio:.2f}x "
-            f"{'slower' if lower_is_better else 'worse'} > {max_ratio}x)")
-
-
-def check_throughput(baseline_path, fresh_path, args, failures):
-    """Gates the headline decided-instances/sec of BENCH_throughput.json."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    base_dps = float(baseline["headline"]["decided_per_sec"])
-    fresh_dps = float(fresh["headline"]["decided_per_sec"])
-    gate_headline_ratio("throughput headline", base_dps, fresh_dps,
-                        args.max_ratio, failures, unit="/s",
-                        lower_is_better=False)
-
-    # Same acceptance floor as bench_throughput's own exit check: at least
-    # 1000 concurrent instances must complete (the fresh report's admitted
-    # count is what matters; the baseline may have sized its sweep
-    # differently).
-    completed = int(fresh["headline"]["completed"])
-    admitted = int(fresh["headline"]["instances"])
-    if completed < 1000:
-        failures.append(
-            f"throughput headline: only {completed}/{admitted} concurrent "
-            f"instances completed (minimum 1000)")
-
-    # Worker-scaling gate, a same-machine ratio: the best multi-worker row
-    # must not fall below half the workers:1 row. The loose 0.5 tolerance
-    # absorbs single-core CI runners, where extra workers only add
-    # scheduling overhead (observed ratios 0.7-0.85 on one core) —
-    # what the gate catches is a pool that became MUCH slower than running
-    # single-threaded, i.e. a contention bug.
-    scaling = fresh.get("worker_scaling", [])
-    if scaling:
-        single = [p for p in scaling if int(p["workers"]) == 1]
-        multi = [p for p in scaling if int(p["workers"]) > 1]
-        if not single or not multi:
-            failures.append("worker_scaling must include a workers:1 row and "
-                            "at least one multi-worker row")
-        else:
-            single_dps = float(single[0]["decided_per_sec"])
-            best_multi = max(float(p["decided_per_sec"]) for p in multi)
-            ratio = best_multi / single_dps if single_dps > 0 else 0.0
-            print(f"{'worker scaling':<24} {single_dps:>10.0f}/s "
-                  f"{best_multi:>10.0f}/s {ratio:>7.2f}x")
-            if ratio < 0.5:
-                failures.append(
-                    f"multi-worker throughput {best_multi:.0f}/s fell below "
-                    f"0.5x the single-worker row {single_dps:.0f}/s")
-    else:
-        failures.append("fresh throughput report has no worker_scaling rows")
-
-
-def check_synthesis(baseline_path, fresh_path, args, failures):
-    """Gates the headline of BENCH_synthesis.json."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-    min_speedup = args.min_synthesis_speedup
-
-    gate_headline_ratio("synthesis headline",
-                        float(baseline["headline"]["optimized_seconds"]),
-                        float(fresh["headline"]["optimized_seconds"]),
-                        args.max_ratio, failures)
-
-    # Same-machine ratio, immune to runner speed: the optimized synthesizer
-    # must stay >= min_speedup over the options-off (pre-PR) synthesizer on
-    # the n=4 full-enumeration config.
-    speedup = fresh["headline"]["speedup"]
-    speedup_cell = f"{float(speedup):.2f}x" if speedup is not None else "null"
-    print(f"{'synthesis vs pre-PR':<24} "
-          f"{'(min ' + str(min_speedup) + 'x)':>12} {speedup_cell:>11}")
-    if speedup is None or float(speedup) < min_speedup:
-        failures.append(
-            f"optimized synthesizer only {speedup}x the pre-optimization "
-            f"baseline (minimum {min_speedup}x)")
-
-    for point in fresh.get("points", []):
-        if not point.get("decisions_match", False):
-            failures.append(
-                f"synthesis point {point.get('label')}: decisions diverge "
-                f"from the reference protocol")
-
-
-def check_go(baseline_path, fresh_path, args, failures):
-    """Gates BENCH_go.json: headline sweep wall time, spec coverage, and the
-    Example-7.1 GO shortcut rows."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    gate_headline_ratio("go headline sweep",
-                        float(baseline["headline"]["seconds"]),
-                        float(fresh["headline"]["seconds"]),
-                        args.max_ratio, failures)
-
-    for name in ("headline", "sweep_n5"):
-        sweep = fresh.get(name, {})
-        if not sweep.get("spec_ok", False):
-            failures.append(f"go {name}: EBA spec violated on a GO orbit")
-        if sweep.get("covered") != sweep.get("space"):
-            failures.append(
-                f"go {name}: representative weights cover "
-                f"{sweep.get('covered')} of {sweep.get('space')} worlds")
-    if not fresh.get("scale", {}).get("spec_ok", False):
-        failures.append("go scale point: EBA spec violated on a sampled run")
-    for name in ("example71_go", "example71_go_boundary"):
-        if not fresh.get(name, {}).get("ok", False):
-            failures.append(f"go {name}: expected decision rounds not met")
-
-
-def check_adversary(baseline_path, fresh_path, args, failures):
-    """Gates BENCH_adversary.json: worst-case search rows must keep finding
-    the analytic worst decision rounds, the Example-7.1 anchor and the
-    adaptive-vs-static comparison must hold, every fuzz row must stay
-    violation-free, and the headline search must not regress >max-ratio in
-    wall time against the committed baseline."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    gate_headline_ratio("adversary headline",
-                        float(baseline["headline"]["seconds"]),
-                        float(fresh["headline"]["seconds"]),
-                        args.max_ratio, failures)
-
-    for row in fresh.get("worst_case", []):
-        if not row.get("ok", False):
-            failures.append(
-                f"adversary {row.get('label')}: found round "
-                f"{row.get('found_round')} vs expected "
-                f"{row.get('expected_round')}")
-    if not fresh.get("example71", {}).get("ok", False):
-        failures.append("adversary example71: decision rounds diverge from "
-                        "the paper's analytic values")
-    adaptive = fresh.get("adaptive", {})
-    if not adaptive.get("ok", False):
-        failures.append(
-            f"adaptive strategies (worst round "
-            f"{adaptive.get('adaptive_worst_round')}) lost to blind static "
-            f"sampling (worst round {adaptive.get('static_worst_round')})")
-    for row in fresh.get("fuzz", []):
-        if not row.get("spec_ok", False):
-            failures.append(
-                f"adversary {row.get('label')}: {row.get('violations')} spec "
-                f"violations in {row.get('runs')} fuzz runs")
-
-
-def check_recovery(baseline_path, fresh_path, args, failures):
-    """Gates BENCH_recovery.json: replay-verification throughput against the
-    committed baseline, plus every correctness flag — traces verifying
-    offline, store-backed snapshot runs matching uninterrupted records, and
-    the tamper sweep rejecting every mutation."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    gate_headline_ratio("recovery replay",
-                        float(baseline["headline"]["traces_per_sec"]),
-                        float(fresh["headline"]["traces_per_sec"]),
-                        args.max_ratio, failures, unit="/s",
-                        lower_is_better=False)
-
-    if not fresh.get("headline", {}).get("ok", False):
-        failures.append("recovery headline: a streamed trace failed offline "
-                        "verification")
-    snapshot = fresh.get("snapshot", {})
-    if not snapshot.get("ok", False):
-        failures.append("recovery snapshot: every-round checkpoints changed "
-                        "the run records")
-    tamper = fresh.get("tamper", {})
-    if not tamper.get("ok", False):
-        failures.append(
-            f"recovery tamper sweep: {tamper.get('rejected')} of "
-            f"{tamper.get('mutations')} mutations rejected")
-
-
-def check_scale(baseline_path, fresh_path, args, failures):
-    """Gates BENCH_scale.json (orbit-level run reuse): headline relabel-path
-    wall time against the committed baseline, the same-machine speedup of
-    relabeling over re-simulation, every reuse row's bit-identity flags, and
-    every representative-world spec sweep's coverage and correctness."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    gate_headline_ratio("scale headline reuse",
-                        float(baseline["headline"]["seconds"]),
-                        float(fresh["headline"]["seconds"]),
-                        args.max_ratio, failures)
-
-    # Same-machine ratio: relabeling must stay >= min-scale-speedup over
-    # re-simulating the identical run set.
-    speedup = float(fresh["headline"]["speedup"])
-    print(f"{'relabel vs resimulate':<24} "
-          f"{'(min ' + str(args.min_scale_speedup) + 'x)':>12} "
-          f"{speedup:>10.2f}x")
-    if speedup < args.min_scale_speedup:
-        failures.append(
-            f"relabel path only {speedup:.2f}x re-simulation on the headline "
-            f"context (minimum {args.min_scale_speedup}x)")
-
-    reuse = fresh.get("reuse", [])
-    if not reuse:
-        failures.append("fresh scale report has no reuse rows")
-    for row in reuse:
-        if not row.get("identical_to_resimulation", False):
-            failures.append(
-                f"scale reuse {row.get('label')}: relabel path diverges from "
-                f"re-simulation (decisions_match="
-                f"{row.get('decisions_match')} knowledge_identical="
-                f"{row.get('knowledge_identical')})")
-
-    spec = fresh.get("spec_scale", [])
-    if not spec:
-        failures.append("fresh scale report has no spec_scale rows")
-    for row in spec:
-        if not row.get("spec_ok", False):
-            failures.append(
-                f"scale sweep {row.get('label')}: EBA spec violated")
-        if row.get("covered") != row.get("space"):
-            failures.append(
-                f"scale sweep {row.get('label')}: representative weights "
-                f"cover {row.get('covered')} of {row.get('space')} worlds")
-
-
-def check_durability(baseline_path, fresh_path, args, failures):
-    """Gates BENCH_durability.json: fsync'd journal append throughput on the
-    in-memory VFS against the committed baseline (the disk row is
-    informational — gated: false), delta checkpoints staying smaller than
-    full ones, every workload crash storm matching uninterrupted records (a
-    report without storm rows fails), and the torn-write sweep never
-    surfacing a wrong record."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    gate_headline_ratio("durability append",
-                        float(baseline["headline"]["records_per_sec"]),
-                        float(fresh["headline"]["records_per_sec"]),
-                        args.max_ratio, failures, unit="/s",
-                        lower_is_better=False)
-
-    if not fresh.get("headline", {}).get("ok", False):
-        failures.append("durability headline: journal reopen lost records")
-    disk = fresh.get("disk", {})
-    if not disk.get("ok", False):
-        # The disk row's throughput is not ratio-gated, but its recovery
-        # self-check still must hold.
-        failures.append("durability disk row: journal reopen lost records")
-    ckpt = fresh.get("checkpoints", {})
-    if not ckpt.get("ok", False):
-        failures.append(
-            f"durability checkpoints: delta bytes {ckpt.get('delta_bytes')} "
-            f"not smaller than full bytes {ckpt.get('full_bytes')}")
-    storms = fresh.get("crash_storms", [])
-    if not storms:
-        failures.append("fresh durability report has no crash_storms rows")
-    for row in storms:
-        if not row.get("ok", False):
-            failures.append(
-                f"durability {row.get('label')}: records_equal="
-                f"{row.get('records_equal')} traces_ok={row.get('traces_ok')} "
-                f"crashes={row.get('crashes')}")
-    torn = fresh.get("torn_sweep", {})
-    if not torn.get("ok", False):
-        failures.append(
-            f"durability torn sweep: {torn.get('recovered')} recovered + "
-            f"{torn.get('rejected')} rejected of {torn.get('offsets')} tears")
-
-
-def check_zoo(baseline_path, fresh_path, args, failures):
-    """Gates BENCH_zoo.json (protocol comparison matrix): headline matrix
-    wall time against the committed baseline, plus every boolean bit —
-    strict spec on all 70 runs, the early stoppers' min(f+2, t+2) round
-    bound, and the per-agent P_opt <= P_es <= P_basic domination order."""
-    baseline, fresh = load_pair(baseline_path, fresh_path)
-
-    gate_headline_ratio("zoo headline matrix",
-                        float(baseline["headline"]["seconds"]),
-                        float(fresh["headline"]["seconds"]),
-                        args.max_ratio, failures)
-
-    headline = fresh.get("headline", {})
-    if headline.get("smoke", True):
-        failures.append("zoo headline: fresh report is a --smoke run, not "
-                        "the full matrix")
-    for bit in ("spec_ok", "bounds_ok", "domination_ok"):
-        if not headline.get(bit, False):
-            failures.append(f"zoo headline: {bit} is false")
-
-    rows = fresh.get("matrix", [])
-    if not rows:
-        failures.append("fresh zoo report has no matrix rows")
-    protocols = {row.get("protocol") for row in rows}
-    missing = {"P_min", "P_basic", "P_opt", "P_es", "P_auth"} - protocols
-    if missing:
-        failures.append(f"zoo matrix is missing protocols: {sorted(missing)}")
-    for row in rows:
-        label = (f"{row.get('protocol')} n={row.get('n')} t={row.get('t')} "
-                 f"f={row.get('f')}")
-        if not row.get("spec_ok", False):
-            failures.append(f"zoo {label}: EBA spec violated")
-        if not row.get("bound_ok", False):
-            failures.append(f"zoo {label}: early-stopping round bound missed")
-
-
-# Native-JSON bench series: each (name, checker) row grows a
-# --baseline-<name>/--fresh-<name> argument pair; the checker runs when the
-# pair is supplied and sees (baseline_path, fresh_path, args, failures).
-SERIES = [
-    ("throughput", check_throughput),
-    ("synthesis", check_synthesis),
-    ("go", check_go),
-    ("adversary", check_adversary),
-    ("recovery", check_recovery),
-    ("scale", check_scale),
-    ("durability", check_durability),
-    ("zoo", check_zoo),
-]
-
-
-def load_times(path):
-    with open(path) as fh:
-        report = json.load(fh)
+def load_times(report):
     times = {}
     for bench in report.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
@@ -419,36 +84,19 @@ def load_times(path):
     return times
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True,
-                        help="committed BENCH_perf.json")
-    parser.add_argument("--fresh", required=True,
-                        help="freshly generated BENCH_perf.json")
-    for name, _ in SERIES:
-        parser.add_argument(f"--baseline-{name}",
-                            help=f"committed BENCH_{name}.json")
-        parser.add_argument(f"--fresh-{name}",
-                            help=f"freshly generated BENCH_{name}.json")
-    parser.add_argument("--max-ratio", type=float, default=2.0,
-                        help="fail when fresh/baseline exceeds this (default 2)")
-    parser.add_argument("--min-synthesis-speedup", type=float, default=5.0,
-                        help="minimum optimized-synthesizer speedup over the "
-                             "pre-optimization synthesizer (default 5)")
-    parser.add_argument("--min-scale-speedup", type=float, default=5.0,
-                        help="minimum relabel-path speedup over full "
-                             "re-simulation (default 5)")
-    args = parser.parse_args()
+def check_perf(baseline_dir, fresh_dir, failures):
+    """Gates bench_perf's GATED rows."""
+    baseline = load(os.path.join(baseline_dir, "BENCH_perf.json"), failures)
+    fresh = load(os.path.join(fresh_dir, "BENCH_perf.json"), failures)
+    if baseline is None or fresh is None:
+        return
+    baseline, fresh = load_times(baseline), load_times(fresh)
 
-    baseline = load_times(args.baseline)
-    fresh = load_times(args.fresh)
-
-    failures = []
     compared = 0
-    print(f"{'benchmark':<24} {'baseline':>12} {'fresh':>12} {'ratio':>8}")
+    print(f"{'benchmark':<32} {'baseline':>12} {'fresh':>12} {'ratio':>8}")
     for name in GATED:
         if name not in baseline:
-            print(f"{name:<24} {'(no baseline — skipped)':>34}")
+            print(f"{name:<32} {'(no baseline — skipped)':>34}")
             continue
         if name not in fresh:
             failures.append(f"{name}: missing from fresh report")
@@ -460,35 +108,120 @@ def main():
             continue
         compared += 1
         ratio = fresh_t / base_t if base_t > 0 else float("inf")
-        flag = " <-- REGRESSION" if ratio > args.max_ratio else ""
-        print(f"{name:<24} {base_t:>10.1f}{base_u:>2} {fresh_t:>10.1f}{fresh_u:>2} "
-              f"{ratio:>7.2f}x{flag}")
-        if ratio > args.max_ratio:
+        flag = " <-- REGRESSION" if ratio > MAX_RATIO else ""
+        print(f"{name:<32} {base_t:>10.1f}{base_u:>2} "
+              f"{fresh_t:>10.1f}{fresh_u:>2} {ratio:>7.2f}x{flag}")
+        if ratio > MAX_RATIO:
             failures.append(
-                f"{name}: {fresh_t:.1f}{fresh_u} vs baseline {base_t:.1f}{base_u} "
-                f"({ratio:.2f}x > {args.max_ratio}x)")
+                f"{name}: {fresh_t:.1f}{fresh_u} vs baseline "
+                f"{base_t:.1f}{base_u} ({ratio:.2f}x > {MAX_RATIO}x)")
 
     # Fail closed: if nothing was comparable (renamed benchmarks, stale or
-    # truncated baseline, bench_perf skipped at configure time), a green
-    # result would be meaningless.
+    # truncated baseline), a green result would be meaningless.
     if compared == 0:
-        failures.append("no gated benchmark was present in both reports")
+        failures.append("BENCH_perf.json: no gated benchmark was present in "
+                        "both reports")
 
-    for name, checker in SERIES:
-        baseline_path = getattr(args, f"baseline_{name}")
-        fresh_path = getattr(args, f"fresh_{name}")
-        if bool(baseline_path) != bool(fresh_path):
-            failures.append(f"--baseline-{name} and --fresh-{name} must be "
-                            f"passed together")
-        elif baseline_path:
-            checker(baseline_path, fresh_path, args, failures)
 
+def headline(report, metric):
+    """The float at a dotted path, or None when absent or not a number."""
+    value = report
+    for key in metric.split("."):
+        if not isinstance(value, dict) or key not in value:
+            return None
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
+def check_gate(name, baseline, fresh_dir, failures):
+    """Gates one baseline's headline against its fresh report."""
+    gate = baseline["gate"]
+    metric, better = gate.get("metric"), gate.get("better")
+    if not isinstance(metric, str) or better not in ("lower", "higher"):
+        failures.append(f"{name}: baseline gate {gate} is malformed")
+        return
+    lower = better == "lower"
+    fresh_path = os.path.join(fresh_dir, name)
+    if not os.path.exists(fresh_path):
+        failures.append(f"{name}: no fresh report (did the bench run?)")
+        return
+    fresh = load(fresh_path, failures)
+    if fresh is None:
+        return
+    fresh_gate = fresh.get("gate") if isinstance(fresh, dict) else None
+    if fresh_gate != gate:
+        failures.append(f"{name}: fresh gate {fresh_gate} differs from the "
+                        f"baseline's {gate}")
+        return
+
+    base_value = headline(baseline, metric)
+    fresh_value = headline(fresh, metric)
+    bad = [f"{name}: {which} {metric} is {value}, not a finite positive "
+           f"number"
+           for which, value in (("baseline", base_value),
+                                ("fresh", fresh_value))
+           if value is None or not math.isfinite(value) or value <= 0]
+    if bad:
+        failures.extend(bad)
+        return
+
+    ratio = fresh_value / base_value if lower else base_value / fresh_value
+    flag = " <-- REGRESSION" if ratio > MAX_RATIO else ""
+    print(f"{name + ' ' + metric:<48} {base_value:>14.6g} "
+          f"{fresh_value:>14.6g} {ratio:>7.2f}x{flag}")
+    if ratio > MAX_RATIO:
+        failures.append(
+            f"{name}: {metric} {fresh_value:.6g} vs baseline "
+            f"{base_value:.6g} ({ratio:.2f}x "
+            f"{'slower' if lower else 'worse'} > {MAX_RATIO}x)")
+
+
+def check_gates(baseline_dir, fresh_dir, failures):
+    """Gates every baseline that declares a gate."""
+    gated = 0
+    print(f"{'report / headline':<48} {'baseline':>14} {'fresh':>14} "
+          f"{'ratio':>8}")
+    for name in sorted(os.listdir(baseline_dir)):
+        if not (name.startswith("BENCH_") and name.endswith(".json")):
+            continue
+        baseline = load(os.path.join(baseline_dir, name), failures)
+        if isinstance(baseline, dict) and "gate" in baseline:
+            gated += 1
+            check_gate(name, baseline, fresh_dir, failures)
+    if gated == 0:
+        failures.append(f"no baseline in {baseline_dir} declares a gate")
+
+
+def run(baseline_dir, fresh_dir):
+    """Runs both parts of the gate; returns the list of failures."""
+    if os.path.realpath(baseline_dir) == os.path.realpath(fresh_dir):
+        # Every report would pass at 1.00x, whether or not its bench ran.
+        return ["--fresh-dir is the baseline directory"]
+    failures = []
+    check_perf(baseline_dir, fresh_dir, failures)
+    print()
+    check_gates(baseline_dir, fresh_dir, failures)
+    return failures
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--baseline-dir", required=True,
+                        help="directory of the committed BENCH_*.json")
+    parser.add_argument("--fresh-dir", required=True,
+                        help="directory the fresh BENCH_*.json were written to")
+    args = parser.parse_args(argv)
+
+    failures = run(args.baseline_dir, args.fresh_dir)
     if failures:
         print("\nPerf gate FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\nPerf gate passed ({compared} benchmarks compared).")
+    print("\nPerf gate passed.")
     return 0
 
 

@@ -1,15 +1,24 @@
-# Runs every benchmark binary and writes machine-readable BENCH_*.json files
-# at the repository root. Invoked by the `bench_all` target:
+# Runs every benchmark binary and writes machine-readable BENCH_*.json files.
+# The `bench_all` target refreshes the committed baselines at the repository
+# root:
 #
 #   cmake --build build --target bench_all
 #
+# CI writes fresh reports to their own directory instead, then gates them
+# against the committed baselines:
+#
+#   cmake -DBENCH_BIN_DIR=$PWD/build -DREPO_ROOT=$PWD/build/bench-fresh \
+#       -P ci/run_benches.cmake
+#   python3 ci/check_bench.py --baseline-dir . --fresh-dir build/bench-fresh
+#
 # Expects:
 #   BENCH_BIN_DIR — directory containing the built bench binaries
-#   REPO_ROOT     — repository root, where BENCH_*.json files are written
+#   REPO_ROOT     — directory the BENCH_*.json files are written to
 
 if(NOT DEFINED BENCH_BIN_DIR OR NOT DEFINED REPO_ROOT)
   message(FATAL_ERROR "run_benches.cmake needs -DBENCH_BIN_DIR=... -DREPO_ROOT=...")
 endif()
+file(MAKE_DIRECTORY ${REPO_ROOT})
 
 # Escape a raw string into a JSON string body (no surrounding quotes).
 # Control characters other than tab/newline (e.g. ANSI escapes) are stripped:
@@ -40,136 +49,38 @@ if(EXISTS ${BENCH_BIN_DIR}/bench_perf)
     message(FATAL_ERROR "bench_perf failed (rc=${perf_rc}):\n${perf_out}\n${perf_err}")
   endif()
 else()
-  message(WARNING "bench_perf binary not found; BENCH_perf.json not refreshed")
+  message(WARNING "bench_perf binary not found; BENCH_perf.json not written")
 endif()
 
-# --- bench_throughput: emits its own JSON on stdout --------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_throughput)
-  message(STATUS "Running bench_throughput (workload driver, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_throughput
-    RESULT_VARIABLE tp_rc
-    OUTPUT_VARIABLE tp_out
-    ERROR_VARIABLE tp_err)
-  if(NOT tp_rc EQUAL 0)
-    message(FATAL_ERROR "bench_throughput failed (rc=${tp_rc}):\n${tp_err}")
-  endif()
-  file(WRITE ${REPO_ROOT}/BENCH_throughput.json "${tp_out}")
-else()
-  message(WARNING "bench_throughput binary not found; BENCH_throughput.json not refreshed")
-endif()
+# --- native-JSON benches: each self-checks, emits its own JSON on stdout ---
+# A bench whose self-check fails stops here, before any report is written.
+set(json_benches
+  bench_throughput
+  bench_synthesis
+  bench_go
+  bench_scale
+  bench_adversary
+  bench_recovery
+  bench_durability
+  bench_zoo)
 
-# --- bench_synthesis: emits its own JSON on stdout ---------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_synthesis)
-  message(STATUS "Running bench_synthesis (KBP synthesizer, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_synthesis
-    RESULT_VARIABLE syn_rc
-    OUTPUT_VARIABLE syn_out
-    ERROR_VARIABLE syn_err)
-  if(NOT syn_rc EQUAL 0)
-    message(FATAL_ERROR "bench_synthesis failed (rc=${syn_rc}):\n${syn_err}")
+foreach(bench ${json_benches})
+  string(REGEX REPLACE "^bench_" "" short "${bench}")
+  if(NOT EXISTS ${BENCH_BIN_DIR}/${bench})
+    message(WARNING "${bench} binary not found; BENCH_${short}.json not written")
+    continue()
   endif()
-  file(WRITE ${REPO_ROOT}/BENCH_synthesis.json "${syn_out}")
-else()
-  message(WARNING "bench_synthesis binary not found; BENCH_synthesis.json not refreshed")
-endif()
-
-# --- bench_go: emits its own JSON on stdout ----------------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_go)
-  message(STATUS "Running bench_go (general-omissions sweeps, native JSON)")
+  message(STATUS "Running ${bench} (native JSON)")
   execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_go
-    RESULT_VARIABLE go_rc
-    OUTPUT_VARIABLE go_out
-    ERROR_VARIABLE go_err)
-  if(NOT go_rc EQUAL 0)
-    message(FATAL_ERROR "bench_go failed (rc=${go_rc}):\n${go_err}")
+    COMMAND ${BENCH_BIN_DIR}/${bench}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${bench} failed (rc=${rc}):\n${err}")
   endif()
-  file(WRITE ${REPO_ROOT}/BENCH_go.json "${go_out}")
-else()
-  message(WARNING "bench_go binary not found; BENCH_go.json not refreshed")
-endif()
-
-# --- bench_scale: emits its own JSON on stdout -------------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_scale)
-  message(STATUS "Running bench_scale (orbit-level run reuse, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_scale
-    RESULT_VARIABLE scale_rc
-    OUTPUT_VARIABLE scale_out
-    ERROR_VARIABLE scale_err)
-  if(NOT scale_rc EQUAL 0)
-    message(FATAL_ERROR "bench_scale failed (rc=${scale_rc}):\n${scale_err}")
-  endif()
-  file(WRITE ${REPO_ROOT}/BENCH_scale.json "${scale_out}")
-else()
-  message(WARNING "bench_scale binary not found; BENCH_scale.json not refreshed")
-endif()
-
-# --- bench_adversary: emits its own JSON on stdout ---------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_adversary)
-  message(STATUS "Running bench_adversary (worst-case search + adaptive + fuzz, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_adversary
-    RESULT_VARIABLE adv_rc
-    OUTPUT_VARIABLE adv_out
-    ERROR_VARIABLE adv_err)
-  if(NOT adv_rc EQUAL 0)
-    message(FATAL_ERROR "bench_adversary failed (rc=${adv_rc}):\n${adv_err}")
-  endif()
-  file(WRITE ${REPO_ROOT}/BENCH_adversary.json "${adv_out}")
-else()
-  message(WARNING "bench_adversary binary not found; BENCH_adversary.json not refreshed")
-endif()
-
-# --- bench_recovery: emits its own JSON on stdout ----------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_recovery)
-  message(STATUS "Running bench_recovery (trace replay + snapshots + tamper sweep, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_recovery
-    RESULT_VARIABLE rec_rc
-    OUTPUT_VARIABLE rec_out
-    ERROR_VARIABLE rec_err)
-  if(NOT rec_rc EQUAL 0)
-    message(FATAL_ERROR "bench_recovery failed (rc=${rec_rc}):\n${rec_err}")
-  endif()
-  file(WRITE ${REPO_ROOT}/BENCH_recovery.json "${rec_out}")
-else()
-  message(WARNING "bench_recovery binary not found; BENCH_recovery.json not refreshed")
-endif()
-
-# --- bench_durability: emits its own JSON on stdout --------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_durability)
-  message(STATUS "Running bench_durability (journal + delta checkpoints + crash storms + torn writes, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_durability
-    RESULT_VARIABLE dur_rc
-    OUTPUT_VARIABLE dur_out
-    ERROR_VARIABLE dur_err)
-  if(NOT dur_rc EQUAL 0)
-    message(FATAL_ERROR "bench_durability failed (rc=${dur_rc}):\n${dur_err}")
-  endif()
-  file(WRITE ${REPO_ROOT}/BENCH_durability.json "${dur_out}")
-else()
-  message(WARNING "bench_durability binary not found; BENCH_durability.json not refreshed")
-endif()
-
-# --- bench_zoo: emits its own JSON on stdout ---------------------------------
-if(EXISTS ${BENCH_BIN_DIR}/bench_zoo)
-  message(STATUS "Running bench_zoo (protocol comparison matrix, native JSON)")
-  execute_process(
-    COMMAND ${BENCH_BIN_DIR}/bench_zoo
-    RESULT_VARIABLE zoo_rc
-    OUTPUT_VARIABLE zoo_out
-    ERROR_VARIABLE zoo_err)
-  if(NOT zoo_rc EQUAL 0)
-    message(FATAL_ERROR "bench_zoo failed (rc=${zoo_rc}):\n${zoo_err}")
-  endif()
-  file(WRITE ${REPO_ROOT}/BENCH_zoo.json "${zoo_out}")
-else()
-  message(WARNING "bench_zoo binary not found; BENCH_zoo.json not refreshed")
-endif()
+  file(WRITE ${REPO_ROOT}/BENCH_${short}.json "${out}")
+endforeach()
 
 # --- report benches: capture stdout into {name, exit_code, seconds, report} -
 set(report_benches
