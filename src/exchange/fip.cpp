@@ -22,18 +22,4 @@ void FipExchange::update(State& s, const Action& a,
   }
 }
 
-void FipExchange::apply_round(State& s, const Action& a, Snapshot&& own,
-                              AgentSet received,
-                              std::span<const Snapshot* const> merged) const {
-  s.graph = std::move(own);
-  s.graph.advance_round(s.self, received);
-  for (const Snapshot* g : merged) s.graph.merge(*g);
-
-  s.time += 1;
-  if (a.is_decide()) {
-    EBA_REQUIRE(!s.decided, "double decision reached the exchange");
-    s.decided = a.value();
-  }
-}
-
 }  // namespace eba

@@ -60,9 +60,6 @@ class FipExchange {
   using Message = std::shared_ptr<const CommGraph>;
   /// µ ignores the destination: the graph is broadcast to everyone.
   static constexpr bool kBroadcast = true;
-  /// Borrowed-round pipeline (see sim/stepper.hpp): the round moves bare
-  /// graphs instead of shared_ptr messages.
-  using Snapshot = CommGraph;
 
   explicit FipExchange(int n) : n_(n) {
     EBA_REQUIRE(n >= 1 && n <= kMaxAgents, "agent count out of range");
@@ -95,32 +92,6 @@ class FipExchange {
 
   void update(State& s, const Action& a,
               std::span<const std::optional<Message>> inbox) const;
-
-  // -- Borrowed-round fast path (sim/stepper.hpp) ---------------------------
-  // E_fip broadcasts its graph every round, so the engine can move the
-  // graph out as the round's message and rebuild δ from borrowed graphs,
-  // avoiding the per-round shared_ptr + deep-copy churn of message().
-  // apply_round() must stay observably identical to update() on the
-  // equivalent inbox; tests/test_workload.cpp checks state equality.
-
-  /// Moves the state's graph out as its round snapshot; the state's graph
-  /// is hollow until apply_round() restores it.
-  [[nodiscard]] Snapshot take_snapshot(State& s) const {
-    return std::move(s.graph);
-  }
-
-  /// Prop 8.1 accounting; equals message_bits() on the copied message.
-  [[nodiscard]] std::size_t snapshot_bits(const Snapshot& g) const {
-    return g.bit_size();
-  }
-
-  /// δ from borrowed snapshots: `own` is the agent's pre-round graph
-  /// (moved back or copied by the engine), `received` the senders whose
-  /// round message arrived (self included), `merged` the delivered other
-  /// senders' snapshots in ascending sender order.
-  void apply_round(State& s, const Action& a, Snapshot&& own,
-                   AgentSet received,
-                   std::span<const Snapshot* const> merged) const;
 
  private:
   int n_;

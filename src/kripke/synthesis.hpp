@@ -35,10 +35,10 @@
 //     shared worker pool of net/pool.hpp (`workers`).
 //
 // Each world's state advance is the §3 broadcast round the stepper runs
-// (sim/stepper.hpp): µ once per sender, FailurePattern::filter_broadcast,
-// apply_broadcast. One µ per sender is wrong for an exchange whose µ
-// depends on the destination (E_auth), so the exchange must be a
-// BroadcastExchange; the class static_asserts it.
+// (sim/stepper.hpp): stage_broadcast (µ once per sender),
+// FailurePattern::filter_broadcast, apply_broadcast. One µ per sender is
+// wrong for an exchange whose µ depends on the destination (E_auth), so the
+// exchange must be a BroadcastExchange; the class static_asserts it.
 #pragma once
 
 #include <array>
@@ -639,9 +639,9 @@ class KbpSynthesizer {
   }
 
   /// Advances every evaluated world by one §3 round through the shared
-  /// broadcast pieces: µ once per sender, the pattern's mask filter
-  /// (FailurePattern::filter_broadcast), and the stepper's δ loop
-  /// (apply_broadcast).
+  /// broadcast pieces: the stepper's µ staging (stage_broadcast), the
+  /// pattern's mask filter (FailurePattern::filter_broadcast), and the
+  /// stepper's δ loop (apply_broadcast).
   void advance_round(const std::vector<World>& worlds, int m) {
     const int n = x_.n();
     const auto un = static_cast<std::size_t>(n);
@@ -650,26 +650,27 @@ class KbpSynthesizer {
     parallel_for(
         opt_.workers, count, kGrain,
         [&](std::size_t begin, std::size_t end) {
-          // Chunk-local scratch, overwritten per world instead of
-          // reallocated: one message per sender, each receiver's sender
-          // mask, the (unused) delivery log, and δ's row buffer.
+          // Chunk-local scratch, reused per world instead of reallocated:
+          // one message per sender (all-⊥ between worlds), each receiver's
+          // sender mask, the (unused) delivery log, and δ's row buffer.
           std::vector<std::optional<Message>> by_sender(un);
           std::vector<AgentSet> received(un);
           std::vector<AgentSet> delivered(un);
           std::vector<std::optional<Message>> row;
           for (std::size_t e = begin; e < end; ++e) {
             const std::size_t w = orbits_ ? orbit_reps_[e] : e;
-            AgentSet senders;
-            for (AgentId i = 0; i < n; ++i) {
-              auto& out = by_sender[static_cast<std::size_t>(i)];
-              out = x_.message(states_[w][static_cast<std::size_t>(i)],
-                               actions_[w][static_cast<std::size_t>(i)],
-                               /*dest=*/0);
-              if (out) senders.insert(i);
-            }
+            const AgentSet senders =
+                stage_broadcast(x_, std::span<const State>(states_[w]),
+                                actions_[w],
+                                [&](AgentId i, Message&& msg) {
+                                  by_sender[static_cast<std::size_t>(i)] =
+                                      std::move(msg);
+                                })
+                    .senders;
             worlds[w].first.filter_broadcast(m, senders, received, delivered);
             apply_broadcast(x_, std::span<State>(states_[w]), actions_[w],
                             by_sender, received, row);
+            for (auto& msg : by_sender) msg.reset();
           }
         });
     // Member states are the renamed representative states — one relabel

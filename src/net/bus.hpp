@@ -130,9 +130,9 @@ class BusPool {
   /// the payload `from` addresses to `to`, nullopt = ⊥). sent[from] collects
   /// the receivers (excluding `from`) with a non-⊥ payload; delivery is
   /// filtered per (from, to) edge, and a payload addressed to self always
-  /// arrives — the semantics of the stepper's per-destination µ loop
-  /// (sim/stepper.hpp generic_round), which the wire path must mirror
-  /// bit-for-bit. Each edge's payload is moved in and stored once.
+  /// arrives — the semantics of Stepper::step()'s per-destination round
+  /// (sim/stepper.hpp), which the wire path must mirror bit-for-bit. Each
+  /// edge's payload is moved in and stored once.
   [[nodiscard]] RoundResult exchange_round(
       SlotId id, std::vector<std::vector<std::optional<Bytes>>> outbox);
 

@@ -211,26 +211,19 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
                                        bool sync_pattern,
                                        OnStaged&& on_staged) {
   using Message = typename X::Message;
-  const int n = x.n();
   const std::vector<Action>* actions = stepper.begin_round();
   if (!actions) return RoundOutcome::completed;
   if (sync_pattern) pool.update_pattern(slot, stepper.pattern());
   if (!on_staged(*actions)) return RoundOutcome::aborted;
 
-  std::size_t bits = 0;
-  std::size_t messages = 0;
-  const auto un = static_cast<std::size_t>(n);
+  const auto un = static_cast<std::size_t>(x.n());
+  const std::span<const typename X::State> states(stepper.states());
   if constexpr (BroadcastExchange<X>) {
     std::vector<std::optional<Bytes>> outbox(un);
-    for (AgentId i = 0; i < n; ++i) {
-      const std::optional<Message> m =
-          x.message(stepper.states()[static_cast<std::size_t>(i)],
-                    (*actions)[static_cast<std::size_t>(i)], /*dest=*/0);
-      if (!m) continue;
-      bits += static_cast<std::size_t>(n - 1) * x.message_bits(*m);
-      messages += static_cast<std::size_t>(n - 1);
-      outbox[static_cast<std::size_t>(i)] = to_bytes(*m);
-    }
+    const StagedMessages cost =
+        stage_broadcast(x, states, *actions, [&](AgentId i, Message&& m) {
+          outbox[static_cast<std::size_t>(i)] = to_bytes(m);
+        });
     BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
     // The bus stores each broadcast payload once, so each is decoded once
     // and the stepper fans the decoded value out to the receivers in
@@ -240,29 +233,18 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
       if (const auto& payload = res.payloads()[from])
         by_sender[from] = from_bytes<Message>(*payload);
     stepper.finish_round(by_sender, res.received(), std::move(res.sent),
-                         std::move(res.delivered), bits, messages);
+                         std::move(res.delivered), cost.bits, cost.messages);
   } else {
-    // Per-destination staging: µ is evaluated once per (sender, receiver)
-    // edge and each edge ships its own payload, mirroring the stepper's
-    // per-destination loop (generic_round) — same bit/message accounting
-    // (self-addressed payloads are free), same always-delivered self edge.
+    // Per-destination staging: each (sender, receiver) edge ships its own
+    // payload; the bus applies step()'s semantics (self-addressed payloads
+    // are free and always delivered).
     std::vector<std::vector<std::optional<Bytes>>> outbox(
-        static_cast<std::size_t>(n),
-        std::vector<std::optional<Bytes>>(static_cast<std::size_t>(n)));
-    for (AgentId i = 0; i < n; ++i) {
-      for (AgentId j = 0; j < n; ++j) {
-        const std::optional<Message> m =
-            x.message(stepper.states()[static_cast<std::size_t>(i)],
-                      (*actions)[static_cast<std::size_t>(i)], /*dest=*/j);
-        if (!m) continue;
-        if (j != i) {
-          bits += x.message_bits(*m);
-          messages += 1;
-        }
-        outbox[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            to_bytes(*m);
-      }
-    }
+        un, std::vector<std::optional<Bytes>>(un));
+    const StagedMessages cost = stage_per_destination(
+        x, states, *actions, [&](AgentId i, AgentId j, Message&& m) {
+          outbox[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+              to_bytes(m);
+        });
     BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
     // Per-destination payloads are distinct by construction and decode
     // once per delivered edge.
@@ -273,7 +255,7 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
         if (const auto& payload = res.inbox[to][from])
           inbox[to][from] = from_bytes<Message>(*payload);
     stepper.finish_round(inbox, std::move(res.sent), std::move(res.delivered),
-                         bits, messages);
+                         cost.bits, cost.messages);
   }
   return stepper.done() ? RoundOutcome::completed : RoundOutcome::in_progress;
 }

@@ -8,42 +8,29 @@
 // workload engine run the stepper bare, so a run costs O(n) state, not
 // O(rounds · n).
 //
-// The stepper exposes two ways to run a round:
+// A round is split the way the paper splits a protocol: the action
+// protocol picks every agent's action (`begin_round()`), the information
+// exchange moves µ's messages through the adversary, and δ updates the
+// states (`finish_round()`). Only the middle part varies:
 //
-//  * `step()` — the whole round in memory: actions, µ, adversary
-//    filtering per the instance's failure pattern, δ. This is the §3
-//    semantics verbatim and what `simulate()` uses.
-//  * `begin_round()` / `finish_round()` — the split-phase interface for
-//    external transports: the caller reads the round's actions and states,
-//    moves the messages through a real messaging layer (net/ serializes
-//    them as byte payloads through a bus slot), and hands back the filtered
-//    messages plus the sent/delivered logs. One instance = one stepper +
-//    one bus slot in the net-layer workload engine. Broadcast transports
-//    hand back one message per sender and a per-receiver sender mask
-//    (sender-major overload); only per-destination transports pass an n×n
-//    inbox matrix.
+//  * `step()` is the in-memory transport: µ staged by the helpers below,
+//    delivery filtered by the instance's failure pattern, then
+//    `finish_round()`. This is the §3 semantics verbatim and what
+//    `simulate()` uses.
+//  * External transports call `begin_round()`/`finish_round()` themselves:
+//    net/ serializes the staged messages as byte payloads through a bus
+//    slot and hands back the filtered messages plus the sent/delivered
+//    logs. One instance = one stepper + one bus slot in the net-layer
+//    workload engine.
 //
-// Broadcast rounds never build an n² inbox, in memory or over the wire:
-// every broadcast δ — generic_round's, the sender-major finish_round's and
-// the KBP synthesizer's — runs through one loop (apply_broadcast) that
-// assembles each receiver's row in a reused n-slot buffer, and delivery is
-// decided on masks by FailurePattern::filter_broadcast.
-//
-// Exchanges may opt into two engine fast paths:
-//
-//  * `X::kBroadcast` — µ is destination-independent, so the engine computes
-//    each sender's message once and fans it out. Exchanges without the
-//    marker get a correct per-destination µ loop instead (the seed engine
-//    silently assumed broadcast; see message() docs in exchange.hpp).
-//  * `BorrowedRoundExchange` — the exchange lets the engine move a
-//    snapshot of the mutable part of the state out as the round's
-//    broadcast and rebuild the next state from borrowed snapshots. E_fip
-//    uses this to eliminate its per-round message churn: the sender's
-//    graph is *moved* into the round pipeline, receivers merge it by
-//    const reference, and the sender copies it back only when the
-//    adversary actually delivered it to someone else (copy-on-write on
-//    delivery forks). No shared_ptr control blocks, no n² inbox of
-//    refcounted messages.
+// So `finish_round()` is the one place that does round accounting, appends
+// to the record and closes the round. Broadcast exchanges (`X::kBroadcast`:
+// µ ignores the destination) stage one message per sender and complete
+// through the sender-major overload, whose δ loop (apply_broadcast) builds
+// each receiver's row in a reused n-slot buffer — no broadcast round builds
+// an n² inbox, in memory or over the wire. Every other exchange stages µ
+// per (sender, receiver) edge and completes through the n×n inbox
+// overload.
 #pragma once
 
 #include <functional>
@@ -76,9 +63,9 @@ struct StagedRound {
 
 /// Online adversary callback, invoked by `Stepper::begin_round()` after the
 /// round's actions are fixed and before any message moves. The hook may add
-/// drops to the instance's pattern at rounds >= staged.round; both the
-/// in-memory round paths and external transports (which must re-read
-/// `pattern()` after begin_round — see net/workload.hpp) then filter the
+/// drops to the instance's pattern at rounds >= staged.round; both step()
+/// and external transports (which must re-read `pattern()` after
+/// begin_round — see net/workload.hpp) then filter the
 /// staged messages with the updated pattern. sim/adaptive.hpp wraps
 /// `AdversaryStrategy` objects into hooks and enforces the SO(t)/GO(t)
 /// budget after every invocation.
@@ -94,35 +81,70 @@ concept BroadcastExchange = requires {
   { X::kBroadcast } -> std::convertible_to<bool>;
 } && bool(X::kBroadcast);
 
-/// Optional zero-copy round pipeline. An exchange models it by declaring
-/// a `Snapshot` type plus:
-///
-///   Snapshot take_snapshot(State&)        — move the broadcast-relevant
-///     part of the state out as this round's message-equivalent. The
-///     exchange must broadcast every round (µ never ⊥) for this path.
-///   std::size_t snapshot_bits(const Snapshot&) — Prop 8.1 accounting,
-///     equal to message_bits(µ(s, a, dest)) on the same state.
-///   void apply_round(State&, const Action&, Snapshot&& own, AgentSet
-///     received, std::span<const Snapshot* const> merged) — δ rebuilt from
-///     the agent's own snapshot (moved back, or a copy when the adversary
-///     forked delivery) and the delivered senders' snapshots, borrowed in
-///     ascending sender order. Must produce the same state as update() on
-///     the equivalent inbox (tests/test_workload.cpp enforces this).
-template <class X>
-concept BorrowedRoundExchange =
-    requires(const X x, typename X::State& s, const Action a, AgentSet rec) {
-      typename X::Snapshot;
-      { x.take_snapshot(s) } -> std::same_as<typename X::Snapshot>;
-      {
-        x.snapshot_bits(std::declval<const typename X::Snapshot&>())
-      } -> std::convertible_to<std::size_t>;
-      x.apply_round(s, a, std::declval<typename X::Snapshot>(), rec,
-                    std::span<const typename X::Snapshot* const>{});
-    };
+/// What µ staging produced for one round: the round's Prop 8.1 accounting
+/// (a message addressed to its own sender is free) and, for a broadcast
+/// round, the senders whose message is not ⊥.
+struct StagedMessages {
+  AgentSet senders;
+  std::size_t bits = 0;
+  std::size_t messages = 0;
+};
+
+/// µ for one broadcast round — the one broadcast staging loop in the tree,
+/// shared by Stepper::step(), the wire path (net/workload.hpp) and the KBP
+/// synthesizer (kripke/synthesis.hpp). Hands each non-⊥ µ(s_i, a_i) to
+/// `emit(i, Message&&)` as soon as it is computed, in sender order, so the
+/// wire path encodes each message while it is hot instead of holding all n;
+/// each message counts once per other agent.
+template <ExchangeProtocol X, class Emit>
+  requires BroadcastExchange<X>
+inline StagedMessages stage_broadcast(const X& x,
+                                      std::span<const typename X::State> states,
+                                      std::span<const Action> actions,
+                                      Emit&& emit) {
+  const std::size_t others = states.size() - 1;
+  StagedMessages out;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    std::optional<typename X::Message> m =
+        x.message(states[i], actions[i], /*dest=*/0);
+    if (!m) continue;
+    const auto from = static_cast<AgentId>(i);
+    out.senders.insert(from);
+    out.bits += others * x.message_bits(*m);
+    out.messages += others;
+    emit(from, std::move(*m));
+  }
+  return out;
+}
+
+/// µ for one per-destination round — the one per-edge staging loop, shared
+/// by Stepper::step() and the wire path (net/workload.hpp). Hands each
+/// non-⊥ µ(s_i, a_i, j) to `emit(i, j, Message&&)`, sender major; each
+/// message to another agent counts once.
+template <ExchangeProtocol X, class Emit>
+inline StagedMessages stage_per_destination(
+    const X& x, std::span<const typename X::State> states,
+    std::span<const Action> actions, Emit&& emit) {
+  const auto n = static_cast<AgentId>(states.size());
+  StagedMessages out;
+  for (AgentId i = 0; i < n; ++i)
+    for (AgentId j = 0; j < n; ++j) {
+      const auto ui = static_cast<std::size_t>(i);
+      std::optional<typename X::Message> m =
+          x.message(states[ui], actions[ui], j);
+      if (!m) continue;
+      if (j != i) {
+        out.bits += x.message_bits(*m);
+        out.messages += 1;
+      }
+      emit(i, j, std::move(*m));
+    }
+  return out;
+}
 
 /// δ for one broadcast round — the one broadcast δ loop in the tree,
-/// shared by the stepper's generic_round and sender-major finish_round and
-/// by the KBP synthesizer (kripke/synthesis.hpp). Agent j's inbox row holds
+/// shared by the stepper's sender-major finish_round and by the KBP
+/// synthesizer (kripke/synthesis.hpp). Agent j's inbox row holds
 /// by_sender[i] for each i ∈ received[j] (the masks filter_broadcast
 /// fills). `row` is the caller's reused buffer, left all-⊥ between
 /// receivers, so once it has grown to n slots a round allocates no inbox.
@@ -323,27 +345,58 @@ class Stepper {
     return stop_when_all_decided_ && undecided_ == 0;
   }
 
-  /// Runs one full round in memory. Returns false (and does nothing) when
+  /// Runs one full round in memory: begin_round(), µ staged once per
+  /// sender (broadcast) or per edge, delivery filtered by the instance's
+  /// failure pattern, finish_round(). Returns false (and does nothing) when
   /// the instance is done.
   bool step() {
     const std::vector<Action>* actions = begin_round();
     if (!actions) return false;
-    if constexpr (BorrowedRoundExchange<X>) {
-      borrowed_round(*actions);
+    const auto un = static_cast<std::size_t>(n_);
+    const std::span<const State> states(states_);
+    std::vector<AgentSet> sent(un);
+    std::vector<AgentSet> delivered(un);
+    if constexpr (BroadcastExchange<X>) {
+      by_sender_.resize(un);
+      const StagedMessages staged =
+          stage_broadcast(*x_, states, *actions, [&](AgentId i, Message&& m) {
+            by_sender_[static_cast<std::size_t>(i)] = std::move(m);
+          });
+      for (AgentId i : staged.senders)
+        sent[static_cast<std::size_t>(i)] =
+            AgentSet::all(n_).minus(AgentSet{i});
+      received_.resize(un);
+      alpha_.filter_broadcast(time_, staged.senders, received_, delivered);
+      finish_round(std::span<const std::optional<Message>>(by_sender_),
+                   received_, std::move(sent), std::move(delivered),
+                   staged.bits, staged.messages);
+      for (auto& m : by_sender_) m.reset();
     } else {
-      generic_round(*actions);
+      inbox_.resize(un);
+      for (auto& row : inbox_) row.assign(un, std::nullopt);
+      const StagedMessages staged = stage_per_destination(
+          *x_, states, *actions, [&](AgentId i, AgentId j, Message&& m) {
+            const auto ui = static_cast<std::size_t>(i);
+            if (j != i) sent[ui].insert(j);
+            // Self-delivery of µ(s, a, self) always succeeds.
+            if (!alpha_.delivered(time_, i, j)) return;
+            inbox_[static_cast<std::size_t>(j)][ui] = std::move(m);
+            if (j != i) delivered[ui].insert(j);
+          });
+      finish_round(inbox_, std::move(sent), std::move(delivered), staged.bits,
+                   staged.messages);
     }
-    end_round();
     return true;
   }
 
-  // -- Split-phase interface (external transports) --------------------------
+  // -- Split-phase interface (step() and external transports) ---------------
 
   /// Starts a round: computes every agent's action and the decide
   /// bookkeeping. Returns nullptr when the instance is done. After a
-  /// non-null return the caller must complete the round with
-  /// finish_round() (or run_round_in_memory via step() is unavailable —
-  /// phases must not be mixed).
+  /// non-null return the caller must complete the round with one
+  /// finish_round() call before anything else touches the stepper:
+  /// begin_round(), step(), take_record(), take_states() and
+  /// checkpoint_stepper() all refuse a stepper that is mid-round.
   [[nodiscard]] const std::vector<Action>* begin_round() {
     EBA_REQUIRE(!in_round_, "begin_round called twice without finish_round");
     if (done()) return nullptr;
@@ -370,9 +423,10 @@ class Stepper {
     return &actions_;
   }
 
-  /// Completes a round whose messages were moved by an external transport:
-  /// applies δ with the filtered inboxes (inbox[to][from]) and appends the
-  /// transport's sent/delivered logs and accounting to the record.
+  /// Completes a round whose messages were moved by step() or an external
+  /// transport: applies δ with the filtered inboxes (inbox[to][from]) and
+  /// appends the transport's sent/delivered logs and accounting to the
+  /// record.
   void finish_round(
       std::span<const std::vector<std::optional<Message>>> inbox,
       std::vector<AgentSet> sent, std::vector<AgentSet> delivered,
@@ -436,111 +490,6 @@ class Stepper {
     record_.rounds = time_;
     in_round_ = false;
     if (sink_) sink_->on_states(time_, states_);
-  }
-
-  /// §3 round, messages as values: µ per sender (once for broadcast
-  /// exchanges, per destination otherwise), adversary filtering, δ.
-  void generic_round(const std::vector<Action>& actions) {
-    const std::size_t un = static_cast<std::size_t>(n_);
-    std::vector<AgentSet> sent(un);
-    std::vector<AgentSet> delivered(un);
-
-    if constexpr (BroadcastExchange<X>) {
-      by_sender_.resize(un);
-      received_.resize(un);
-      AgentSet senders;
-      for (AgentId i = 0; i < n_; ++i) {
-        auto& out = by_sender_[static_cast<std::size_t>(i)];
-        out = x_->message(states_[static_cast<std::size_t>(i)],
-                          actions[static_cast<std::size_t>(i)], /*dest=*/0);
-        if (!out) continue;
-        bits_sent_ +=
-            static_cast<std::size_t>(n_ - 1) * x_->message_bits(*out);
-        messages_sent_ += static_cast<std::size_t>(n_ - 1);
-        senders.insert(i);
-        sent[static_cast<std::size_t>(i)] =
-            AgentSet::all(n_).minus(AgentSet{i});
-      }
-      alpha_.filter_broadcast(time_, senders, received_, delivered);
-      apply_broadcast(*x_, std::span<State>(states_), actions_, by_sender_,
-                      received_, row_);
-      for (auto& out : by_sender_) out.reset();
-    } else {
-      // Per-destination µ: correct for exchanges that address receivers
-      // individually. Self-delivery of µ(s, a, self) always succeeds.
-      inbox_.assign(un, std::vector<std::optional<Message>>(un));
-      for (AgentId i = 0; i < n_; ++i) {
-        for (AgentId j = 0; j < n_; ++j) {
-          std::optional<Message> out = x_->message(
-              states_[static_cast<std::size_t>(i)],
-              actions[static_cast<std::size_t>(i)], /*dest=*/j);
-          if (!out) continue;
-          if (j != i) {
-            bits_sent_ += x_->message_bits(*out);
-            messages_sent_ += 1;
-            sent[static_cast<std::size_t>(i)].insert(j);
-          }
-          if (!alpha_.delivered(time_, i, j)) continue;
-          inbox_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
-              std::move(*out);
-          if (j != i) delivered[static_cast<std::size_t>(i)].insert(j);
-        }
-      }
-      for (AgentId i = 0; i < n_; ++i)
-        x_->update(states_[static_cast<std::size_t>(i)],
-                   actions[static_cast<std::size_t>(i)],
-                   std::span<const std::optional<Message>>(
-                       inbox_[static_cast<std::size_t>(i)]));
-    }
-    record_.sent.push_back(std::move(sent));
-    record_.delivered.push_back(std::move(delivered));
-  }
-
-  /// Zero-copy round for borrowed-round exchanges (E_fip): every agent's
-  /// snapshot is moved out once, receivers merge it by reference, and a
-  /// sender's own snapshot is moved back unless the adversary actually
-  /// delivered it to another agent (then the fork forces one copy).
-  void borrowed_round(const std::vector<Action>& actions)
-    requires BorrowedRoundExchange<X>
-  {
-    using Snapshot = typename X::Snapshot;
-    const std::size_t un = static_cast<std::size_t>(n_);
-    std::vector<AgentSet> sent(un);
-    std::vector<AgentSet> delivered(un);
-    std::vector<AgentSet> received(un);
-
-    std::vector<Snapshot> snaps;
-    snaps.reserve(un);
-    for (AgentId i = 0; i < n_; ++i)
-      snaps.push_back(x_->take_snapshot(states_[static_cast<std::size_t>(i)]));
-
-    for (AgentId i = 0; i < n_; ++i) {
-      bits_sent_ += static_cast<std::size_t>(n_ - 1) *
-                    x_->snapshot_bits(snaps[static_cast<std::size_t>(i)]);
-      messages_sent_ += static_cast<std::size_t>(n_ - 1);
-      sent[static_cast<std::size_t>(i)] = AgentSet::all(n_).minus(AgentSet{i});
-    }
-    alpha_.filter_broadcast(time_, AgentSet::all(n_), received, delivered);
-
-    std::vector<const Snapshot*> merged;
-    merged.reserve(un);
-    for (AgentId j = 0; j < n_; ++j) {
-      merged.clear();
-      for (AgentId i : received[static_cast<std::size_t>(j)])
-        if (i != j) merged.push_back(&snaps[static_cast<std::size_t>(i)]);
-      // Copy-on-write: only a snapshot the adversary delivered elsewhere
-      // must survive as a merge source; an unforked one is moved back.
-      Snapshot base =
-          delivered[static_cast<std::size_t>(j)].empty()
-              ? std::move(snaps[static_cast<std::size_t>(j)])
-              : snaps[static_cast<std::size_t>(j)];
-      x_->apply_round(states_[static_cast<std::size_t>(j)],
-                      actions[static_cast<std::size_t>(j)], std::move(base),
-                      received[static_cast<std::size_t>(j)],
-                      std::span<const Snapshot* const>(merged));
-    }
-    record_.sent.push_back(std::move(sent));
-    record_.delivered.push_back(std::move(delivered));
   }
 
   const X* x_;

@@ -191,6 +191,15 @@ template <ExchangeProtocol X, class P>
                             std::to_string(delta.round + 1));
   };
 
+  // A round record's planes are sized by its own population word; one that
+  // disagrees with the restored instance would index past them below.
+  const auto check_population = [&](std::size_t agents, const char* what) {
+    if (agents != static_cast<std::size_t>(out.stepper.n()))
+      throw DecodeError(Kind::malformed,
+                        std::string("run log ") + what +
+                            " population differs from the checkpoint's");
+  };
+
   for (std::size_t k = root + 1; k < records.size(); ++k) {
     const JournalRecord& rec = records[k];
     Reader r(rec.payload);
@@ -200,6 +209,7 @@ template <ExchangeProtocol X, class P>
                           "checkpoint after the chosen recovery root");
       case kRunLogDelta: {
         const DeltaPayload delta = decode_delta(r);
+        check_population(delta.actions.size(), "delta");
         if (delta.round != out.stepper.time())
           throw DecodeError(Kind::malformed,
                             "run log delta out of order at round " +
@@ -242,6 +252,7 @@ template <ExchangeProtocol X, class P>
           throw DecodeError(Kind::malformed,
                             "two intents with no delta between them");
         IntentPayload intent = decode_intent(r);
+        check_population(intent.actions.size(), "intent");
         if (intent.round != out.stepper.time())
           throw DecodeError(Kind::malformed,
                             "run log intent out of order at round " +

@@ -450,6 +450,45 @@ TEST(WorkloadRecoveryTest, CrashesAndCadenceRequireAStore) {
         << what;
 }
 
+// Journal bytes are untrusted: a DELTA or INTENT record sizes its planes by
+// its own population word. Records over n = 2 agents after an n = 4
+// checkpoint — an intent and a delta with equal actions, so the intent
+// cross-check is reached, or either one alone — must be refused with a
+// typed error before any plane is indexed by the instance's n.
+TEST(WorkloadRecoveryTest, RoundRecordsOverAnotherPopulationRejected) {
+  const int n = 4;
+  const int t = 1;
+  const MinExchange x(n);
+  const PMin p(n, t);
+  const std::vector<Action> actions(2, Action::noop());
+  const std::vector<AgentSet> rows(2);
+  const IntentPayload intent{0, actions, rows, rows};
+  const DeltaPayload delta{0, actions, rows, rows};
+  const std::vector<std::pair<bool, bool>> shapes = {
+      {true, true}, {false, true}, {true, false}};
+  for (const auto& [with_intent, with_delta] : shapes) {
+    const std::string what = std::string(with_intent ? "intent " : "") +
+                             (with_delta ? "delta" : "");
+    MemVfs vfs;
+    {
+      RunLog log = RunLog::create(vfs, "rl");
+      const Stepper<MinExchange, PMin> stepper(
+          x, p, FailurePattern::failure_free(n),
+          std::vector<Value>(static_cast<std::size_t>(n), Value::one), t);
+      log.log_checkpoint(checkpoint_stepper(stepper));
+      if (with_intent) log.log_intent(intent);
+      if (with_delta) log.log_delta(delta);
+    }
+    const RunLog log = RunLog::open(vfs, "rl");
+    try {
+      (void)recover_run<MinExchange, PMin>(x, p, log.journal().records());
+      ADD_FAILURE() << what << ": a record over another population accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.kind(), DecodeError::Kind::malformed) << what;
+    }
+  }
+}
+
 /// A store's full-checkpoint cadence and GC retention.
 struct StoreCadence {
   int snapshot_every;

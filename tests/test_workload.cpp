@@ -111,9 +111,9 @@ TEST(StepperEquivalence, PBasicMatchesSeedSemantics) {
 }
 
 TEST(StepperEquivalence, POptMatchesSeedSemantics) {
-  // Exercises the borrowed-round fast path (graphs moved through the round
-  // pipeline, copy-on-write on delivery forks) against the seed's
-  // shared_ptr message semantics.
+  // E_fip's graph messages through step()'s broadcast round (one shared
+  // graph per sender, fanned out by apply_broadcast) against the seed's
+  // n×n inbox of shared_ptr messages.
   sweep_protocol([](int n) { return FipExchange(n); },
                  [](int n, int t) { return POpt(n, t); }, 4, 2, 103, 8,
                  "P_opt");
@@ -453,12 +453,15 @@ TEST(BusPoolTest, PerDestinationViewReadsEachEdgesOwnPayload) {
   pool.release(slot);
 }
 
-/// Two steppers on one world in lockstep: one completes each round through
-/// the matrix finish_round, the other through the sender-major overload.
-/// Both get the same µ results, filtered edge by edge through
-/// FailurePattern::delivered() rather than the mask filter the engines use.
-/// States must agree after every round, and both records must equal the
-/// seed simulator's.
+/// Three steppers on one world in lockstep: one completes each round through
+/// the matrix finish_round, one through the sender-major overload, and one
+/// runs step(). The first two get the same µ results from a hand-rolled
+/// loop, filtered edge by edge through FailurePattern::delivered() rather
+/// than the mask filter the engines use; step() stages µ through
+/// stage_broadcast, so its states and its bit/message accounting pin the
+/// shared staging helper against that independent loop. States and
+/// accounting must agree after every round, and every record must equal
+/// the seed simulator's.
 template <class X, class P>
 void expect_sender_major_matches_matrix(const X& x, const P& p, int t,
                                         std::uint64_t seed, int worlds,
@@ -475,8 +478,10 @@ void expect_sender_major_matches_matrix(const X& x, const P& p, int t,
     const std::string what = name + " world " + std::to_string(k);
     Stepper<X, P> matrix(x, p, alpha, prefs, t);
     Stepper<X, P> sender_major(x, p, alpha, prefs, t);
+    Stepper<X, P> stepped(x, p, alpha, prefs, t);
     while (const std::vector<Action>* actions = matrix.begin_round()) {
       ASSERT_NE(sender_major.begin_round(), nullptr) << what;
+      ASSERT_TRUE(stepped.step()) << what;
       const int m = matrix.time();
       std::vector<std::optional<Message>> by_sender(un);
       std::vector<std::vector<std::optional<Message>>> inbox(
@@ -503,16 +508,21 @@ void expect_sender_major_matches_matrix(const X& x, const P& p, int t,
       matrix.finish_round(inbox, sent, delivered, bits, messages);
       sender_major.finish_round(by_sender, received, sent, delivered, bits,
                                 messages);
-      ASSERT_EQ(sender_major.states(), matrix.states())
-          << what << " after round " << m + 1;
+      const std::string after = what + " after round " + std::to_string(m + 1);
+      ASSERT_EQ(sender_major.states(), matrix.states()) << after;
+      ASSERT_EQ(stepped.states(), matrix.states()) << after << " [step]";
+      ASSERT_EQ(stepped.bits_sent(), matrix.bits_sent()) << after;
+      ASSERT_EQ(stepped.messages_sent(), matrix.messages_sent()) << after;
     }
     EXPECT_TRUE(sender_major.done()) << what;
+    EXPECT_TRUE(stepped.done()) << what;
     EXPECT_EQ(sender_major.bits_sent(), matrix.bits_sent()) << what;
     EXPECT_EQ(sender_major.messages_sent(), matrix.messages_sent()) << what;
     const auto want = testing::reference_simulate(x, p, alpha, prefs, t);
     expect_records_equal(matrix.record(), want.record, what + " [matrix]");
     expect_records_equal(sender_major.record(), want.record,
                          what + " [sender-major]");
+    expect_records_equal(stepped.record(), want.record, what + " [step]");
     EXPECT_EQ(sender_major.states(), want.states.back()) << what;
   }
 }
@@ -530,6 +540,54 @@ TEST(StepperTest, SenderMajorFinishRoundMatchesMatrixForEveryBroadcastExchange) 
                                      "E_fip");
   expect_sender_major_matches_matrix(ReportExchange(8, 2), PEarlyStop(8, 2),
                                      2, 706, 6, "E_report");
+}
+
+// step() is begin_round() + an in-memory transport + finish_round(), so
+// it leans on the split-phase contract: a round, once begun, is finished
+// exactly once before anything else touches the stepper.
+TEST(StepperTest, SplitPhaseContractRefusesMixedPhases) {
+  const int n = 4;
+  const int t = 1;
+  const MinExchange x(n);
+  const PMin p(n, t);
+  const std::vector<Value> prefs(static_cast<std::size_t>(n), Value::one);
+  const auto un = static_cast<std::size_t>(n);
+  using Message = MinExchange::Message;
+  const std::vector<std::vector<std::optional<Message>>> inbox(
+      un, std::vector<std::optional<Message>>(un));
+  const std::vector<std::optional<Message>> by_sender(un);
+  const std::vector<AgentSet> received(un);
+
+  Stepper<MinExchange, PMin> s(x, p, FailurePattern::failure_free(n), prefs,
+                               t);
+  // finish_round without begin_round, in either overload.
+  EXPECT_THROW(s.finish_round(inbox, std::vector<AgentSet>(un),
+                              std::vector<AgentSet>(un), 0, 0),
+               std::logic_error);
+  EXPECT_THROW(s.finish_round(by_sender, received, std::vector<AgentSet>(un),
+                              std::vector<AgentSet>(un), 0, 0),
+               std::logic_error);
+
+  ASSERT_NE(s.begin_round(), nullptr);
+  ASSERT_TRUE(s.in_round());
+  EXPECT_THROW((void)s.begin_round(), std::logic_error);
+  EXPECT_THROW((void)s.step(), std::logic_error);
+  EXPECT_THROW((void)s.take_record(), std::logic_error);
+  EXPECT_THROW((void)s.take_states(), std::logic_error);
+  EXPECT_THROW((void)checkpoint_stepper(s), std::logic_error);
+
+  // None of the refusals disturbed the round: it still finishes, and the
+  // stepper then runs to the end through step().
+  s.finish_round(inbox, std::vector<AgentSet>(un), std::vector<AgentSet>(un),
+                 0, 0);
+  EXPECT_FALSE(s.in_round());
+  EXPECT_EQ(s.time(), 1);
+  EXPECT_THROW(s.finish_round(inbox, std::vector<AgentSet>(un),
+                              std::vector<AgentSet>(un), 0, 0),
+               std::logic_error);
+  while (s.step()) {
+  }
+  EXPECT_TRUE(s.done());
 }
 
 template <class X, class P>
