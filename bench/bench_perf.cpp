@@ -2,9 +2,10 @@
 //
 // google-benchmark timings for the building blocks of the polynomial-time
 // optimal FIP — graph merge, cone construction, view extraction, the
-// common/cond tests, view inference over a whole cone — and end-to-end run
-// simulation for all three protocols, as a function of n. Near-polynomial
-// scaling in n is the empirical counterpart of Prop 7.9.
+// common/cond tests, view inference over a whole cone, E_fip's broadcast
+// δ — and end-to-end run simulation for all three protocols, as a function
+// of n. Near-polynomial scaling in n is the empirical counterpart of Prop
+// 7.9.
 #include <benchmark/benchmark.h>
 
 #include "action/p_basic.hpp"
@@ -14,6 +15,7 @@
 #include "graph/knowledge.hpp"
 #include "net/serialize.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stepper.hpp"
 #include "stats/rng.hpp"
 
 namespace eba::bench {
@@ -135,6 +137,42 @@ void BM_GraphSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphSerialize)->Arg(8)->Arg(16)->Arg(32);
+
+// The broadcast δ layer alone: apply_broadcast over round 2 of a seeded
+// E_fip/P_opt instance under SO(t), drop density 0.3 as in e2ebench. The
+// states are restored with the timer paused, so only δ is timed.
+void BM_BroadcastDeltaFip(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int t = n / 4;
+  const auto un = static_cast<std::size_t>(n);
+  Rng rng(20261017);
+  const FipExchange x(n);
+  const POpt p(n, t);
+  Stepper<FipExchange, POpt> s(x, p, sample_adversary(n, t, t + 2, 0.3, rng),
+                               sample_preferences(n, rng), t);
+  s.step();
+  const std::vector<Action>& actions = *s.begin_round();
+  std::vector<std::optional<FipExchange::Message>> by_sender(un);
+  const AgentSet senders =
+      stage_broadcast(x, std::span<const FipState>(s.states()), actions,
+                      [&](AgentId i, FipExchange::Message&& m) {
+                        by_sender[static_cast<std::size_t>(i)] = std::move(m);
+                      })
+          .senders;
+  std::vector<AgentSet> received(un);
+  std::vector<AgentSet> delivered(un);
+  s.pattern().filter_broadcast(s.time(), senders, received, delivered);
+  std::vector<FipState> states;
+  BroadcastScratch<FipExchange> scratch;
+  for (auto _ : state) {
+    state.PauseTiming();
+    states = s.states();
+    state.ResumeTiming();
+    apply_broadcast(x, states, actions, by_sender, received, scratch);
+    benchmark::DoNotOptimize(states.data());
+  }
+}
+BENCHMARK(BM_BroadcastDeltaFip)->Arg(8)->Arg(32);
 
 template <class MakeDriver>
 void run_full(benchmark::State& state, const MakeDriver& make) {

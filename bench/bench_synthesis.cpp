@@ -99,7 +99,8 @@ constexpr SynthesisOptions kBaseline{
 constexpr SynthesisOptions kOptimized{
     .dedup_worlds = true, .memoize = true, .workers = 0};
 
-/// A baseline-vs-optimized comparison point.
+/// A baseline-vs-optimized comparison point: best of `repeats` each, the
+/// two variants alternating so a slow spell of the host hits both sides.
 template <class X>
 PointResult compare_point(const std::string& label, const X& x, int t,
                           KbpProgram program, const EnumerationConfig& cfg,
@@ -110,11 +111,17 @@ PointResult compare_point(const std::string& label, const X& x, int t,
   const auto worlds = context_worlds(cfg);
   out.worlds = worlds.size();
   double base_s = 0;
-  const auto base =
-      timed_run(x, t, program, kBaseline, worlds, horizon, repeats, base_s);
   double opt_s = 0;
-  const auto fast =
-      timed_run(x, t, program, kOptimized, worlds, horizon, repeats, opt_s);
+  SynthesisResult<X> base;
+  SynthesisResult<X> fast;
+  for (int r = 0; r < repeats; ++r) {
+    double b = 0;
+    double o = 0;
+    base = timed_run(x, t, program, kBaseline, worlds, horizon, 1, b);
+    fast = timed_run(x, t, program, kOptimized, worlds, horizon, 1, o);
+    if (r == 0 || b < base_s) base_s = b;
+    if (r == 0 || o < opt_s) opt_s = o;
+  }
   out.baseline_seconds = base_s;
   out.optimized_seconds = opt_s;
   out.speedup = opt_s > 0 ? base_s / opt_s : 0;
@@ -154,10 +161,12 @@ int run() {
   std::vector<PointResult> points;
 
   // Headline: Thm 6.5's context at the seed's scaling limit — the full
-  // gamma_min(4, 1) enumeration, P0.
+  // gamma_min(4, 1) enumeration, P0. The optimized run takes ~6 ms; at
+  // best-of-3 one slow spell of the host could sink the speedup below the
+  // floor, so the headline takes the best of 15 alternating pairs.
   points.push_back(compare_point("p0/gamma_min n=4 full", MinExchange(4), 1,
                                  KbpProgram::p0,
-                                 {.n = 4, .t = 1, .rounds = 2}, 4, 3));
+                                 {.n = 4, .t = 1, .rounds = 2}, 4, 15));
 
   // P1 comparisons: the common-knowledge BFS dominates the baseline here.
   points.push_back(compare_point("p1/gamma_min n=3 full", MinExchange(3), 1,

@@ -1,5 +1,7 @@
 #include "exchange/fip.hpp"
 
+#include <algorithm>
+
 namespace eba {
 
 void FipExchange::update(State& s, const Action& a,
@@ -8,12 +10,29 @@ void FipExchange::update(State& s, const Action& a,
   AgentSet received;
   for (AgentId j = 0; j < n_; ++j)
     if (inbox[static_cast<std::size_t>(j)]) received.insert(j);
+  update_joined(s, a, received, nullptr, inbox, received);
+}
 
+void FipExchange::join(Join& u,
+                       std::span<const std::optional<Message>> by_sender,
+                       AgentSet common) const {
+  const auto graph = [&](AgentId i) -> const CommGraph& {
+    return *by_sender[static_cast<std::size_t>(i)].value();
+  };
+  int time = 0;
+  for (AgentId i : common) time = std::max(time, graph(i).time());
+  if (!u) u.emplace(n_, 0, Value::zero);
+  u->reset_blank(n_, time);
+  for (AgentId i : common) u->merge(graph(i));
+}
+
+void FipExchange::update_joined(
+    State& s, const Action& a, AgentSet received, const Join* u,
+    std::span<const std::optional<Message>> by_sender, AgentSet extra) const {
   s.graph.advance_round(s.self, received);
-  for (AgentId j = 0; j < n_; ++j) {
-    const auto& m = inbox[static_cast<std::size_t>(j)];
-    if (m && j != s.self) s.graph.merge(**m);
-  }
+  if (u) s.graph.merge(**u);
+  for (AgentId i : extra.minus(AgentSet{s.self}))
+    s.graph.merge(*by_sender[static_cast<std::size_t>(i)].value());
 
   s.time += 1;
   if (a.is_decide()) {

@@ -93,6 +93,17 @@ class FipExchange {
   void update(State& s, const Action& a,
               std::span<const std::optional<Message>> inbox) const;
 
+  /// The joined δ (JoinDelta in sim/stepper.hpp), pinned against `update`:
+  /// join() makes U the union of the graphs of `common`, as long as the
+  /// longest; update_joined() merges U (if any) and by_sender[i], i ∈ extra.
+  using Join = std::optional<CommGraph>;
+  void join(Join& u, std::span<const std::optional<Message>> by_sender,
+            AgentSet common) const;
+  void update_joined(State& s, const Action& a, AgentSet received,
+                     const Join* u,
+                     std::span<const std::optional<Message>> by_sender,
+                     AgentSet extra) const;
+
  private:
   int n_;
 };

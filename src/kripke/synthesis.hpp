@@ -652,11 +652,11 @@ class KbpSynthesizer {
         [&](std::size_t begin, std::size_t end) {
           // Chunk-local scratch, reused per world instead of reallocated:
           // one message per sender (all-⊥ between worlds), each receiver's
-          // sender mask, the (unused) delivery log, and δ's row buffer.
+          // sender mask, the (unused) delivery log, and δ's scratch.
           std::vector<std::optional<Message>> by_sender(un);
           std::vector<AgentSet> received(un);
           std::vector<AgentSet> delivered(un);
-          std::vector<std::optional<Message>> row;
+          BroadcastScratch<X> scratch;
           for (std::size_t e = begin; e < end; ++e) {
             const std::size_t w = orbits_ ? orbit_reps_[e] : e;
             const AgentSet senders =
@@ -669,7 +669,7 @@ class KbpSynthesizer {
                     .senders;
             worlds[w].first.filter_broadcast(m, senders, received, delivered);
             apply_broadcast(x_, std::span<State>(states_[w]), actions_[w],
-                            by_sender, received, row);
+                            by_sender, received, scratch);
             for (auto& msg : by_sender) msg.reset();
           }
         });

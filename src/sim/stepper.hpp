@@ -1,36 +1,24 @@
 // The instance-oriented run engine (paper §3).
 //
 // `Stepper<X, P>` advances the n agent states of ONE agreement instance
-// round by round, **in place**: no per-round snapshot of all states is
-// materialized unless a `TraceSink` opts in. `simulate()` (simulator.hpp)
-// is a thin wrapper that attaches a materializing sink to recover the
-// classic fully-materialized `Run<X>`; the drivers and the net-layer
-// workload engine run the stepper bare, so a run costs O(n) state, not
-// O(rounds · n).
+// round by round, in place: a run costs O(n) state, not O(rounds · n),
+// unless a `TraceSink` opts in (`simulate()` in simulator.hpp attaches a
+// materializing one to recover the classic `Run<X>`).
 //
 // A round is split the way the paper splits a protocol: the action
 // protocol picks every agent's action (`begin_round()`), the information
 // exchange moves µ's messages through the adversary, and δ updates the
-// states (`finish_round()`). Only the middle part varies:
+// states (`finish_round()`, the one place that does round accounting and
+// appends to the record). Only the middle part varies: `step()` is the
+// in-memory transport (µ staged by the helpers below, filtered by the
+// instance's failure pattern — the §3 semantics verbatim), and net/ moves
+// the staged messages as bytes through a bus slot.
 //
-//  * `step()` is the in-memory transport: µ staged by the helpers below,
-//    delivery filtered by the instance's failure pattern, then
-//    `finish_round()`. This is the §3 semantics verbatim and what
-//    `simulate()` uses.
-//  * External transports call `begin_round()`/`finish_round()` themselves:
-//    net/ serializes the staged messages as byte payloads through a bus
-//    slot and hands back the filtered messages plus the sent/delivered
-//    logs. One instance = one stepper + one bus slot in the net-layer
-//    workload engine.
-//
-// So `finish_round()` is the one place that does round accounting, appends
-// to the record and closes the round. Broadcast exchanges (`X::kBroadcast`:
-// µ ignores the destination) stage one message per sender and complete
-// through the sender-major overload, whose δ loop (apply_broadcast) builds
-// each receiver's row in a reused n-slot buffer — no broadcast round builds
-// an n² inbox, in memory or over the wire. Every other exchange stages µ
-// per (sender, receiver) edge and completes through the n×n inbox
-// overload.
+// Broadcast exchanges (`X::kBroadcast`: µ ignores the destination) stage
+// one message per sender and complete through the sender-major overload,
+// whose δ loop (apply_broadcast) builds no n² inbox and, where δ is a join
+// (E_fip), joins the messages every receiver heard once per round. Every
+// other exchange stages µ per edge and completes through the inbox overload.
 #pragma once
 
 #include <functional>
@@ -142,32 +130,61 @@ inline StagedMessages stage_per_destination(
   return out;
 }
 
+/// Broadcast exchanges whose δ factors through a join (associative,
+/// commutative, idempotent) of the delivered messages: E_fip (`Join`,
+/// join(), update_joined()), not E_basic, whose δ counts init1 messages.
+template <class X>
+concept JoinDelta = BroadcastExchange<X> && requires { typename X::Join; };
+
+/// apply_broadcast's scratch, owned by its caller and reused across rounds.
+template <class X>
+struct BroadcastScratch {
+  std::vector<std::optional<typename X::Message>> row;  ///< all-⊥ between uses
+};
+template <JoinDelta X>
+struct BroadcastScratch<X> {
+  typename X::Join join;
+};
+
 /// δ for one broadcast round — the one broadcast δ loop in the tree,
 /// shared by the stepper's sender-major finish_round and by the KBP
-/// synthesizer (kripke/synthesis.hpp). Agent j's inbox row holds
-/// by_sender[i] for each i ∈ received[j] (the masks filter_broadcast
-/// fills). `row` is the caller's reused buffer, left all-⊥ between
-/// receivers, so once it has grown to n slots a round allocates no inbox.
-/// Declared inline so it gets the compiler's in-class inlining budget: the
-/// stepper's callers keep the loop inlined, as when it was a member.
+/// synthesizer (kripke/synthesis.hpp). Agent j's δ sees by_sender[i] for
+/// each i ∈ received[j] (the masks filter_broadcast fills; none may be ⊥
+/// for a JoinDelta exchange, which throws on one). A JoinDelta exchange
+/// joins the messages of C, the senders every receiver heard (under SO(t),
+/// every nonfaulty one), once per round; each receiver takes the join plus
+/// the rest it heard. This throws exactly when the inbox form of δ would:
+/// messages conflict iff two of them do, and the join adds to a receiver's
+/// row only its own message, µ of the state δ extends. Declared inline to
+/// get the compiler's in-class inlining budget.
 template <ExchangeProtocol X>
 inline void apply_broadcast(
     const X& x, std::span<typename X::State> states,
     std::span<const Action> actions,
     std::span<const std::optional<typename X::Message>> by_sender,
-    std::span<const AgentSet> received,
-    std::vector<std::optional<typename X::Message>>& row) {
-  using Message = typename X::Message;
-  row.resize(states.size());
-  for (std::size_t j = 0; j < states.size(); ++j) {
-    const AgentSet from = received[j];
-    for (AgentId i : from) {
-      const auto ui = static_cast<std::size_t>(i);
-      row[ui] = by_sender[ui];
+    std::span<const AgentSet> received, BroadcastScratch<X>& scratch) {
+  const std::size_t n = states.size();
+  if constexpr (JoinDelta<X>) {
+    AgentSet common = AgentSet::all(static_cast<int>(n));
+    for (const AgentSet& r : received.first(n)) common = common.intersected(r);
+    if (common.size() < 2) common = AgentSet{};  // joining one saves nothing
+    else x.join(scratch.join, by_sender, common);
+    for (std::size_t j = 0; j < n; ++j)
+      x.update_joined(states[j], actions[j], received[j],
+                      common.empty() ? nullptr : &scratch.join, by_sender,
+                      received[j].minus(common));
+  } else {
+    auto& row = scratch.row;
+    row.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const AgentSet from = received[j];
+      for (AgentId i : from) {
+        const auto ui = static_cast<std::size_t>(i);
+        row[ui] = by_sender[ui];
+      }
+      x.update(states[j], actions[j], row);
+      for (AgentId i : from) row[static_cast<std::size_t>(i)].reset();
     }
-    x.update(states[j], actions[j],
-             std::span<const std::optional<Message>>(row));
-    for (AgentId i : from) row[static_cast<std::size_t>(i)].reset();
   }
 }
 
@@ -449,8 +466,7 @@ class Stepper {
   /// the one message `from` broadcast (nullopt = ⊥) and received[to] the
   /// senders whose message reached `to` (self included). Equivalent to the
   /// matrix overload with inbox[to][from] = by_sender[from] for from ∈
-  /// received[to], but never materializes the n×n inbox — each receiver's
-  /// δ row is assembled in one reused n-slot buffer.
+  /// received[to], but never materializes the n×n inbox (apply_broadcast).
   void finish_round(std::span<const std::optional<Message>> by_sender,
                     std::span<const AgentSet> received,
                     std::vector<AgentSet> sent, std::vector<AgentSet> delivered,
@@ -464,7 +480,7 @@ class Stepper {
     bits_sent_ += bits;
     messages_sent_ += messages;
     apply_broadcast(*x_, std::span<State>(states_), actions_, by_sender,
-                    received, row_);
+                    received, delta_);
     record_.sent.push_back(std::move(sent));
     record_.delivered.push_back(std::move(delivered));
     end_round();
@@ -512,10 +528,10 @@ class Stepper {
   /// Per-destination rounds' n×n inbox, reused across rounds.
   std::vector<std::vector<std::optional<Message>>> inbox_;
   /// Broadcast rounds: one message per sender, each receiver's sender mask,
-  /// and the one δ row buffer (all-⊥ between receivers). Reused.
+  /// and δ's scratch (apply_broadcast). Reused.
   std::vector<std::optional<Message>> by_sender_;
   std::vector<AgentSet> received_;
-  std::vector<std::optional<Message>> row_;
+  BroadcastScratch<X> delta_;
   RunRecord record_;
   std::size_t bits_sent_ = 0;
   std::size_t messages_sent_ = 0;

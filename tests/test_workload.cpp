@@ -461,69 +461,81 @@ TEST(BusPoolTest, PerDestinationViewReadsEachEdgesOwnPayload) {
 /// stage_broadcast, so its states and its bit/message accounting pin the
 /// shared staging helper against that independent loop. States and
 /// accounting must agree after every round, and every record must equal
-/// the seed simulator's.
+/// the seed simulator's. For E_fip the matrix overload runs the inbox-form
+/// update and the other two the joined δ, so this is also the join's
+/// differential.
+template <class X, class P>
+void expect_lockstep_world(const X& x, const P& p, int t,
+                           const FailurePattern& alpha,
+                           const std::vector<Value>& prefs,
+                           const std::string& what) {
+  using Message = typename X::Message;
+  const int n = x.n();
+  const auto un = static_cast<std::size_t>(n);
+  Stepper<X, P> matrix(x, p, alpha, prefs, t);
+  Stepper<X, P> sender_major(x, p, alpha, prefs, t);
+  Stepper<X, P> stepped(x, p, alpha, prefs, t);
+  while (const std::vector<Action>* actions = matrix.begin_round()) {
+    ASSERT_NE(sender_major.begin_round(), nullptr) << what;
+    ASSERT_TRUE(stepped.step()) << what;
+    const int m = matrix.time();
+    std::vector<std::optional<Message>> by_sender(un);
+    std::vector<std::vector<std::optional<Message>>> inbox(
+        un, std::vector<std::optional<Message>>(un));
+    std::vector<AgentSet> received(un);
+    std::vector<AgentSet> sent(un);
+    std::vector<AgentSet> delivered(un);
+    std::size_t bits = 0;
+    std::size_t messages = 0;
+    for (AgentId i = 0; i < n; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      by_sender[ui] = x.message(matrix.states()[ui], (*actions)[ui], 0);
+      if (!by_sender[ui]) continue;
+      bits += (un - 1) * x.message_bits(*by_sender[ui]);
+      messages += un - 1;
+      sent[ui] = AgentSet::all(n).minus(AgentSet{i});
+      for (AgentId j = 0; j < n; ++j) {
+        if (!alpha.delivered(m, i, j)) continue;
+        inbox[static_cast<std::size_t>(j)][ui] = by_sender[ui];
+        received[static_cast<std::size_t>(j)].insert(i);
+        if (j != i) delivered[ui].insert(j);
+      }
+    }
+    matrix.finish_round(inbox, sent, delivered, bits, messages);
+    sender_major.finish_round(by_sender, received, sent, delivered, bits,
+                              messages);
+    const std::string after = what + " after round " + std::to_string(m + 1);
+    ASSERT_EQ(sender_major.states(), matrix.states()) << after;
+    ASSERT_EQ(stepped.states(), matrix.states()) << after << " [step]";
+    ASSERT_EQ(stepped.bits_sent(), matrix.bits_sent()) << after;
+    ASSERT_EQ(stepped.messages_sent(), matrix.messages_sent()) << after;
+  }
+  EXPECT_TRUE(sender_major.done()) << what;
+  EXPECT_TRUE(stepped.done()) << what;
+  EXPECT_EQ(sender_major.bits_sent(), matrix.bits_sent()) << what;
+  EXPECT_EQ(sender_major.messages_sent(), matrix.messages_sent()) << what;
+  const auto want = testing::reference_simulate(x, p, alpha, prefs, t);
+  expect_records_equal(matrix.record(), want.record, what + " [matrix]");
+  expect_records_equal(sender_major.record(), want.record,
+                       what + " [sender-major]");
+  expect_records_equal(stepped.record(), want.record, what + " [step]");
+  EXPECT_EQ(sender_major.states(), want.states.back()) << what;
+}
+
+/// expect_lockstep_world over seeded worlds, alternating SO(t) and GO(t).
 template <class X, class P>
 void expect_sender_major_matches_matrix(const X& x, const P& p, int t,
                                         std::uint64_t seed, int worlds,
                                         const std::string& name) {
-  using Message = typename X::Message;
   const int n = x.n();
-  const auto un = static_cast<std::size_t>(n);
   Rng rng(seed);
   for (int k = 0; k < worlds; ++k) {
     const FailurePattern alpha =
         k % 2 == 0 ? sample_adversary(n, t, t + 2, 0.4, rng)
                    : sample_go_adversary(n, t, t + 2, 0.3, 0.3, rng);
     const auto prefs = sample_preferences(n, rng);
-    const std::string what = name + " world " + std::to_string(k);
-    Stepper<X, P> matrix(x, p, alpha, prefs, t);
-    Stepper<X, P> sender_major(x, p, alpha, prefs, t);
-    Stepper<X, P> stepped(x, p, alpha, prefs, t);
-    while (const std::vector<Action>* actions = matrix.begin_round()) {
-      ASSERT_NE(sender_major.begin_round(), nullptr) << what;
-      ASSERT_TRUE(stepped.step()) << what;
-      const int m = matrix.time();
-      std::vector<std::optional<Message>> by_sender(un);
-      std::vector<std::vector<std::optional<Message>>> inbox(
-          un, std::vector<std::optional<Message>>(un));
-      std::vector<AgentSet> received(un);
-      std::vector<AgentSet> sent(un);
-      std::vector<AgentSet> delivered(un);
-      std::size_t bits = 0;
-      std::size_t messages = 0;
-      for (AgentId i = 0; i < n; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        by_sender[ui] = x.message(matrix.states()[ui], (*actions)[ui], 0);
-        if (!by_sender[ui]) continue;
-        bits += (un - 1) * x.message_bits(*by_sender[ui]);
-        messages += un - 1;
-        sent[ui] = AgentSet::all(n).minus(AgentSet{i});
-        for (AgentId j = 0; j < n; ++j) {
-          if (!alpha.delivered(m, i, j)) continue;
-          inbox[static_cast<std::size_t>(j)][ui] = by_sender[ui];
-          received[static_cast<std::size_t>(j)].insert(i);
-          if (j != i) delivered[ui].insert(j);
-        }
-      }
-      matrix.finish_round(inbox, sent, delivered, bits, messages);
-      sender_major.finish_round(by_sender, received, sent, delivered, bits,
-                                messages);
-      const std::string after = what + " after round " + std::to_string(m + 1);
-      ASSERT_EQ(sender_major.states(), matrix.states()) << after;
-      ASSERT_EQ(stepped.states(), matrix.states()) << after << " [step]";
-      ASSERT_EQ(stepped.bits_sent(), matrix.bits_sent()) << after;
-      ASSERT_EQ(stepped.messages_sent(), matrix.messages_sent()) << after;
-    }
-    EXPECT_TRUE(sender_major.done()) << what;
-    EXPECT_TRUE(stepped.done()) << what;
-    EXPECT_EQ(sender_major.bits_sent(), matrix.bits_sent()) << what;
-    EXPECT_EQ(sender_major.messages_sent(), matrix.messages_sent()) << what;
-    const auto want = testing::reference_simulate(x, p, alpha, prefs, t);
-    expect_records_equal(matrix.record(), want.record, what + " [matrix]");
-    expect_records_equal(sender_major.record(), want.record,
-                         what + " [sender-major]");
-    expect_records_equal(stepped.record(), want.record, what + " [step]");
-    EXPECT_EQ(sender_major.states(), want.states.back()) << what;
+    expect_lockstep_world(x, p, t, alpha, prefs,
+                          name + " world " + std::to_string(k));
   }
 }
 
@@ -538,8 +550,118 @@ TEST(StepperTest, SenderMajorFinishRoundMatchesMatrixForEveryBroadcastExchange) 
                                      704, 6, "E_relay");
   expect_sender_major_matches_matrix(FipExchange(8), POpt(8, 2), 2, 705, 4,
                                      "E_fip");
+  // The scale E_fip's joined δ targets: C is the n − t or more nonfaulty
+  // senders, plus any faulty one that happened to reach everyone.
+  expect_sender_major_matches_matrix(FipExchange(32), POpt(32, 8), 8, 707, 4,
+                                     "E_fip n=32");
   expect_sender_major_matches_matrix(ReportExchange(8, 2), PEarlyStop(8, 2),
                                      2, 706, 6, "E_report");
+}
+
+/// C of round m+1 under `alpha` when everyone broadcasts: the senders every
+/// receiver hears, which E_fip's joined δ merges once.
+AgentSet commonly_heard(const FailurePattern& alpha, int m) {
+  const auto un = static_cast<std::size_t>(alpha.n());
+  std::vector<AgentSet> received(un);
+  std::vector<AgentSet> delivered(un);
+  alpha.filter_broadcast(m, AgentSet::all(alpha.n()), received, delivered);
+  AgentSet common = AgentSet::all(alpha.n());
+  for (const AgentSet r : received) common = common.intersected(r);
+  return common;
+}
+
+// Hand-built rounds at each edge of the join: no common sender, one (too
+// few to join), and GO(t) receive drops shrinking C below the nonfaulty
+// senders. Every round of each run has the same drops, so every round hits
+// the edge; the lockstep differential pins the joined δ to the matrix one.
+TEST(StepperTest, JoinedFipDeltaMatchesMatrixAtEveryCommonSenderCount) {
+  const int n = 8;
+  const int t = 2;
+  const FipExchange x(n);
+  const POpt p(n, t);
+  const AgentSet faulty{0, 1};
+  struct Case {
+    std::string name;
+    AgentSet deaf0;  ///< senders receiver 0 receive-drops
+    AgentSet deaf1;  ///< senders receiver 1 receive-drops
+    AgentSet mute1;  ///< receivers sender 1 send-drops
+    AgentSet common;
+  };
+  const std::vector<Case> cases = {
+      {"C empty", {1, 2, 3, 4}, {0, 5, 6, 7}, {}, {}},
+      {"C one sender", {1, 2, 3, 4, 5, 6}, {0}, {}, {7}},
+      {"GO receive drops shrink C", {4, 5}, {}, {3}, {0, 2, 3, 6, 7}},
+  };
+  Rng rng(708);
+  for (const Case& c : cases) {
+    FailurePattern alpha(n, faulty.complement(n));
+    for (int m = 0; m < t + 4; ++m) {
+      for (AgentId from : c.deaf0) alpha.drop_receive(m, from, 0);
+      for (AgentId from : c.deaf1) alpha.drop_receive(m, from, 1);
+      for (AgentId to : c.mute1) alpha.drop(m, 1, to);
+      ASSERT_EQ(commonly_heard(alpha, m), c.common) << c.name;
+    }
+    for (int k = 0; k < 3; ++k)
+      expect_lockstep_world(x, p, t, alpha, sample_preferences(n, rng),
+                            c.name + " prefs " + std::to_string(k));
+  }
+}
+
+// The joined δ keeps merge's conflict check: a forged graph that
+// contradicts another sender's throws in both finish_round overloads,
+// whether the forger is in C (the join itself conflicts) or outside it
+// (its graph conflicts with the join at the receivers that heard it).
+TEST(StepperTest, JoinedFipDeltaKeepsTheConflictCheck) {
+  const int n = 4;
+  const int t = 1;
+  const auto un = static_cast<std::size_t>(n);
+  const FipExchange x(n);
+  const POpt p(n, t);
+  const std::vector<Value> prefs = {Value::one, Value::zero, Value::one,
+                                    Value::one};
+  const AgentId forger = 3;
+  using Message = FipExchange::Message;
+  for (const bool forger_in_common : {true, false}) {
+    FailurePattern alpha(n, AgentSet::all(n).minus(AgentSet{forger}));
+    if (!forger_in_common) alpha.drop(0, forger, 1);
+    ASSERT_EQ(commonly_heard(alpha, 0).contains(forger), forger_in_common);
+    for (const bool sender_major : {true, false}) {
+      const std::string what =
+          std::string(forger_in_common ? "forger in C" : "forger outside C") +
+          (sender_major ? " [sender-major]" : " [matrix]");
+      Stepper<FipExchange, POpt> s(x, p, alpha, prefs, t);
+      const std::vector<Action>* actions = s.begin_round();
+      ASSERT_NE(actions, nullptr);
+      std::vector<std::optional<Message>> by_sender(un);
+      for (std::size_t i = 0; i < un; ++i)
+        by_sender[i] = x.message(s.states()[i], (*actions)[i], 0);
+      // Agent 1 prefers 0 and says so in its graph; the forger claims 1.
+      CommGraph forged = s.states()[forger].graph;
+      forged.set_pref(1, PrefLabel::one);
+      by_sender[forger] = std::make_shared<const CommGraph>(forged);
+      std::vector<AgentSet> received(un);
+      std::vector<AgentSet> delivered(un);
+      alpha.filter_broadcast(0, AgentSet::all(n), received, delivered);
+      if (sender_major) {
+        EXPECT_THROW(s.finish_round(by_sender, received,
+                                    std::vector<AgentSet>(un), delivered, 0,
+                                    0),
+                     std::logic_error)
+            << what;
+      } else {
+        std::vector<std::vector<std::optional<Message>>> inbox(
+            un, std::vector<std::optional<Message>>(un));
+        for (std::size_t j = 0; j < un; ++j)
+          for (AgentId i : received[j])
+            inbox[j][static_cast<std::size_t>(i)] =
+                by_sender[static_cast<std::size_t>(i)];
+        EXPECT_THROW(s.finish_round(inbox, std::vector<AgentSet>(un),
+                                    delivered, 0, 0),
+                     std::logic_error)
+            << what;
+      }
+    }
+  }
 }
 
 // step() is begin_round() + an in-memory transport + finish_round(), so
