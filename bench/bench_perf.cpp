@@ -138,6 +138,19 @@ void BM_GraphSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphSerialize)->Arg(8)->Arg(16)->Arg(32);
 
+void BM_GraphDeserialize(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const FipState s = sample_state(n, n / 4, n / 4 + 2);
+  Writer w;
+  encode_graph(w, s.graph);
+  const Bytes payload = w.take();
+  for (auto _ : state) {
+    Reader r(payload);
+    benchmark::DoNotOptimize(decode_graph(r));
+  }
+}
+BENCHMARK(BM_GraphDeserialize)->Arg(8)->Arg(32);
+
 // The broadcast δ layer alone: apply_broadcast over round 2 of a seeded
 // E_fip/P_opt instance under SO(t), drop density 0.3 as in e2ebench. The
 // states are restored with the timer paused, so only δ is timed.

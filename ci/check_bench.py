@@ -60,6 +60,8 @@ GATED = [
     "BM_CommonTest/32",
     "BM_BroadcastDeltaFip/8",
     "BM_BroadcastDeltaFip/32",
+    "BM_GraphSerialize/32",
+    "BM_GraphDeserialize/32",
     "BM_FullRunPOpt/8",
     "BM_FullRunPOpt/16",
     "BM_FullRunPOpt/24",

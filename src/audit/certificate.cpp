@@ -7,11 +7,6 @@
 namespace eba {
 namespace {
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
-}
-
 std::uint64_t header_digest_of(const RunRecord& record, std::uint64_t key) {
   KeyedDigest64 d(key);
   d.u32(static_cast<std::uint32_t>(record.n));

@@ -11,20 +11,6 @@ constexpr std::uint8_t kFrameHeader = 1;
 constexpr std::uint8_t kFrameRound = 2;
 constexpr std::uint8_t kFrameCertificate = 3;
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
-}
-
-Action action_of(std::uint8_t b) {
-  switch (b) {
-    case 0: return Action::noop();
-    case 1: return Action::decide(Value::zero);
-    case 2: return Action::decide(Value::one);
-    default: throw DecodeError(Kind::malformed, "bad action byte in round frame");
-  }
-}
-
 }  // namespace
 
 TraceWriter::TraceWriter(std::uint64_t instance_id, int n, int t,
@@ -33,11 +19,8 @@ TraceWriter::TraceWriter(std::uint64_t instance_id, int n, int t,
     : n_(n) {
   EBA_REQUIRE(n >= 1 && n <= kMaxAgents, "trace agent count out of range");
   EBA_REQUIRE(static_cast<int>(inits.size()) == n, "trace inits size mismatch");
-  for (char c : kTraceMagic) out_.push_back(static_cast<std::uint8_t>(c));
-  Writer v;
-  v.u32(key == 0 ? kTraceFormatVersion : kTraceFormatVersionKeyed);
-  const Bytes vb = v.take();
-  out_.insert(out_.end(), vb.begin(), vb.end());
+  write_preamble(out_, kTraceMagic,
+                 key == 0 ? kTraceFormatVersion : kTraceFormatVersionKeyed);
 
   Writer w;
   w.u64(instance_id);
@@ -58,6 +41,7 @@ void TraceWriter::add_round(const std::vector<Action>& actions,
               "round planes must cover every agent");
   const int row_bytes = (n_ + 7) / 8;
   Writer w;
+  w.reserve(4 + static_cast<std::size_t>(n_ * (1 + 2 * row_bytes)));
   w.u32(static_cast<std::uint32_t>(rounds_ + 1));
   for (const Action& a : actions) w.u8(action_byte(a));
   for (const AgentSet& s : sent) w.word(s.bits(), row_bytes);
@@ -99,10 +83,8 @@ TraceFile read_trace(const Bytes& bytes, std::uint64_t key) {
   for (std::size_t k = 0; k < 4; ++k)
     if (bytes[k] != static_cast<std::uint8_t>(kTraceMagic[k]))
       throw DecodeError(Kind::bad_magic, "not an EBTR trace container");
-  std::uint32_t version = 0;
-  for (int b = 0; b < 4; ++b)
-    version |= static_cast<std::uint32_t>(bytes[4 + static_cast<std::size_t>(b)])
-               << (8 * b);
+  const auto version =
+      static_cast<std::uint32_t>(detail::load_le(bytes.data() + 4, 4));
   if (version != kTraceFormatVersion && version != kTraceFormatVersionKeyed)
     throw DecodeError(Kind::bad_version,
                       "trace version " + std::to_string(version) +

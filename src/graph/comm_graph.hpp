@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/renaming.hpp"
@@ -132,6 +133,42 @@ class CommGraph {
   [[nodiscard]] AgentSet known_prefs() const { return AgentSet(pref_known_); }
   [[nodiscard]] AgentSet one_prefs() const { return AgentSet(pref_value_); }
 
+  // The planes whole, for the byte codec (net/serialize.cpp): entry m·n + to
+  // is row (m, to). assign_rows rebuilds the graph in place with `time`
+  // rounds, taking every row from `next(known, present)` in that order; a
+  // row must keep present ⊆ known ⊆ {0..n-1}. If `next` throws, the graph
+  // is left valid but unspecified.
+  [[nodiscard]] std::span<const std::uint64_t> known_rows() const {
+    return known_;
+  }
+  [[nodiscard]] std::span<const std::uint64_t> present_rows() const {
+    return value_;
+  }
+  template <class NextRow>
+  void assign_rows(int time, AgentSet known_prefs, AgentSet one_prefs,
+                   NextRow&& next) {
+    const AgentSet all = AgentSet::all(n_);
+    EBA_REQUIRE(time >= 0 && known_prefs.subset_of(all) &&
+                    one_prefs.subset_of(known_prefs),
+                "malformed graph shape");
+    time_ = time;
+    known_.resize(static_cast<std::size_t>(time) *
+                  static_cast<std::size_t>(n_));
+    value_.resize(known_.size());
+    pref_known_ = known_prefs.bits();
+    pref_value_ = one_prefs.bits();
+    ++revision_;
+    for (std::size_t r = 0; r < known_.size(); ++r) {
+      std::uint64_t known = 0;
+      std::uint64_t present = 0;
+      next(known, present);
+      EBA_REQUIRE(AgentSet(known).subset_of(all) && (present & ~known) == 0,
+                  "malformed receiver row");
+      known_[r] = known;
+      value_[r] = present;
+    }
+  }
+
   /// Extends the graph by one round: `self` observed exactly the messages
   /// from `received_from` (self-delivery is implicit). All other new edges
   /// are unknown.
@@ -162,9 +199,9 @@ class CommGraph {
   [[nodiscard]] CommGraph relabeled(const Renaming& ren) const;
 
   /// Mutation counter: bumped by every set_label/set_pref/set_row/
-  /// advance_round/merge/reset_blank. KnowledgeCache keys its memoized cones
-  /// and fault tables on (graph address, revision), so derived knowledge is
-  /// recomputed only when the graph actually changed.
+  /// advance_round/merge/reset_blank/assign_rows. KnowledgeCache keys its
+  /// memoized cones and fault tables on (graph address, revision), so
+  /// derived knowledge is recomputed only when the graph actually changed.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
   friend bool operator==(const CommGraph& a, const CommGraph& b) {

@@ -11,9 +11,10 @@
 // by one worker at a time. A round stores each payload once — the outbox is
 // moved into the result, one payload per broadcast sender or per addressed
 // edge — and the adversary's verdict is a mask per receiver (`received`).
-// Receivers read payloads through the `inbox` view, by reference: a
-// broadcast costs O(n) allocations per round, not one payload copy per
-// receiver.
+// Receivers read payloads through the `inbox` view, by reference, never
+// one payload copy per receiver. A caller that is done with a round hands
+// its payload buffers back (`take_payloads`) to encode the next round
+// into, so a steady-state wire round allocates no payload storage.
 #pragma once
 
 #include <mutex>
@@ -94,6 +95,13 @@ class BusPool {
     /// succeeds).
     [[nodiscard]] const std::vector<AgentSet>& received() const {
       return received_;
+    }
+    /// Hands the stored payloads back, laid out as payloads() was, for
+    /// reuse as encode buffers. The inbox view dies with them: it is reset
+    /// to an empty view, so indexing it throws instead of dangling.
+    [[nodiscard]] std::vector<std::optional<Bytes>> take_payloads() {
+      inbox = InboxView{};
+      return std::move(payloads_);
     }
 
    private:

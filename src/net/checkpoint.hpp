@@ -31,6 +31,7 @@
 // checkpoints throw DecodeError — never UB, never a half-restored instance.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,15 +67,12 @@ template <ExchangeProtocol X, class P>
   encode_record(w, stepper.record());
   for (const auto& s : stepper.states()) encode_state(w, s);
   w.u32(static_cast<std::uint32_t>(adversary_state.size()));
-  for (char c : adversary_state) w.u8(static_cast<std::uint8_t>(c));
+  std::copy(adversary_state.begin(), adversary_state.end(),
+            w.extend(adversary_state.size()));
 
   Bytes out;
-  for (char c : kCheckpointMagic) out.push_back(static_cast<std::uint8_t>(c));
-  Writer v;
-  v.u32(kCheckpointFormatVersion);
-  const Bytes vb = v.take();
-  out.insert(out.end(), vb.begin(), vb.end());
-  write_frame(out, detail::kCheckpointFrame, w.take());
+  write_preamble(out, kCheckpointMagic, kCheckpointFormatVersion);
+  write_frame(out, detail::kCheckpointFrame, w.bytes());
   return out;
 }
 
@@ -93,10 +91,8 @@ template <ExchangeProtocol X, class P>
   for (std::size_t k = 0; k < 4; ++k)
     if (bytes[k] != static_cast<std::uint8_t>(kCheckpointMagic[k]))
       throw DecodeError(Kind::bad_magic, "not an EBCK checkpoint container");
-  std::uint32_t version = 0;
-  for (int b = 0; b < 4; ++b)
-    version |= static_cast<std::uint32_t>(bytes[4 + static_cast<std::size_t>(b)])
-               << (8 * b);
+  const auto version =
+      static_cast<std::uint32_t>(detail::load_le(bytes.data() + 4, 4));
   if (version != kCheckpointFormatVersion)
     throw DecodeError(Kind::bad_version,
                       "checkpoint version " + std::to_string(version) +
@@ -146,12 +142,8 @@ template <ExchangeProtocol X, class P>
     resume.states.push_back(std::move(s));
   }
   const std::uint32_t blob_len = r.u32();
-  if (blob_len > r.remaining())
-    throw DecodeError(Kind::truncated, "adversary-state blob cut short");
-  std::string blob;
-  blob.reserve(blob_len);
-  for (std::uint32_t k = 0; k < blob_len; ++k)
-    blob.push_back(static_cast<char>(r.u8()));
+  const std::uint8_t* blob_bytes = r.take(blob_len);
+  std::string blob(blob_bytes, blob_bytes + blob_len);
   if (!r.exhausted())
     throw DecodeError(Kind::trailing,
                       "checkpoint frame has unconsumed bytes");

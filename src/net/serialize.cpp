@@ -1,6 +1,9 @@
 #include "net/serialize.hpp"
 
+#include <algorithm>
 #include <array>
+#include <type_traits>
+#include <utility>
 
 namespace eba {
 
@@ -27,48 +30,23 @@ std::optional<Value> opt_value_of(std::uint8_t tag, const char* field) {
   }
 }
 
+/// Runs `f(width)` with the row width (1..8 bytes) as a compile-time
+/// constant, so each row moves with fixed-size loads and stores.
+template <class F>
+void with_row_width(std::size_t row_bytes, F&& f) {
+  [&]<std::size_t... W>(std::index_sequence<W...>) {
+    (void)((row_bytes == W + 1 &&
+            (f(std::integral_constant<std::size_t, W + 1>{}), true)) ||
+           ...);
+  }(std::make_index_sequence<8>{});
+}
+
 }  // namespace
 
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-std::uint8_t Reader::u8() {
-  if (pos_ >= data_.size())
-    reject(Kind::truncated, "payload ended at byte " + std::to_string(pos_));
-  return data_[pos_++];
-}
-
-std::uint32_t Reader::u32() {
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    v |= static_cast<std::uint32_t>(u8()) << shift;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8)
-    v |= static_cast<std::uint64_t>(u8()) << shift;
-  return v;
-}
-
-void Writer::word(std::uint64_t v, int nbytes) {
-  for (int b = 0; b < nbytes; ++b)
-    out_.push_back(static_cast<std::uint8_t>((v >> (8 * b)) & 0xffu));
-}
-
-std::uint64_t Reader::word(int nbytes) {
-  std::uint64_t v = 0;
-  for (int b = 0; b < nbytes; ++b)
-    v |= static_cast<std::uint64_t>(u8()) << (8 * b);
-  return v;
+void Reader::truncated(std::size_t wanted) const {
+  reject(Kind::truncated, std::to_string(wanted) + " bytes wanted at byte " +
+                              std::to_string(pos_) + " of a " +
+                              std::to_string(data_.size()) + "-byte payload");
 }
 
 // -- CRC32 and frames --------------------------------------------------------
@@ -90,19 +68,24 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   return crc ^ 0xffffffffu;
 }
 
+void write_preamble(Bytes& out, const char (&magic)[4], std::uint32_t version) {
+  const std::size_t at = out.size();
+  out.resize(at + 8);
+  std::copy(magic, magic + 4, out.begin() + static_cast<std::ptrdiff_t>(at));
+  detail::store_le(out.data() + at + 4, version, 4);
+}
+
 void write_frame(Bytes& out, std::uint8_t kind, const Bytes& payload) {
+  // Header, payload and CRC go straight into `out`, which grows
+  // geometrically across the frames a container appends.
   const std::size_t start = out.size();
-  Writer w;
-  w.u8(kind);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  const Bytes head = w.take();
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(out.data() + start, out.size() - start);
-  Writer tail;
-  tail.u32(crc);
-  const Bytes t = tail.take();
-  out.insert(out.end(), t.begin(), t.end());
+  const std::size_t len = payload.size();
+  out.resize(start + 5 + len + 4);
+  std::uint8_t* frame = out.data() + start;
+  frame[0] = kind;
+  detail::store_le(frame + 1, static_cast<std::uint32_t>(len), 4);
+  std::copy(payload.begin(), payload.end(), frame + 5);
+  detail::store_le(frame + 5 + len, crc32(frame, 5 + len), 4);
 }
 
 Frame read_frame(const Bytes& buf, std::size_t& pos) {
@@ -110,10 +93,8 @@ Frame read_frame(const Bytes& buf, std::size_t& pos) {
     reject(Kind::truncated, "frame header ends at byte " + std::to_string(pos));
   const std::size_t start = pos;
   const std::uint8_t kind = buf[pos];
-  std::uint32_t len = 0;
-  for (int b = 0; b < 4; ++b)
-    len |= static_cast<std::uint32_t>(buf[pos + 1 + static_cast<std::size_t>(b)])
-           << (8 * b);
+  const auto len =
+      static_cast<std::uint32_t>(detail::load_le(buf.data() + pos + 1, 4));
   pos += 5;
   if (buf.size() - pos < static_cast<std::size_t>(len) + 4)
     reject(Kind::truncated,
@@ -125,10 +106,8 @@ Frame read_frame(const Bytes& buf, std::size_t& pos) {
                    buf.begin() + static_cast<std::ptrdiff_t>(pos + len));
   pos += len;
   const std::uint32_t want = crc32(buf.data() + start, 5 + len);
-  std::uint32_t got = 0;
-  for (int b = 0; b < 4; ++b)
-    got |= static_cast<std::uint32_t>(buf[pos + static_cast<std::size_t>(b)])
-           << (8 * b);
+  const auto got =
+      static_cast<std::uint32_t>(detail::load_le(buf.data() + pos, 4));
   pos += 4;
   if (got != want)
     reject(Kind::crc_mismatch, "frame kind " + std::to_string(kind) +
@@ -204,18 +183,23 @@ std::size_t encoded_size(const CommGraph& g) {
 // round-major order the known and value planes as ceil(n/8)-byte words, then
 // the two preference plane words. This ships the in-memory representation
 // directly — 2 bits per edge on the wire, matching bit_size()'s Prop 8.1
-// accounting — instead of the old byte-per-label walk.
+// accounting — and both directions move the row block in one piece.
 void encode_graph(Writer& w, const CommGraph& g) {
-  const int row_bytes = (g.n() + 7) / 8;
-  w.u32(static_cast<std::uint32_t>(g.n()));
-  w.u32(static_cast<std::uint32_t>(g.time()));
-  for (int m = 0; m < g.time(); ++m)
-    for (AgentId to = 0; to < g.n(); ++to) {
-      w.word(g.known_senders(m, to).bits(), row_bytes);
-      w.word(g.present_senders(m, to).bits(), row_bytes);
+  const auto row_bytes = static_cast<std::size_t>((g.n() + 7) / 8);
+  const std::span<const std::uint64_t> known = g.known_rows();
+  const std::span<const std::uint64_t> present = g.present_rows();
+  std::uint8_t* p = w.extend(encoded_size(g));
+  detail::store_le(p, static_cast<std::uint32_t>(g.n()), 4);
+  detail::store_le(p + 4, static_cast<std::uint32_t>(g.time()), 4);
+  p += 8;
+  with_row_width(row_bytes, [&](auto width) {
+    for (std::size_t r = 0; r < known.size(); ++r, p += 2 * width) {
+      detail::store_le(p, known[r], width);
+      detail::store_le(p + width, present[r], width);
     }
-  w.word(g.known_prefs().bits(), row_bytes);
-  w.word(g.one_prefs().bits(), row_bytes);
+    detail::store_le(p, g.known_prefs().bits(), width);
+    detail::store_le(p + width, g.one_prefs().bits(), width);
+  });
 }
 
 CommGraph decode_graph(Reader& r) {
@@ -224,23 +208,29 @@ CommGraph decode_graph(Reader& r) {
   if (!(n >= 1 && n <= kMaxAgents && time >= 0 && time <= 4096))
     reject(Kind::malformed, "bad graph header (n=" + std::to_string(n) +
                                 ", time=" + std::to_string(time) + ")");
-  const int row_bytes = (n + 7) / 8;
+  const auto row_bytes = static_cast<std::size_t>((n + 7) / 8);
+  const std::size_t rows =
+      static_cast<std::size_t>(time) * static_cast<std::size_t>(n);
+  // One bounds check covers the row block and the preference words, before
+  // the graph's planes are sized from the header.
+  const std::uint8_t* p = r.take(2 * (rows + 1) * row_bytes);
   const std::uint64_t full = AgentSet::all(n).bits();
-  CommGraph g = CommGraph::blank(n, time);
-  for (int m = 0; m < time; ++m)
-    for (AgentId to = 0; to < n; ++to) {
-      const std::uint64_t known = r.word(row_bytes);
-      const std::uint64_t value = r.word(row_bytes);
-      if ((known & ~full) != 0 || (value & ~known) != 0)
-        reject(Kind::malformed, "bad label row");
-      g.set_row(m, to, AgentSet(known), AgentSet(value));
-    }
-  const std::uint64_t pk = r.word(row_bytes);
-  const std::uint64_t pv = r.word(row_bytes);
+  const std::uint8_t* prefs = p + 2 * rows * row_bytes;
+  const std::uint64_t pk = detail::load_le(prefs, row_bytes);
+  const std::uint64_t pv = detail::load_le(prefs + row_bytes, row_bytes);
   if ((pk & ~full) != 0 || (pv & ~pk) != 0)
     reject(Kind::malformed, "bad pref rows");
-  for (AgentId j : AgentSet(pk))
-    g.set_pref(j, (pv >> j) & 1u ? PrefLabel::one : PrefLabel::zero);
+  CommGraph g = CommGraph::blank(n, 0);
+  with_row_width(row_bytes, [&](auto width) {
+    g.assign_rows(time, AgentSet(pk), AgentSet(pv),
+                  [&](std::uint64_t& known, std::uint64_t& present) {
+                    known = detail::load_le(p, width);
+                    present = detail::load_le(p + width, width);
+                    p += 2 * width;
+                    if ((known & ~full) != 0 || (present & ~known) != 0)
+                      reject(Kind::malformed, "bad label row");
+                  });
+  });
   return g;
 }
 
@@ -310,8 +300,6 @@ FailurePattern decode_pattern(Reader& r) {
   return alpha;
 }
 
-namespace {
-
 std::uint8_t action_byte(const Action& a) {
   if (!a.is_decide()) return 0;
   return a.value() == Value::zero ? 1 : 2;
@@ -325,8 +313,6 @@ Action action_of(std::uint8_t b) {
     default: reject(Kind::malformed, "bad action byte");
   }
 }
-
-}  // namespace
 
 void encode_record(Writer& w, const RunRecord& record) {
   const int n = record.n;
@@ -361,6 +347,13 @@ RunRecord decode_record(Reader& r) {
     reject(Kind::malformed, "bad record round count");
   const int n = record.n;
   const int row_bytes = (n + 7) / 8;
+  // The header fixes the body's size (nonfaulty row, inits, then per round
+  // n actions, n sent and n delivered rows); check it before reserving.
+  const auto un = static_cast<std::size_t>(n);
+  const auto urow = static_cast<std::size_t>(row_bytes);
+  if (r.remaining() < urow + un + static_cast<std::size_t>(record.rounds) *
+                                       un * (1 + 2 * urow))
+    reject(Kind::truncated, "record body shorter than its header declares");
   const std::uint64_t full = AgentSet::all(n).bits();
   const std::uint64_t nonfaulty = r.word(row_bytes);
   if ((nonfaulty & ~full) != 0)

@@ -11,13 +11,21 @@
 // error distinct from EBA_REQUIRE's std::logic_error, which stays reserved
 // for caller bugs. Malformed, truncated, bit-flipped and over-length buffers
 // must land in DecodeError, never UB (tests/test_net.cpp fuzzes this).
+//
+// `Writer`/`Reader` move whole little-endian words with one grow or bounds
+// check each, and the graph codec moves its packed rows as one block. A
+// decoder checks a declared size against the bytes left before allocating
+// from it. `to_bytes(m, reuse)` encodes into a recycled buffer.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -75,17 +83,53 @@ class DecodeError : public std::runtime_error {
   Kind kind_;
 };
 
+namespace detail {
+
+/// The low `nbytes` (1..8) bytes of `v` at `p`, little-endian; a constant
+/// `nbytes` compiles to plain stores.
+inline void store_le(std::uint8_t* p, std::uint64_t v, std::size_t nbytes) {
+  for (std::size_t b = 0; b < nbytes; ++b)
+    p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+}
+
+/// The little-endian word of `nbytes` (1..8) bytes at `p`.
+[[nodiscard]] inline std::uint64_t load_le(const std::uint8_t* p,
+                                           std::size_t nbytes) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little)
+    std::memcpy(&v, p, nbytes);
+  else
+    for (std::size_t b = 0; b < nbytes; ++b) v |= std::uint64_t{p[b]} << 8 * b;
+  return v;
+}
+
+}  // namespace detail
+
 class Writer {
  public:
+  Writer() = default;
+  /// Writes into `reuse`'s storage: cleared, its capacity kept.
+  explicit Writer(Bytes reuse) : out_(std::move(reuse)) { out_.clear(); }
+
   /// Sizes the buffer for `bytes` more bytes up front; with an exact hint
-  /// (encoded_size) a payload costs one allocation.
+  /// (encoded_size) a payload costs at most one allocation.
   void reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  /// Appends `k` bytes and returns where they start (valid until the next
+  /// write).
+  [[nodiscard]] std::uint8_t* extend(std::size_t k) {
+    const std::size_t at = out_.size();
+    out_.resize(at + k);
+    return out_.data() + at;
+  }
+  void u8(std::uint8_t v) { *extend(1) = v; }
+  void u32(std::uint32_t v) { word(v, 4); }
+  void u64(std::uint64_t v) { word(v, 8); }
   /// Low `nbytes` bytes of `v`, little-endian. Used for the packed n-bit
   /// rows of communication graphs (nbytes = ceil(n / 8)).
-  void word(std::uint64_t v, int nbytes);
+  void word(std::uint64_t v, int nbytes) {
+    const auto k = static_cast<std::size_t>(nbytes);
+    detail::store_le(extend(k), v, k);
+  }
   [[nodiscard]] Bytes take() { return std::move(out_); }
   /// The bytes written so far, in place: a writer reused across payloads
   /// (clear, encode, read bytes()) keeps its buffer.
@@ -99,15 +143,28 @@ class Writer {
 class Reader {
  public:
   explicit Reader(const Bytes& data) : data_(data) {}
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::uint64_t word(int nbytes);
+  /// Consumes `k` bytes and returns where they start; throws
+  /// DecodeError(truncated) when fewer than `k` remain.
+  [[nodiscard]] const std::uint8_t* take(std::size_t k) {
+    if (k > remaining()) truncated(k);
+    pos_ += k;
+    return data_.data() + (pos_ - k);
+  }
+  [[nodiscard]] std::uint8_t u8() { return *take(1); }
+  [[nodiscard]] std::uint32_t u32() {
+    return static_cast<std::uint32_t>(detail::load_le(take(4), 4));
+  }
+  [[nodiscard]] std::uint64_t u64() { return detail::load_le(take(8), 8); }
+  [[nodiscard]] std::uint64_t word(int nbytes) {
+    const auto k = static_cast<std::size_t>(nbytes);
+    return detail::load_le(take(k), k);
+  }
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  [[noreturn]] void truncated(std::size_t wanted) const;
+
   const Bytes& data_;
   std::size_t pos_ = 0;
 };
@@ -127,6 +184,10 @@ struct Frame {
   std::uint8_t kind = 0;
   Bytes payload;
 };
+
+/// Appends a durable container's preamble to `out`: its 4 magic bytes,
+/// then its u32 format version.
+void write_preamble(Bytes& out, const char (&magic)[4], std::uint32_t version);
 
 /// Appends `payload` to `out` as a frame of the given kind.
 void write_frame(Bytes& out, std::uint8_t kind, const Bytes& payload);
@@ -187,6 +248,12 @@ void encode_graph(Writer& w, const CommGraph& g);
 
 // -- Failure patterns and run records ----------------------------------------
 
+/// An action as one byte in every durable plane (records, run-log rounds,
+/// trace frames, certificate digests): 0 noop, 1 decide 0, 2 decide 1.
+[[nodiscard]] std::uint8_t action_byte(const Action& a);
+/// The inverse; any other byte is DecodeError(malformed).
+[[nodiscard]] Action action_of(std::uint8_t b);
+
 /// Both planes of a failure pattern, chunked per-round word rows. The
 /// decoder revalidates plane membership (send drops only from faulty
 /// senders, receive drops only at faulty receivers, never self) so a
@@ -220,9 +287,12 @@ void decode_state(Reader& r, ReportState& s);
 void encode_state(Writer& w, const AuthState& s);
 void decode_state(Reader& r, AuthState& s);
 
+/// Encodes `m` into `reuse`'s storage (cleared first), so a recycled
+/// buffer of at least encoded_size(m) bytes costs no allocation; with the
+/// default empty buffer the payload is one exact-size allocation.
 template <class Message>
-[[nodiscard]] Bytes to_bytes(const Message& m) {
-  Writer w;
+[[nodiscard]] Bytes to_bytes(const Message& m, Bytes reuse = {}) {
+  Writer w(std::move(reuse));
   w.reserve(encoded_size(m));
   encode_message(w, m);
   return w.take();

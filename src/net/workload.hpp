@@ -196,19 +196,47 @@ namespace detail {
 /// that).
 enum class RoundOutcome { completed, in_progress, aborted };
 
-/// Moves one staged round of `stepper` through its bus slot: serialize µ,
-/// exchange through the slot's adversary filter, decode each sender's
-/// payload once, δ. With `sync_pattern` the slot's pattern is refreshed
-/// from the stepper after begin_round() — the adaptive hook may have just
-/// added drops for exactly this round. `on_staged(actions)` runs at the
-/// staging point — after the actions and the round's pattern are fixed,
-/// before any payload moves — which is where the durable intent record is
-/// cut and where a mid-round power cut strikes; returning false aborts the
-/// round.
+/// One worker's wire-round buffers, reused by every round it advances and
+/// owned by drive_workload for one workload call: `spare` holds the payload
+/// buffers the bus handed back after the worker's previous round, and the
+/// message vectors are the decode side (per sender, or n×n per edge).
+/// Cache-line aligned: workers' scratches sit side by side in one vector.
+template <ExchangeProtocol X>
+struct alignas(64) WireScratch {
+  using Message = typename X::Message;
+  std::vector<Bytes> spare;
+  std::vector<std::optional<Message>> by_sender;
+  std::vector<std::vector<std::optional<Message>>> inbox;
+
+  /// The payload of `m`, encoded into a spare buffer when one is left.
+  [[nodiscard]] Bytes encode(const Message& m) {
+    if (spare.empty()) return to_bytes(m);
+    Bytes buf = std::move(spare.back());
+    spare.pop_back();
+    return to_bytes(m, std::move(buf));
+  }
+
+  /// Keeps a decoded round's payload buffers for the next round.
+  void recycle(BusPool::RoundResult& res) {
+    for (std::optional<Bytes>& payload : res.take_payloads())
+      if (payload) spare.push_back(std::move(*payload));
+  }
+};
+
+/// Moves one staged round of `stepper` through its bus slot: serialize µ
+/// into `scratch`'s buffers, exchange through the slot's adversary filter,
+/// decode each sender's payload once, δ. With `sync_pattern` the slot's
+/// pattern is refreshed from the stepper after begin_round() — the adaptive
+/// hook may have just added drops for exactly this round.
+/// `on_staged(actions)` runs at the staging point — after the actions and
+/// the round's pattern are fixed, before any payload moves — which is where
+/// the durable intent record is cut and where a mid-round power cut
+/// strikes; returning false aborts the round.
 template <ExchangeProtocol X, class P, class OnStaged>
 RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
                                        BusPool& pool, BusPool::SlotId slot,
                                        bool sync_pattern,
+                                       WireScratch<X>& scratch,
                                        OnStaged&& on_staged) {
   using Message = typename X::Message;
   const std::vector<Action>* actions = stepper.begin_round();
@@ -222,16 +250,18 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
     std::vector<std::optional<Bytes>> outbox(un);
     const StagedMessages cost =
         stage_broadcast(x, states, *actions, [&](AgentId i, Message&& m) {
-          outbox[static_cast<std::size_t>(i)] = to_bytes(m);
+          outbox[static_cast<std::size_t>(i)] = scratch.encode(m);
         });
     BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
     // The bus stores each broadcast payload once, so each is decoded once
     // and the stepper fans the decoded value out to the receivers in
     // res.received() — exactly as the in-memory engine shares µ's result.
-    std::vector<std::optional<Message>> by_sender(un);
+    std::vector<std::optional<Message>>& by_sender = scratch.by_sender;
+    by_sender.assign(un, std::nullopt);
     for (std::size_t from = 0; from < un; ++from)
       if (const auto& payload = res.payloads()[from])
         by_sender[from] = from_bytes<Message>(*payload);
+    scratch.recycle(res);
     stepper.finish_round(by_sender, res.received(), std::move(res.sent),
                          std::move(res.delivered), cost.bits, cost.messages);
   } else {
@@ -243,17 +273,20 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
     const StagedMessages cost = stage_per_destination(
         x, states, *actions, [&](AgentId i, AgentId j, Message&& m) {
           outbox[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-              to_bytes(m);
+              scratch.encode(m);
         });
     BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
     // Per-destination payloads are distinct by construction and decode
     // once per delivered edge.
-    std::vector<std::vector<std::optional<Message>>> inbox(
-        un, std::vector<std::optional<Message>>(un));
-    for (std::size_t to = 0; to < un; ++to)
+    std::vector<std::vector<std::optional<Message>>>& inbox = scratch.inbox;
+    inbox.resize(un);
+    for (std::size_t to = 0; to < un; ++to) {
+      inbox[to].assign(un, std::nullopt);
       for (std::size_t from = 0; from < un; ++from)
         if (const auto& payload = res.inbox[to][from])
           inbox[to][from] = from_bytes<Message>(*payload);
+    }
+    scratch.recycle(res);
     stepper.finish_round(inbox, std::move(res.sent), std::move(res.delivered),
                          cost.bits, cost.messages);
   }
@@ -262,8 +295,9 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
 
 /// Round-sliced scheduler shared by both workload entry points: workers
 /// claim small batches of instance indices, advance each by one round via
-/// `step_one(idx)` (true = instance completed, already harvested), and
-/// requeue survivors. Workers claim kBatch indices per queue access: a
+/// `step_one(worker, idx)` (true = instance completed, already harvested;
+/// `worker` is run_workers' index, for per-worker scratch), and requeue
+/// survivors. Workers claim kBatch indices per queue access: a
 /// round of a small instance is microseconds, so per-round locking would
 /// dominate.
 template <class StepOne>
@@ -277,7 +311,7 @@ void drive_round_sliced(std::size_t count, int workers, StepOne&& step_one) {
   std::size_t remaining = count;
   bool aborted = false;
 
-  auto worker_main = [&] {
+  auto worker_main = [&](int worker) {
     try {
       std::vector<std::size_t> batch;
       std::vector<std::size_t> requeue;
@@ -297,7 +331,7 @@ void drive_round_sliced(std::size_t count, int workers, StepOne&& step_one) {
         requeue.clear();
         std::size_t completed_now = 0;
         for (std::size_t idx : batch) {
-          if (step_one(idx))
+          if (step_one(worker, idx))
             completed_now += 1;
           else
             requeue.push_back(idx);
@@ -327,7 +361,7 @@ void drive_round_sliced(std::size_t count, int workers, StepOne&& step_one) {
     }
   };
 
-  run_workers(workers, [&](int /*worker*/) { worker_main(); });
+  run_workers(workers, worker_main);
 }
 
 /// One scheduled instance with its durability state: the live stepper and
@@ -415,7 +449,8 @@ void prepare_durability(std::vector<ManagedInstance<X, P>>& instances,
 
 /// The body shared by run_workload and run_adaptive_workload once every
 /// instance's stepper and slot exist: schedule, inject crashes, snapshot,
-/// harvest, time.
+/// harvest, time. Each worker encodes and decodes through its own
+/// WireScratch.
 template <ExchangeProtocol X, class P>
 void drive_workload(const X& x, const P& act, BusPool& pool,
                     std::vector<ManagedInstance<X, P>>& instances, int workers,
@@ -425,6 +460,7 @@ void drive_workload(const X& x, const P& act, BusPool& pool,
   const Clock::time_point admitted = Clock::now();
   std::atomic<std::size_t> snapshots{0};
   std::atomic<std::size_t> crashes{0};
+  std::vector<WireScratch<X>> scratch(static_cast<std::size_t>(workers));
 
   // A restored instance's trace stream restarts from its restored record:
   // the rounds before the crash point are re-added, the lost tail is
@@ -462,7 +498,7 @@ void drive_workload(const X& x, const P& act, BusPool& pool,
     reopen_trace(inst, idx);
   };
 
-  auto step_one = [&](std::size_t idx) -> bool {
+  auto step_one = [&](int worker, std::size_t idx) -> bool {
     auto& inst = instances[idx];
 
     // Boundary crash injection: the instance dies between rounds.
@@ -502,7 +538,8 @@ void drive_workload(const X& x, const P& act, BusPool& pool,
 
     const int before = inst.stepper.time();
     const RoundOutcome outcome = advance_wire_round_staged<X, P>(
-        x, inst.stepper, pool, inst.slot, sync_pattern, on_staged);
+        x, inst.stepper, pool, inst.slot, sync_pattern,
+        scratch[static_cast<std::size_t>(worker)], on_staged);
     if (outcome == RoundOutcome::aborted) {
       restore_from_store(inst, idx);
       return false;  // requeue: recovery completed the interrupted round

@@ -12,36 +12,12 @@ namespace eba {
 namespace {
 
 constexpr std::uint8_t kRecordMagic[4] = {'E', 'B', 'J', 'R'};
-constexpr std::uint8_t kManifestMagic[4] = {'E', 'B', 'M', 'F'};
+constexpr char kManifestMagic[4] = {'E', 'B', 'M', 'F'};
 constexpr std::uint32_t kManifestVersion = 1;
 constexpr std::uint8_t kManifestFrame = 1;
 constexpr std::size_t kHeaderBytes = 4 + 8 + 1 + 4;  // magic, seq, kind, len
 constexpr std::size_t kTrailerBytes = 8 + 4;         // auth, crc
 constexpr std::uint32_t kMaxPayload = 1u << 28;
-
-void store_u32(std::uint8_t* at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    at[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
-}
-
-void store_u64(std::uint8_t* at, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    at[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
-}
-
-[[nodiscard]] std::uint32_t get_u32(const Bytes& b, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(b[pos + i]) << (8 * i);
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(const Bytes& b, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(b[pos + i]) << (8 * i);
-  return v;
-}
 
 [[nodiscard]] std::uint64_t auth_of(std::uint64_t key, std::uint64_t seq,
                                     std::uint8_t kind,
@@ -82,16 +58,17 @@ std::uint64_t scan_segment(const Bytes& data, const JournalOptions& opt,
       torn(DecodeError::Kind::bad_magic, "record magic damaged");
       break;
     }
-    const std::uint64_t seq = get_u64(data, off + 4);
+    const std::uint64_t seq = detail::load_le(data.data() + off + 4, 8);
     const std::uint8_t kind = data[off + 12];
-    const std::uint32_t len = get_u32(data, off + 13);
+    const auto len =
+        static_cast<std::uint32_t>(detail::load_le(data.data() + off + 13, 4));
     if (len > kMaxPayload || rem < kHeaderBytes + len + kTrailerBytes) {
       torn(DecodeError::Kind::truncated, "record body cut short");
       break;
     }
     const std::size_t crc_at = off + kHeaderBytes + len + 8;
     if (crc32(data.data() + off, kHeaderBytes + len + 8) !=
-        get_u32(data, crc_at)) {
+        detail::load_le(data.data() + crc_at, 4)) {
       torn(DecodeError::Kind::crc_mismatch, "record checksum damaged");
       break;
     }
@@ -104,7 +81,7 @@ std::uint64_t scan_segment(const Bytes& data, const JournalOptions& opt,
     // CRC-valid but auth-bad is not a torn write — the record was written
     // under a different key. Hard error in every segment.
     if (auth_of(opt.key, seq, kind, payload) !=
-        get_u64(data, off + kHeaderBytes + len))
+        detail::load_le(data.data() + off + kHeaderBytes + len, 8))
       throw DecodeError(DecodeError::Kind::key_mismatch,
                         "journal record written under a different key");
     out.push_back(JournalRecord{seq, kind, std::move(payload)});
@@ -139,10 +116,8 @@ void Journal::write_manifest() {
     payload.u64(seg_first_seq_[i]);
   }
 
-  Writer head;
-  for (const std::uint8_t c : kManifestMagic) head.u8(c);
-  head.u32(kManifestVersion);
-  Bytes out = head.take();
+  Bytes out;
+  write_preamble(out, kManifestMagic, kManifestVersion);
   write_frame(out, kManifestFrame, payload.take());
 
   const std::string tmp = dir_ + "/MANIFEST.tmp";
@@ -176,7 +151,7 @@ Journal Journal::open(Vfs& vfs, const std::string& dir,
       !std::equal(kManifestMagic, kManifestMagic + 4, mb.begin()))
     throw DecodeError(DecodeError::Kind::bad_magic,
                       "manifest does not start with EBMF");
-  if (get_u32(mb, 4) != kManifestVersion)
+  if (detail::load_le(mb.data() + 4, 4) != kManifestVersion)
     throw DecodeError(DecodeError::Kind::bad_version,
                       "manifest version unknown to this build");
   std::size_t pos = 8;
@@ -301,13 +276,13 @@ std::uint64_t Journal::append(std::uint8_t kind,
   frame_.assign(static_cast<std::size_t>(round_up(body, opt_.page_size)), 0);
   std::uint8_t* rec = frame_.data();
   std::copy(kRecordMagic, kRecordMagic + 4, rec);
-  store_u64(rec + 4, seq);
+  detail::store_le(rec + 4, seq, 8);
   rec[12] = kind;
-  store_u32(rec + 13, static_cast<std::uint32_t>(payload.size()));
+  detail::store_le(rec + 13, payload.size(), 4);
   std::copy(payload.begin(), payload.end(), rec + kHeaderBytes);
   const std::size_t auth_at = kHeaderBytes + payload.size();
-  store_u64(rec + auth_at, auth_of(opt_.key, seq, kind, payload));
-  store_u32(rec + auth_at + 8, crc32(rec, auth_at + 8));
+  detail::store_le(rec + auth_at, auth_of(opt_.key, seq, kind, payload), 8);
+  detail::store_le(rec + auth_at + 8, crc32(rec, auth_at + 8), 4);
   active_->append(frame_);
   active_size_ += frame_.size();
   last_seq_ = seq;

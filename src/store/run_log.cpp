@@ -5,21 +5,6 @@ namespace {
 
 using Kind = DecodeError::Kind;
 
-std::uint8_t action_byte(const Action& a) {
-  if (!a.is_decide()) return 0;
-  return a.value() == Value::zero ? 1 : 2;
-}
-
-Action action_of(std::uint8_t b) {
-  switch (b) {
-    case 0: return Action::noop();
-    case 1: return Action::decide(Value::zero);
-    case 2: return Action::decide(Value::one);
-    default:
-      throw DecodeError(Kind::malformed, "bad action byte in run log record");
-  }
-}
-
 /// Shared preamble of both payloads: round index and population size.
 std::pair<int, int> decode_round_n(Reader& r) {
   const int round = static_cast<int>(r.u32());

@@ -3,15 +3,51 @@
 // bus slot with fault injection) with the abstract simulator.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string_view>
+#include <utility>
+
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
 #include "core/spec.hpp"
 #include "failure/generators.hpp"
+#include "net/checkpoint.hpp"
 #include "net/cluster.hpp"
 #include "net/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
+
+// -- Allocation tracking -----------------------------------------------------
+// Replacement global new/delete (malloc/free, as the default ones) that
+// remember the largest single request, so a test can assert that a decoder
+// sized nothing from a count its bytes do not back.
+
+namespace {
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_alloc.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+// GCC 12 reports free() as mismatched with the operator new it sees inlined
+// at call sites (-Wmismatched-new-delete); both sides are malloc/free.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace eba {
 namespace {
@@ -330,6 +366,274 @@ TEST(SerializeFuzzTest, FrameLengthCannotOverread) {
   EXPECT_EQ(f.kind, 1);
   EXPECT_EQ(f.payload, (Bytes{1, 2, 3}));
   EXPECT_EQ(pos, out.size());
+}
+
+// -- Hostile lengths: a declared size is checked before it is allocated ------
+
+TEST(SerializeFuzzTest, HostileLengthsThrowTruncatedBeforeAllocating) {
+  const auto expect_truncated_small = [](const Bytes& b, auto decode,
+                                         const char* what) {
+    g_largest_alloc = 0;
+    try {
+      Reader r(b);
+      decode(r);
+      ADD_FAILURE() << what << ": hostile header accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_EQ(e.kind(), DecodeError::Kind::truncated) << what;
+    }
+    EXPECT_LT(g_largest_alloc.load(), std::size_t{4096})
+        << what << ": allocated from the declared size";
+  };
+  // A graph header claiming n = 64, time = 4096: 4 MiB of rows, 8 bytes.
+  Writer g;
+  g.u32(64);
+  g.u32(4096);
+  expect_truncated_small(
+      g.take(), [](Reader& r) { (void)decode_graph(r); }, "graph");
+  // A record claiming n = 64 and 4096 rounds: its nonfaulty row and inits,
+  // then no round at all.
+  Writer rec;
+  rec.u32(64);
+  rec.u32(8);
+  rec.u32(4096);
+  rec.u64(~0ull);
+  for (int i = 0; i < 64; ++i) rec.u8(0);
+  expect_truncated_small(
+      rec.take(), [](Reader& r) { (void)decode_record(r); }, "record");
+}
+
+// -- Recycled encode buffers -------------------------------------------------
+
+/// to_bytes into a dirty buffer, larger and smaller than the payload,
+/// writes exactly the bytes a fresh buffer gets.
+template <class Message>
+void expect_reuse_matches_fresh(const Message& m, const std::string& what) {
+  const Bytes fresh = to_bytes(m);
+  EXPECT_EQ(to_bytes(m, Bytes(fresh.size() + 40, 0xA5)), fresh) << what;
+  EXPECT_EQ(to_bytes(m, Bytes(fresh.size() / 2, 0x5A)), fresh) << what;
+}
+
+TEST(SerializeTest, EncodingIntoADirtyBufferMatchesAFreshOne) {
+  for (Value v : {Value::zero, Value::one})
+    expect_reuse_matches_fresh(v, "value");
+  for (BasicMsg m : {BasicMsg::decide0, BasicMsg::decide1, BasicMsg::init1})
+    expect_reuse_matches_fresh(m, "basic");
+  for (RelayMsg m : {RelayMsg::decide0, RelayMsg::decide1, RelayMsg::relay0})
+    expect_reuse_matches_fresh(m, "relay");
+  for (const ReportMsg& m : sample_reports()) {
+    expect_reuse_matches_fresh(m, "report");
+    expect_reuse_matches_fresh(AuthMsg{.payload = m, .sig = ~0ull}, "auth");
+  }
+  for (int n : {1, 9, 32, 64}) {
+    CommGraph g(n, 0, Value::one);
+    g.advance_round(0, AgentSet::all(n));
+    expect_reuse_matches_fresh(std::make_shared<const CommGraph>(g),
+                               "graph n=" + std::to_string(n));
+  }
+}
+
+// -- Golden wire bytes -------------------------------------------------------
+//
+// A round trip cannot see a format change made on both sides at once. These
+// literals were written by the byte-at-a-time codec that the word-speed
+// Writer/Reader replaced; every stored journal, EBCK checkpoint and EBTR
+// trace depends on them staying readable.
+
+Bytes from_hex(std::string_view hex) {
+  Bytes out;
+  for (std::size_t k = 0; k + 1 < hex.size(); k += 2)
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(hex.substr(k, 2)), nullptr, 16)));
+  return out;
+}
+
+/// A graph of `time` rounds whose receiver rows all differ and spread over
+/// every byte of a ceil(n/8)-byte row, with preference labels at both ends.
+CommGraph golden_graph(int n, int time) {
+  CommGraph g = CommGraph::blank(n, time);
+  for (int m = 0; m < time; ++m)
+    for (AgentId to = 0; to < n; ++to) {
+      AgentSet known;
+      AgentSet present;
+      for (AgentId j = 0; j < n; ++j) {
+        if ((j + to + m) % 3 == 0) continue;
+        known.insert(j);
+        if ((7 * j + to) % 5 < 2) present.insert(j);
+      }
+      g.set_row(m, to, known, present);
+    }
+  g.set_pref(0, PrefLabel::zero);
+  g.set_pref(n - 1, PrefLabel::one);
+  return g;
+}
+
+ReportMsg golden_report() {
+  return {.fresh_decide = Value::one,
+          .decided_ever = Value::one,
+          .zeros = AgentSet{1, 8, 63},
+          .faults = AgentSet{0, 5, 17, 40}};
+}
+
+AuthMsg golden_auth() {
+  return {.payload = {.fresh_decide = {},
+                      .decided_ever = Value::zero,
+                      .zeros = AgentSet{2, 9},
+                      .faults = AgentSet{3}},
+          .sig = 0x0123456789abcdefull};
+}
+
+FailurePattern golden_pattern() {
+  FailurePattern alpha(9, AgentSet::all(9).minus(AgentSet{2, 8}));
+  alpha.drop(0, 2, 0);
+  alpha.drop(0, 2, 7);
+  alpha.drop(1, 8, 3);
+  alpha.drop_receive(0, 4, 8);
+  alpha.drop_receive(2, 1, 2);
+  return alpha;
+}
+
+RunRecord golden_record() {
+  RunRecord rec;
+  rec.n = 9;
+  rec.t = 2;
+  rec.rounds = 2;
+  rec.nonfaulty = AgentSet::all(9).minus(AgentSet{2, 8});
+  for (AgentId i = 0; i < 9; ++i)
+    rec.inits.push_back(i % 3 == 0 ? Value::zero : Value::one);
+  for (int m = 0; m < 2; ++m) {
+    std::vector<Action> actions(9, Action::noop());
+    actions[static_cast<std::size_t>(m)] = Action::decide(Value::one);
+    actions[8] = Action::decide(Value::zero);
+    std::vector<AgentSet> sent, delivered;
+    for (AgentId i = 0; i < 9; ++i) {
+      sent.push_back(AgentSet::all(9).minus(AgentSet{i}));
+      delivered.push_back(i == 2 ? AgentSet{1, 3} : sent.back());
+    }
+    rec.actions.push_back(std::move(actions));
+    rec.sent.push_back(std::move(sent));
+    rec.delivered.push_back(std::move(delivered));
+  }
+  return rec;
+}
+
+/// An E_fip/P_opt n=3 t=1 stepper one failure-free round in: its checkpoint
+/// holds one frame carrying a pattern, a record and three graph states.
+Stepper<FipExchange, POpt> golden_stepper(const FipExchange& x,
+                                          const POpt& p) {
+  Stepper<FipExchange, POpt> stepper(
+      x, p, FailurePattern::failure_free(3),
+      {Value::one, Value::zero, Value::one}, 1);
+  stepper.step();
+  return stepper;
+}
+
+constexpr std::string_view kGraph1 =
+    "0100000002000000000001010101";
+constexpr std::string_view kGraph9 =
+    "0900000002000000b6012001db0081006d010400b6011200db004a006d012901"
+    "b601a400db0090006d014000db0009006d012500b6019400db0052006d014801"
+    "b6012001db0081006d010400b601120001010001";
+constexpr std::string_view kGraph64 =
+    "4000000001000000b66ddbb66ddbb66d202590124809a404dbb66ddbb66ddbb6"
+    "8194404a202590126ddbb66ddbb66ddb045202298194404ab66ddbb66ddbb66d"
+    "124809a404520229dbb66ddbb66ddbb64a202590124809a46ddbb66ddbb66ddb"
+    "298194404a202590b66ddbb66ddbb66da404520229819440dbb66ddbb66ddbb6"
+    "90124809a40452026ddbb66ddbb66ddb404a202590124809b66ddbb66ddbb66d"
+    "02298194404a2025dbb66ddbb66ddbb609a40452022981946ddbb66ddbb66ddb"
+    "2590124809a40452b66ddbb66ddbb66d94404a2025901248dbb66ddbb66ddbb6"
+    "5202298194404a206ddbb66ddbb66ddb4809a40452022981b66ddbb66ddbb66d"
+    "202590124809a404dbb66ddbb66ddbb68194404a202590126ddbb66ddbb66ddb"
+    "045202298194404ab66ddbb66ddbb66d124809a404520229dbb66ddbb66ddbb6"
+    "4a202590124809a46ddbb66ddbb66ddb298194404a202590b66ddbb66ddbb66d"
+    "a404520229819440dbb66ddbb66ddbb690124809a40452026ddbb66ddbb66ddb"
+    "404a202590124809b66ddbb66ddbb66d02298194404a2025dbb66ddbb66ddbb6"
+    "09a40452022981946ddbb66ddbb66ddb2590124809a40452b66ddbb66ddbb66d"
+    "94404a2025901248dbb66ddbb66ddbb65202298194404a206ddbb66ddbb66ddb"
+    "4809a40452022981b66ddbb66ddbb66d202590124809a404dbb66ddbb66ddbb6"
+    "8194404a202590126ddbb66ddbb66ddb045202298194404ab66ddbb66ddbb66d"
+    "124809a404520229dbb66ddbb66ddbb64a202590124809a46ddbb66ddbb66ddb"
+    "298194404a202590b66ddbb66ddbb66da404520229819440dbb66ddbb66ddbb6"
+    "90124809a40452026ddbb66ddbb66ddb404a202590124809b66ddbb66ddbb66d"
+    "02298194404a2025dbb66ddbb66ddbb609a40452022981946ddbb66ddbb66ddb"
+    "2590124809a40452b66ddbb66ddbb66d94404a2025901248dbb66ddbb66ddbb6"
+    "5202298194404a206ddbb66ddbb66ddb4809a40452022981b66ddbb66ddbb66d"
+    "202590124809a404dbb66ddbb66ddbb68194404a202590126ddbb66ddbb66ddb"
+    "045202298194404ab66ddbb66ddbb66d124809a404520229dbb66ddbb66ddbb6"
+    "4a202590124809a46ddbb66ddbb66ddb298194404a202590b66ddbb66ddbb66d"
+    "a404520229819440dbb66ddbb66ddbb690124809a40452026ddbb66ddbb66ddb"
+    "404a202590124809b66ddbb66ddbb66d02298194404a2025dbb66ddbb66ddbb6"
+    "09a40452022981946ddbb66ddbb66ddb2590124809a40452b66ddbb66ddbb66d"
+    "94404a2025901248dbb66ddbb66ddbb65202298194404a206ddbb66ddbb66ddb"
+    "4809a40452022981b66ddbb66ddbb66d202590124809a404dbb66ddbb66ddbb6"
+    "8194404a202590126ddbb66ddbb66ddb045202298194404ab66ddbb66ddbb66d"
+    "124809a40452022901000000000000800000000000000080";
+constexpr std::string_view kReport =
+    "020202010000000000802100020000010000";
+constexpr std::string_view kAuth =
+    "000104020000000000000800000000000000efcdab8967452301";
+constexpr std::string_view kPattern =
+    "09000000fb000200000000000000810000000000000000000000000000000000"
+    "0000000000000000000000000800030000000000000000000000000000000000"
+    "0000100000000000000000000000000000000000000000000000020000000000"
+    "0000000000000000";
+constexpr std::string_view kRecord =
+    "090000000200000002000000fb00000101000101000101020000000000000001"
+    "fe01fd01fb01f701ef01df01bf017f01ff00fe01fd010a00f701ef01df01bf01"
+    "7f01ff00000200000000000001fe01fd01fb01f701ef01df01bf017f01ff00fe"
+    "01fd010a00f701ef01df01bf017f01ff00";
+constexpr std::string_view kCheckpoint =
+    "4542434b01000000019000000003000000010000000500000001010000002400"
+    "0000000000000600000000000000030000000700000000000000000300000001"
+    "0000000100000007010001000100060503060503010000000001000300000001"
+    "0000000707000000000705010000000100010300000001000000000007070000"
+    "0705010000000201000300000001000000000000000707070500000000688f03"
+    "43";
+
+TEST(WireGoldenTest, GraphsWithOneTwoAndEightByteRows) {
+  const std::pair<int, std::string_view> cases[] = {
+      {1, kGraph1}, {9, kGraph9}, {64, kGraph64}};
+  for (const auto& [n, hex] : cases) {
+    const CommGraph g = golden_graph(n, n == 64 ? 1 : 2);
+    const Bytes want = from_hex(hex);
+    EXPECT_EQ(to_bytes(std::make_shared<const CommGraph>(g)), want)
+        << "n=" << n;
+    EXPECT_EQ(*from_bytes<std::shared_ptr<const CommGraph>>(want), g)
+        << "n=" << n;
+  }
+}
+
+TEST(WireGoldenTest, ReportAndAuthMessages) {
+  EXPECT_EQ(to_bytes(golden_report()), from_hex(kReport));
+  EXPECT_EQ(from_bytes<ReportMsg>(from_hex(kReport)), golden_report());
+  EXPECT_EQ(to_bytes(golden_auth()), from_hex(kAuth));
+  EXPECT_EQ(from_bytes<AuthMsg>(from_hex(kAuth)), golden_auth());
+}
+
+TEST(WireGoldenTest, PatternAndRecord) {
+  Writer wp;
+  encode_pattern(wp, golden_pattern());
+  EXPECT_EQ(wp.take(), from_hex(kPattern));
+  const Bytes pattern = from_hex(kPattern);
+  Reader rp(pattern);
+  EXPECT_TRUE(decode_pattern(rp) == golden_pattern());
+  EXPECT_TRUE(rp.exhausted());
+
+  Writer wr;
+  encode_record(wr, golden_record());
+  EXPECT_EQ(wr.take(), from_hex(kRecord));
+  const Bytes record = from_hex(kRecord);
+  Reader rr(record);
+  EXPECT_EQ(decode_record(rr), golden_record());
+  EXPECT_TRUE(rr.exhausted());
+}
+
+TEST(WireGoldenTest, CheckpointFrame) {
+  const FipExchange x(3);
+  const POpt p(3, 1);
+  const Bytes want = from_hex(kCheckpoint);
+  EXPECT_EQ(checkpoint_stepper(golden_stepper(x, p)), want);
+  EXPECT_EQ(checkpoint_stepper(restore_stepper<FipExchange, POpt>(x, p, want)),
+            want);
 }
 
 template <class X, class P>

@@ -453,6 +453,37 @@ TEST(BusPoolTest, PerDestinationViewReadsEachEdgesOwnPayload) {
   pool.release(slot);
 }
 
+TEST(BusPoolTest, TakePayloadsHandsBackEveryBufferAndKillsTheView) {
+  // The wire path recycles a round's payload buffers as the next round's
+  // encode buffers; after the hand-back the inbox view must refuse reads,
+  // not dangle into the moved-out storage.
+  const int n = 3;
+  const auto un = static_cast<std::size_t>(n);
+  BusPool pool(1);
+  const auto slot = pool.acquire(FailurePattern::failure_free(n));
+  std::vector<std::optional<Bytes>> outbox(un);
+  outbox[0] = Bytes{1, 2, 3};
+  outbox[2] = Bytes{4};
+  const std::uint8_t* storage = outbox[0]->data();
+  BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
+  EXPECT_EQ(*res.inbox[1][0], (Bytes{1, 2, 3}));
+  const std::vector<std::optional<Bytes>> back = res.take_payloads();
+  ASSERT_EQ(back.size(), un);
+  EXPECT_EQ(back[0]->data(), storage) << "the buffer itself comes back";
+  EXPECT_FALSE(back[1].has_value());
+  EXPECT_EQ(*back[2], Bytes{4});
+  EXPECT_TRUE(res.payloads().empty());
+  EXPECT_THROW((void)res.inbox[1], std::logic_error);
+  EXPECT_EQ(res.received()[1], (AgentSet{0, 2})) << "masks stay readable";
+
+  std::vector<std::vector<std::optional<Bytes>>> matrix(
+      un, std::vector<std::optional<Bytes>>(un, Bytes{9}));
+  BusPool::RoundResult edges = pool.exchange_round(slot, std::move(matrix));
+  EXPECT_EQ(edges.take_payloads().size(), un * un);
+  EXPECT_THROW((void)edges.inbox[0], std::logic_error);
+  pool.release(slot);
+}
+
 /// Three steppers on one world in lockstep: one completes each round through
 /// the matrix finish_round, one through the sender-major overload, and one
 /// runs step(). The first two get the same µ results from a hand-rolled

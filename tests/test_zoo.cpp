@@ -19,8 +19,10 @@
 
 #include "action/authenticated.hpp"
 #include "action/early_stop.hpp"
+#include "action/p_opt.hpp"
 #include "core/spec.hpp"
 #include "exchange/authenticated.hpp"
+#include "exchange/fip.hpp"
 #include "exchange/report.hpp"
 #include "failure/canonical.hpp"
 #include "failure/generators.hpp"
@@ -254,6 +256,52 @@ TEST(ZooWirePath, ReportThreeEngineDifferential) {
   const int t = 2;
   expect_three_engines_agree(ReportExchange(n, t), PEarlyStop(n, t), n, t,
                              0x3ea, 12, "E_report");
+}
+
+/// run_workload at 1, 2 and 4 workers, twice each in one process, against
+/// simulate(), record for record and state for state. Each worker encodes
+/// into payload buffers recycled from its previous round and decodes into
+/// a reused message matrix (net/workload.hpp WireScratch), across rounds
+/// and instances, so a byte or message left over from another round would
+/// show here as a diverging record or state.
+template <class X, class P>
+void expect_recycled_wire_matches_simulate(const X& x, const P& p, int t,
+                                           std::uint64_t seed, int count,
+                                           const std::string& name) {
+  std::vector<InstanceSpec> specs;
+  std::vector<Run<X>> want;
+  Rng rng(seed);
+  for (int k = 0; k < count; ++k) {
+    specs.push_back({sample_adversary(x.n(), t, t + 2, 0.4, rng),
+                     sample_preferences(x.n(), rng)});
+    want.push_back(simulate(x, p, specs.back().alpha, specs.back().inits, t));
+  }
+  for (int workers : {1, 2, 4})
+    for (int pass = 0; pass < 2; ++pass) {
+      WorkloadOptions opt;
+      opt.workers = workers;
+      const auto got = run_workload(x, p, std::span(specs), t, opt);
+      ASSERT_EQ(got.instances.size(), specs.size());
+      for (std::size_t k = 0; k < specs.size(); ++k) {
+        std::string what = name + " workers=" + std::to_string(workers);
+        what += " pass=" + std::to_string(pass);
+        what += " instance=" + std::to_string(k);
+        expect_records_equal(got.instances[k].record, want[k].record, what);
+        EXPECT_EQ(got.instances[k].final_states, want[k].states.back())
+            << what;
+      }
+    }
+}
+
+TEST(ZooWirePath, RecycledBuffersMatchSimulateAtEveryWorkerCount) {
+  // Per-destination: the n×n decode matrix and 256 payloads per round.
+  expect_recycled_wire_matches_simulate(AuthExchange(16, 4, kDefaultAuthKey),
+                                        PAuth(16, 4), 4, 0x3ec, 24,
+                                        "E_auth n=16");
+  // Broadcast: a graph payload grows every round, so a recycled buffer is
+  // too small for its next payload, and one from a shorter run oversized.
+  expect_recycled_wire_matches_simulate(FipExchange(32), POpt(32, 8), 8, 0x3ed,
+                                        12, "E_fip n=32");
 }
 
 // ---------------------------------------------------------------------------
