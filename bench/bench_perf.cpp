@@ -2,10 +2,10 @@
 //
 // google-benchmark timings for the building blocks of the polynomial-time
 // optimal FIP — graph merge, cone construction, view extraction, the
-// common/cond tests, view inference over a whole cone, E_fip's broadcast
-// δ — and end-to-end run simulation for all three protocols, as a function
-// of n. Near-polynomial scaling in n is the empirical counterpart of Prop
-// 7.9.
+// common/cond tests, view inference over a whole cone, one agent's P_opt
+// action, E_fip's broadcast δ — and end-to-end run simulation for all three
+// protocols, as a function of n. Near-polynomial scaling in n is the
+// empirical counterpart of Prop 7.9.
 #include <benchmark/benchmark.h>
 
 #include "action/p_basic.hpp"
@@ -126,6 +126,27 @@ void BM_InferActions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InferActions)->Arg(8)->Arg(16)->Arg(32);
+
+// One agent's P_opt action at time 1, as a round asks for it: a fresh state
+// (empty inferred table, graph copied in place) is built with the timer
+// paused, so each iteration pays the call's own knowledge derivation, view
+// inference and table growth, and nothing carried from the last iteration
+// but the thread's scratch.
+void BM_POptAction(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int t = n / 4;
+  const FipState s = seeded_state(n, t, 1, 20261018);
+  const POpt p(n, t);
+  FipState fresh = s;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fresh = s;
+    fresh.inferred = ActionTable{};
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(p(fresh));
+  }
+}
+BENCHMARK(BM_POptAction)->Arg(8)->Arg(32);
 
 void BM_GraphSerialize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -58,6 +58,8 @@ GATED = [
     "BM_CommonTest/8",
     "BM_CommonTest/16",
     "BM_CommonTest/32",
+    "BM_POptAction/8",
+    "BM_POptAction/32",
     "BM_BroadcastDeltaFip/8",
     "BM_BroadcastDeltaFip/32",
     "BM_GraphSerialize/32",

@@ -14,11 +14,14 @@ namespace eba {
 
 namespace {
 
-/// The buffers view inference rebuilds in place for every (j, m) node: the
-/// node's cone, its reconstructed view G_{j,m} and that view's knowledge
-/// cache. The view keeps one address and a strictly increasing revision
-/// across refills, so the cache never answers from an earlier node.
+/// The buffers one call rebuilds in place: the cache of the agent's own
+/// graph, emptied on entry (a state copy-assigned in place keeps the graph's
+/// address and may repeat its revision), and per (j, m) node the node's
+/// cone, its view G_{j,m} and that view's cache. The view keeps one address
+/// and a strictly increasing revision, so its cache never answers for an
+/// earlier node.
 struct InferScratch {
+  KnowledgeCache own;
   Cone cone;
   CommGraph view = CommGraph::blank(1, 0);
   KnowledgeCache cache;
@@ -115,8 +118,9 @@ Action OptimalRule<Model>::decide_rule(const CommGraph& g, AgentId self,
 template <class Model>
 void OptimalRule<Model>::infer_actions(const FipState& s) const {
   s.inferred.ensure(n_, s.time);
-  const Cone& cone = s.knowledge.cone(s.graph, s.self, s.time);
   InferScratch& scratch = infer_scratch();
+  scratch.own.invalidate();
+  const Cone& cone = scratch.own.cone(s.graph, s.self, s.time);
   for (int m = 0; m <= s.time; ++m) {
     for (AgentId j : cone.at(m)) {
       if (j == s.self && m == s.time) continue;  // the action being computed
@@ -144,9 +148,9 @@ void OptimalRule<Model>::infer_actions(const FipState& s) const {
 template <class Model>
 Action OptimalRule<Model>::operator()(const FipState& s) const {
   EBA_REQUIRE(s.graph.n() == n_, "state from a different system");
-  infer_actions(s);
+  infer_actions(s);  // leaves s.graph's cone in the own-graph cache
   return decide_rule(s.graph, s.self, s.init, s.decided.has_value(), t_,
-                     s.inferred, use_common_, s.knowledge);
+                     s.inferred, use_common_, infer_scratch().own);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,9 +216,7 @@ bool SendingOmissions::cond1_test(const CommGraph& g, AgentId self,
 }
 
 int SendingOmissions::evidence_ambiguity(const FipState& s, int t) {
-  const AgentSet known =
-      s.knowledge.fault_row(s.graph, s.time)[static_cast<std::size_t>(s.self)];
-  return std::max(0, t - known.size());
+  return std::max(0, t - known_faults(s.graph, s.self, s.time).size());
 }
 
 // Both models are compiled here, out of line for every caller.

@@ -37,14 +37,17 @@
 // when it first enters the hears-from cone.
 //
 // Inferring d(j, m) means evaluating the rule on the reconstructed view
-// G_{j,m}. That per-node work runs in one per-thread scratch — a Cone, a view
-// CommGraph and the view's KnowledgeCache — rebuilt in place for every node,
-// so steady-state inference allocates nothing per node. The scratch is a
-// function-local thread_local in p_opt.cpp, shared by both models:
+// G_{j,m}. Each call works in one per-thread scratch: a KnowledgeCache for
+// the agent's own graph, invalidated on entry, and a Cone, a view CommGraph
+// and the view's KnowledgeCache, rebuilt in place for every node. So
+// inference allocates nothing per node, and a state keeps only its graph
+// and ActionTable: the graph changes every round, so knowledge derived from
+// it never serves a second one. The scratch is a function-local
+// thread_local in p_opt.cpp, shared by both models:
 //
 //   * not per state: a workload keeps every agent state of every in-flight
 //     instance alive (32,768 FipStates at n = 32), and one scratch each
-//     would multiply the working set for buffers only one node uses at a
+//     would multiply the working set for buffers only one call uses at a
 //     time;
 //   * not per protocol object: the rule is a const function object that
 //     worker threads share, so a member scratch would be a data race.

@@ -17,7 +17,6 @@
 #include "core/types.hpp"
 #include "graph/action_table.hpp"
 #include "graph/comm_graph.hpp"
-#include "graph/knowledge.hpp"
 
 namespace eba {
 
@@ -30,14 +29,10 @@ struct FipState {
   /// Cached decision status (derived information; excluded from equality).
   std::optional<Value> decided;
   /// Lazily filled inferred-action cache, owned by POpt (excluded from
-  /// equality). Mutable so the action protocol, a pure function of the
-  /// state, can memoize.
+  /// equality): the only derived knowledge kept, since d(j, m) outlives the
+  /// round (action/p_opt.hpp). Mutable so the action protocol, a pure
+  /// function of the state, can memoize.
   mutable ActionTable inferred;
-  /// Memoized cones and fault table of `graph`, keyed on graph.revision():
-  /// FipExchange::update mutates the graph (advance_round + merges), which
-  /// bumps the revision and lazily invalidates this. Excluded from equality;
-  /// mutable for the same reason as `inferred`.
-  mutable KnowledgeCache knowledge;
 
   friend bool operator==(const FipState& a, const FipState& b) {
     return a.time == b.time && a.self == b.self && a.init == b.init &&
@@ -73,8 +68,7 @@ class FipExchange {
                  .init = init,
                  .graph = CommGraph(n_, i, init),
                  .decided = {},
-                 .inferred = {},
-                 .knowledge = {}};
+                 .inferred = {}};
   }
 
   /// µ: broadcast the full graph every round. The EBA-context constraint on

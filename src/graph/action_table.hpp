@@ -23,59 +23,48 @@ enum class KnownAction : std::uint8_t { unknown = 0, noop, decide0, decide1 };
   return a.value() == Value::zero ? KnownAction::decide0 : KnownAction::decide1;
 }
 
-[[nodiscard]] constexpr bool is_decide(KnownAction a) {
-  return a == KnownAction::decide0 || a == KnownAction::decide1;
-}
-
 class ActionTable {
  public:
   /// Grows the table to cover agents 0..n-1 and times 0..time. The agent
-  /// count is fixed by the first call; storage is time-major (one n-entry
-  /// slab per time) so growth appends slabs without relayout and a state
-  /// snapshot copies one flat vector instead of n nested ones.
+  /// count is fixed by the first call; storage is one three-mask slab per
+  /// time, so growth appends slabs and a state snapshot copies one flat
+  /// vector.
   void ensure(int n, int time) {
     EBA_REQUIRE(n_ == 0 || n_ == n, "action table agent count changed");
     n_ = n;
-    if (static_cast<int>(decide0_.size()) <= time) {
-      entries_.resize((static_cast<std::size_t>(time) + 1) *
-                          static_cast<std::size_t>(n),
-                      KnownAction::unknown);
-      decide0_.resize(static_cast<std::size_t>(time) + 1);
-      decide1_.resize(static_cast<std::size_t>(time) + 1);
+    if (static_cast<int>(slabs_.size()) <= time) {
+      // Most runs decide by time 3, so four slabs up front mean one growth.
+      if (slabs_.capacity() == 0) slabs_.reserve(4);
+      slabs_.resize(static_cast<std::size_t>(time) + 1);
     }
   }
 
   [[nodiscard]] KnownAction get(AgentId j, int m) const {
-    if (j < 0 || j >= n_ || m < 0 ||
-        static_cast<std::size_t>(m) >= decide0_.size())
-      return KnownAction::unknown;
-    return entries_[index(j, m)];
+    const Slab& s = slab(m);
+    if (!s.known.contains(j)) return KnownAction::unknown;
+    if (s.decide0.contains(j)) return KnownAction::decide0;
+    if (s.decide1.contains(j)) return KnownAction::decide1;
+    return KnownAction::noop;
   }
 
   void set(AgentId j, int m, KnownAction a) {
     EBA_REQUIRE(j >= 0 && j < n_ && m >= 0 &&
-                    static_cast<std::size_t>(m) < decide0_.size(),
+                    static_cast<std::size_t>(m) < slabs_.size(),
                 "action table index out of range");
-    entries_[index(j, m)] = a;
-    decide0_[static_cast<std::size_t>(m)].erase(j);
-    decide1_[static_cast<std::size_t>(m)].erase(j);
-    if (a == KnownAction::decide0) decide0_[static_cast<std::size_t>(m)].insert(j);
-    if (a == KnownAction::decide1) decide1_[static_cast<std::size_t>(m)].insert(j);
+    Slab& s = slabs_[static_cast<std::size_t>(m)];
+    s.known.erase(j);
+    s.decide0.erase(j);
+    s.decide1.erase(j);
+    if (a != KnownAction::unknown) s.known.insert(j);
+    if (a == KnownAction::decide0) s.decide0.insert(j);
+    if (a == KnownAction::decide1) s.decide1.insert(j);
   }
 
   /// Agents with an inferred decide(0) / decide(1) entry at time m, as a
   /// mask — lets the P_opt tests intersect whole rounds against cone levels
   /// instead of probing (j, m) pairs one by one. Out-of-range m is empty.
-  [[nodiscard]] AgentSet deciders0(int m) const {
-    return m >= 0 && static_cast<std::size_t>(m) < decide0_.size()
-               ? decide0_[static_cast<std::size_t>(m)]
-               : AgentSet{};
-  }
-  [[nodiscard]] AgentSet deciders1(int m) const {
-    return m >= 0 && static_cast<std::size_t>(m) < decide1_.size()
-               ? decide1_[static_cast<std::size_t>(m)]
-               : AgentSet{};
-  }
+  [[nodiscard]] AgentSet deciders0(int m) const { return slab(m).decide0; }
+  [[nodiscard]] AgentSet deciders1(int m) const { return slab(m).decide1; }
   [[nodiscard]] AgentSet deciders(int m) const {
     return deciders0(m).united(deciders1(m));
   }
@@ -84,20 +73,29 @@ class ActionTable {
   /// (i.e. an inferred decide action at a time <= m). m may be -1.
   [[nodiscard]] bool decided_by(AgentId j, int m) const {
     for (int m2 = 0; m2 <= m; ++m2)
-      if (is_decide(get(j, m2))) return true;
+      if (deciders(m2).contains(j)) return true;
     return false;
   }
 
  private:
-  [[nodiscard]] std::size_t index(AgentId j, int m) const {
-    return static_cast<std::size_t>(m) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(j);
+  /// The entries at one time: j's entry is unknown unless j ∈ known, and
+  /// decide0, decide1 ⊆ known are disjoint (the rest of known is noop).
+  struct Slab {
+    AgentSet known;
+    AgentSet decide0;
+    AgentSet decide1;
+  };
+
+  /// The slab at time m, or an empty one past either end.
+  [[nodiscard]] const Slab& slab(int m) const {
+    static constexpr Slab kEmpty{};
+    return m >= 0 && static_cast<std::size_t>(m) < slabs_.size()
+               ? slabs_[static_cast<std::size_t>(m)]
+               : kEmpty;
   }
 
   int n_ = 0;
-  std::vector<KnownAction> entries_;  ///< (time+1) * n, time-major
-  std::vector<AgentSet> decide0_;     ///< by time: mask of decide0 entries
-  std::vector<AgentSet> decide1_;     ///< by time: mask of decide1 entries
+  std::vector<Slab> slabs_;  ///< by time
 };
 
 }  // namespace eba

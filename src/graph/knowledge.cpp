@@ -161,11 +161,9 @@ void Cone::rebuild(const CommGraph& g, AgentId target, int m_top) {
 
 void KnowledgeCache::sync(const CommGraph& g) {
   if (graph_ == &g && revision_ == g.revision()) return;
+  invalidate();
   graph_ = &g;
   revision_ = g.revision();
-  have_faults_ = false;
-  have_go_evidence_ = false;
-  ++epoch_;
 }
 
 std::span<const AgentSet> KnowledgeCache::fault_row(const CommGraph& g, int m) {

@@ -34,8 +34,7 @@
 //
 // KnowledgeCache memoizes cones, the fault table and the GO evidence table
 // per graph *revision*, so the P_opt tests — which interrogate the same
-// graph several times per round — rebuild derived knowledge only when the
-// graph actually changes.
+// graph several times per decision — derive its knowledge once.
 //
 // Every derived object has an in-place form (Cone::rebuild,
 // extract_view_into, a cache that keeps its storage across revisions), so a
@@ -175,10 +174,10 @@ class OmissionEvidence {
 
 /// Revision-keyed memo of the derived knowledge of ONE graph: the f table,
 /// the GO evidence table and the cones already requested. Methods take the
-/// graph so the cache can
-/// detect staleness via CommGraph::revision() and rebuild lazily; a cache
-/// must only ever be used with the graph it lives next to (FipState owns one
-/// per agent graph).
+/// graph so the cache can detect staleness via CommGraph::revision() and
+/// rebuild lazily. A cache serves one graph at a time: P_opt keeps two per
+/// thread (action/p_opt.cpp), one for the agent's own graph, invalidated on
+/// entry to every call, and one bound to the reconstructed view.
 ///
 /// Storage survives a revision: a stale cache is invalidated in O(1) — no
 /// entry is freed — and the next query refills the f table, the evidence
@@ -192,20 +191,23 @@ class OmissionEvidence {
 /// searched linearly, one heap slot each so a returned reference survives
 /// later cone() calls; the rules consult one cone per graph revision.
 ///
-/// Copies start empty: the simulator snapshots agent states every round, and
-/// duplicating memoized cones into history would cost more than recomputing
-/// the rare entries a copy ever asks for. Copy-assignment invalidates and
-/// keeps the target's storage. Moves keep their contents.
+/// Neither copyable nor movable: a cache is scratch next to its graph,
+/// never part of a value.
 class KnowledgeCache {
  public:
   KnowledgeCache() = default;
-  KnowledgeCache(const KnowledgeCache&) {}
-  KnowledgeCache& operator=(const KnowledgeCache&) {
+  KnowledgeCache(const KnowledgeCache&) = delete;
+  KnowledgeCache& operator=(const KnowledgeCache&) = delete;
+
+  /// Forgets every entry, keeping the storage: the next query recomputes
+  /// whatever graph it is handed, even one at the address and revision of
+  /// the last (a state copy-assigned in place).
+  void invalidate() {
     graph_ = nullptr;
-    return *this;
+    have_faults_ = false;
+    have_go_evidence_ = false;
+    ++epoch_;
   }
-  KnowledgeCache(KnowledgeCache&&) = default;
-  KnowledgeCache& operator=(KnowledgeCache&&) = default;
 
   /// Row m of the f table of `g` (entry [j] = f(j, m, g)). The whole table
   /// is computed at most once per graph revision, flat in one allocation.
@@ -231,8 +233,7 @@ class KnowledgeCache {
     Cone cone;
   };
 
-  /// Invalidates every entry (without freeing) unless `g` is the graph and
-  /// revision of the last sync.
+  /// invalidate() unless `g` is the graph and revision of the last sync.
   void sync(const CommGraph& g);
 
   /// Graph identity + revision at the last sync. The address is only ever

@@ -454,10 +454,9 @@ void decode_state(Reader& r, FipState& s) {
   s.init = value_of(init);
   s.decided = opt_value_of(r.u8(), "decided");
   s.graph = decode_graph(r);
-  // Derived caches restart empty; they are keyed on the graph and refill
-  // lazily with identical contents (excluded from state equality).
+  // The inferred-action cache restarts empty; it refills lazily with
+  // identical contents (excluded from state equality).
   s.inferred = {};
-  s.knowledge = {};
 }
 
 void encode_state(Writer& w, const RelayState& s) {

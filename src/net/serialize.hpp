@@ -270,9 +270,9 @@ void encode_record(Writer& w, const RunRecord& record);
 // -- Exchange-state codecs (checkpointing) -----------------------------------
 //
 // Serialize the SEMANTIC part of each exchange state — the fields equality
-// compares. FipState's lazily filled caches (inferred actions, knowledge)
-// are derived data keyed on the graph; a restored state starts with empty
-// caches and refills them on demand, observably identically.
+// compares. FipState's lazily filled inferred-action cache is derived from
+// the graph; a restored state starts with it empty and refills it on
+// demand, observably identically.
 
 void encode_state(Writer& w, const MinState& s);
 void decode_state(Reader& r, MinState& s);

@@ -108,8 +108,7 @@ namespace eba {
                .init = s.init,
                .graph = s.graph.relabeled(ren),
                .decided = s.decided,
-               .inferred = {},
-               .knowledge = {}};
+               .inferred = {}};
   return out;
 }
 

@@ -162,13 +162,13 @@ TEST(DifferentialGraph, CachedDecisionsMatchFromScratchRecomputation) {
 
     for (int m = 0; m < run.record.rounds; ++m) {
       for (AgentId i = 0; i < n; ++i) {
-        // The recorded action came from the incremental path: a knowledge
-        // cache and inferred table carried across rounds. Recompute from a
-        // pristine state (same graph, cold caches) and compare.
+        // The recorded action came from the incremental path: an inferred
+        // table carried across rounds. Recompute from a pristine state (same
+        // graph, empty table; the knowledge cache is cold on every call) and
+        // compare.
         FipState fresh = run.states[static_cast<std::size_t>(m)]
                                    [static_cast<std::size_t>(i)];
         fresh.inferred = ActionTable{};
-        fresh.knowledge = KnowledgeCache{};
         const Action recomputed = p(fresh);
         EXPECT_EQ(recomputed,
                   run.record.actions[static_cast<std::size_t>(m)]

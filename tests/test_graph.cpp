@@ -2,10 +2,15 @@
 // f, D, V, cone, extract_view (paper §A.2.7).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "exchange/fip.hpp"
 #include "failure/generators.hpp"
+#include "graph/action_table.hpp"
 #include "graph/knowledge.hpp"
 #include "sim/simulator.hpp"
+#include "stats/rng.hpp"
 
 namespace eba {
 namespace {
@@ -186,6 +191,112 @@ TEST(KnownValuesTest, TracksWhoKnewWhichInitsWhen) {
   EXPECT_EQ(known_values(g, 1, 1, cone), (ValueSet{Value::zero, Value::one}));
   // Unreachable nodes yield the empty set.
   EXPECT_TRUE(known_values(g, 2, 2, cone).empty());
+}
+
+/// The brute-force ActionTable: one entry per (j, m) ever set, unknown
+/// elsewhere, every query answered by scanning the entries.
+struct RefActionTable {
+  int n = 0;
+  int top = -1;  ///< the largest time ensure() covered
+  std::map<std::pair<AgentId, int>, KnownAction> entries;
+
+  [[nodiscard]] KnownAction get(AgentId j, int m) const {
+    const auto it = entries.find({j, m});
+    return it == entries.end() ? KnownAction::unknown : it->second;
+  }
+  [[nodiscard]] AgentSet with(int m, KnownAction a) const {
+    AgentSet out;
+    for (const auto& [key, value] : entries)
+      if (key.second == m && value == a) out.insert(key.first);
+    return out;
+  }
+  [[nodiscard]] bool decided_by(AgentId j, int m) const {
+    for (int m2 = 0; m2 <= m; ++m2)
+      if (get(j, m2) == KnownAction::decide0 ||
+          get(j, m2) == KnownAction::decide1)
+        return true;
+    return false;
+  }
+};
+
+/// Every query of `got` at every (j, m) of the table, one past each edge
+/// and beyond, against the reference.
+void expect_tables_agree(const ActionTable& got, const RefActionTable& want) {
+  for (int m = -2; m <= want.top + 2; ++m) {
+    SCOPED_TRACE(testing::Message() << "time " << m);
+    ASSERT_EQ(got.deciders0(m), want.with(m, KnownAction::decide0));
+    ASSERT_EQ(got.deciders1(m), want.with(m, KnownAction::decide1));
+    ASSERT_EQ(got.deciders(m), want.with(m, KnownAction::decide0)
+                                   .united(want.with(m, KnownAction::decide1)));
+    for (AgentId j = -1; j <= want.n + 1; ++j) {
+      ASSERT_EQ(got.get(j, m), want.get(j, m)) << "agent " << j;
+      ASSERT_EQ(got.decided_by(j, m), want.decided_by(j, m)) << "agent " << j;
+    }
+  }
+}
+
+constexpr KnownAction kAllKnownActions[] = {
+    KnownAction::unknown, KnownAction::noop, KnownAction::decide0,
+    KnownAction::decide1};
+
+TEST(ActionTableTest, MatchesBruteForceReferenceAfterEveryOperation) {
+  const int n = 7;
+  ActionTable table;
+  RefActionTable ref;
+  ref.n = n;
+  const auto ensure = [&](int time) {
+    table.ensure(n, time);
+    ref.top = std::max(ref.top, time);
+    expect_tables_agree(table, ref);
+  };
+  const auto set = [&](AgentId j, int m, KnownAction a) {
+    table.set(j, m, a);
+    if (a == KnownAction::unknown)
+      ref.entries.erase({j, m});
+    else
+      ref.entries[{j, m}] = a;
+    expect_tables_agree(table, ref);
+  };
+
+  // Empty: every read is unknown, every mask empty.
+  expect_tables_agree(table, ref);
+  ensure(0);
+  set(3, 0, KnownAction::decide1);
+  set(0, 0, KnownAction::noop);
+
+  // Every transition among the four values, at both agent edges and in the
+  // middle, in the first, a middle and the last slab. Each growth must keep
+  // every entry already set.
+  ensure(4);
+  for (const auto& [j, m] : {std::pair{0, 1}, std::pair{n - 1, 4},
+                             std::pair{3, 2}, std::pair{5, 0}})
+    for (KnownAction from : kAllKnownActions)
+      for (KnownAction to : kAllKnownActions) {
+        SCOPED_TRACE(testing::Message()
+                     << "(" << j << ", " << m << ") " << static_cast<int>(from)
+                     << " -> " << static_cast<int>(to));
+        set(j, m, from);
+        set(j, m, to);
+      }
+  ensure(2);  // never shrinks
+  ensure(9);
+
+  // A random walk over the grown table.
+  Rng rng(20261018);
+  for (int k = 0; k < 300; ++k)
+    set(rng.below(n), rng.below(10), kAllKnownActions[rng.below(4)]);
+  ensure(12);
+}
+
+TEST(ActionTableTest, RejectsOutOfRangeWritesAndAChangedAgentCount) {
+  ActionTable table;
+  table.ensure(4, 2);
+  EXPECT_THROW(table.set(4, 0, KnownAction::noop), std::logic_error);
+  EXPECT_THROW(table.set(-1, 0, KnownAction::noop), std::logic_error);
+  EXPECT_THROW(table.set(0, 3, KnownAction::noop), std::logic_error);
+  EXPECT_THROW(table.set(0, -1, KnownAction::noop), std::logic_error);
+  EXPECT_THROW(table.ensure(5, 3), std::logic_error);
+  EXPECT_EQ(table.get(0, 3), KnownAction::unknown);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // expected truth values are derivable from the paper's arguments.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "action/p_opt.hpp"
 #include "action/p_opt_go.hpp"
 #include "core/spec.hpp"
@@ -224,6 +226,98 @@ TYPED_TEST(OptimalRuleBothModels, BoundsValidated) {
     EXPECT_THROW(TypeParam(3, -1, ck), std::logic_error);
     EXPECT_NO_THROW(TypeParam(3, 1, ck));
     EXPECT_EQ(TypeParam(3, 1, ck).t(), 1);
+  }
+}
+
+/// Agent states at times 1..rounds of `runs` seeded runs of P, each with an
+/// empty inferred table, run by run and time by time: SO patterns for
+/// POpt, GO patterns for POptGo.
+template <class P>
+std::vector<std::vector<FipState>> cold_states(int n, int t, int rounds,
+                                               int runs, Rng& rng) {
+  std::vector<std::vector<FipState>> out;
+  for (int k = 0; k < runs; ++k) {
+    const auto alpha =
+        std::is_same_v<P, POptGo>
+            ? sample_go_adversary(n, t, rounds + 1, 0.4, 0.3, rng)
+            : sample_adversary(n, t, rounds + 1, 0.4, rng);
+    SimulateOptions opt;
+    opt.max_rounds = rounds;
+    opt.stop_when_all_decided = false;
+    const auto run = simulate(FipExchange(n), P(n, t), alpha,
+                              sample_preferences(n, rng), t, opt);
+    for (int m = 1; m <= rounds; ++m) {
+      out.push_back(run.states[static_cast<std::size_t>(m)]);
+      for (FipState& s : out.back()) s.inferred = ActionTable{};
+    }
+  }
+  return out;
+}
+
+void expect_same_inferences(const FipState& got, const FipState& want) {
+  for (AgentId j = 0; j < want.graph.n(); ++j)
+    for (int m = 0; m <= want.time; ++m)
+      EXPECT_EQ(got.inferred.get(j, m), want.inferred.get(j, m))
+          << "d(" << j << ", " << m << ")";
+}
+
+// The knowledge cache of the agent's own graph is per-thread scratch keyed
+// on (graph address, revision), and invalidated on entry to every call.
+// Two states sharing both — one copy-assigned over the other in place, the
+// revision being a mutation count that lockstep agents repeat — and the
+// agents of two runs evaluated interleaved on one thread must each decide
+// and infer exactly as a fresh single evaluation does.
+TYPED_TEST(OptimalRuleBothModels, OwnGraphCacheNeverAnswersForAnotherState) {
+  const int n = 6;
+  const int t = 2;
+  const int rounds = 3;
+  const TypeParam p(n, t);
+  Rng rng(20261018);
+  const auto cold = cold_states<TypeParam>(n, t, rounds, 16, rng);
+
+  // The reference: every state evaluated once, in place, all alive at once.
+  auto fresh = cold;
+  std::vector<std::vector<Action>> want(fresh.size());
+  for (std::size_t r = 0; r < fresh.size(); ++r)
+    for (const FipState& s : fresh[r]) want[r].push_back(p(s));
+
+  // Copy-assigned in place: same self, time, graph address and revision,
+  // different labels.
+  int reused = 0;
+  FipState slot = cold[0][0];
+  for (std::size_t a = 0; a < cold.size(); ++a)
+    for (std::size_t b = 0; b < cold.size(); ++b)
+      for (AgentId i = 0; i < n; ++i) {
+        const FipState& sa = cold[a][static_cast<std::size_t>(i)];
+        const FipState& sb = cold[b][static_cast<std::size_t>(i)];
+        if (sa.time != sb.time || sa.graph == sb.graph ||
+            sa.graph.revision() != sb.graph.revision())
+          continue;
+        SCOPED_TRACE(testing::Message() << "agent " << i << " time "
+                                        << sb.time << ": state " << a
+                                        << " then " << b);
+        slot = sa;
+        (void)p(slot);
+        slot = sb;
+        EXPECT_EQ(p(slot), want[b][static_cast<std::size_t>(i)]);
+        expect_same_inferences(slot, fresh[b][static_cast<std::size_t>(i)]);
+        ++reused;
+      }
+  EXPECT_GE(reused, 20) << "too few same-revision pairs to exercise reuse";
+
+  // Interleaved: the agents of two runs at one time, alternately (cold[r]
+  // and cold[r + rounds] are consecutive runs at the same time).
+  for (std::size_t r = 0; r + rounds < cold.size(); ++r) {
+    const std::size_t q = r + rounds;
+    auto xa = cold[r];
+    auto xb = cold[q];
+    for (std::size_t i = 0; i < xa.size(); ++i) {
+      EXPECT_EQ(p(xa[i]), want[r][i]);
+      EXPECT_EQ(p(xb[i]), want[q][i]);
+      EXPECT_EQ(p(xa[i]), want[r][i]) << "second call on a filled table";
+      expect_same_inferences(xa[i], fresh[r][i]);
+      expect_same_inferences(xb[i], fresh[q][i]);
+    }
   }
 }
 
