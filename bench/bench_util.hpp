@@ -1,8 +1,6 @@
 // Shared helpers for the benchmark harness binaries.
 #pragma once
 
-#include <iostream>
-#include <string>
 #include <vector>
 
 #include "core/types.hpp"
@@ -41,10 +39,6 @@ inline FailurePattern hidden_chain_pattern(int n, int t, int horizon) {
     }
   }
   return p;
-}
-
-inline void banner(const std::string& title, const std::string& claim) {
-  std::cout << "\n=== " << title << " ===\n" << claim << "\n\n";
 }
 
 }  // namespace eba::bench

@@ -54,9 +54,20 @@ class CheckBenchTest(unittest.TestCase):
 
     def test_every_committed_native_bench_declares_a_gate(self):
         for name in ("throughput", "synthesis", "go", "adversary", "recovery",
-                     "scale", "durability", "zoo"):
+                     "scale", "durability", "zoo", "paper"):
             with open(os.path.join(REPO, f"BENCH_{name}.json")) as fh:
                 self.assertIn("gate", json.load(fh), name)
+
+    def test_every_committed_baseline_but_perf_declares_a_gate(self):
+        # bench_perf is gated row by row; any other report without a gate
+        # (a text blob wrapped by the runner, say) would never be checked.
+        for path in glob.glob(os.path.join(REPO, "BENCH_*.json")):
+            name = os.path.basename(path)
+            if name == "BENCH_perf.json":
+                continue
+            with open(path) as fh:
+                self.assertTrue("gate" in json.load(fh),
+                                f"{name} declares no gate")
 
     def test_slowed_series_fails_naming_file_and_metric(self):
         def slow(report):

@@ -83,7 +83,7 @@ class OptimalRule : public Model {
   /// common-knowledge lines are skipped, leaving P0 evaluated over the
   /// full-information exchange — still a correct EBA protocol (Prop 6.1
   /// holds in every EBA context) but no longer optimal: it forfeits the
-  /// Example 7.1 round-3 shortcut. bench_ablation quantifies the gap.
+  /// Example 7.1 round-3 shortcut; bench_paper's ablation section checks it.
   enum class CommonKnowledge { enabled, disabled };
 
   /// Requires n - t >= 2 (Thm A.21 hypothesis).
