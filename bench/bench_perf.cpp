@@ -54,8 +54,8 @@ void BM_GraphMerge(benchmark::State& state) {
   const FipState a = sample_state(n, t, t + 2);
   const FipState b = sample_state(n, t, t + 1);
   for (auto _ : state) {
-    CommGraph g = a.graph;
-    g.merge(b.graph);
+    CommGraph g = a.graph();
+    g.merge(b.graph());
     benchmark::DoNotOptimize(g);
   }
 }
@@ -66,7 +66,7 @@ void BM_ConeConstruction(benchmark::State& state) {
   const int t = n / 4;
   const FipState s = sample_state(n, t, t + 2);
   for (auto _ : state) {
-    Cone cone(s.graph, 0, s.graph.time());
+    Cone cone(s.graph(), 0, s.graph().time());
     benchmark::DoNotOptimize(cone);
   }
 }
@@ -76,10 +76,10 @@ void BM_ExtractView(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int t = n / 4;
   const FipState s = sample_state(n, t, t + 2);
-  const int m = s.graph.time() - 1;
+  const int m = s.graph().time() - 1;
   // Agent 1 is nonfaulty in sample_state, so (1, m) is in the cone.
   for (auto _ : state) {
-    CommGraph view = extract_view(s.graph, 1, m);
+    CommGraph view = extract_view(s.graph(), 1, m);
     benchmark::DoNotOptimize(view);
   }
 }
@@ -93,7 +93,7 @@ void BM_CommonTest(benchmark::State& state) {
   p.infer_actions(s);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        POpt::common_test(s.graph, 0, Value::one, t, s.inferred));
+        POpt::common_test(s.graph(), 0, Value::one, t, s.inferred));
   }
 }
 BENCHMARK(BM_CommonTest)->Arg(8)->Arg(16)->Arg(32);
@@ -105,7 +105,7 @@ void BM_Cond1Test(benchmark::State& state) {
   const POpt p(n, t);
   p.infer_actions(s);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(POpt::cond1_test(s.graph, 0, s.inferred));
+    benchmark::DoNotOptimize(POpt::cond1_test(s.graph(), 0, s.inferred));
   }
 }
 BENCHMARK(BM_Cond1Test)->Arg(8)->Arg(16)->Arg(32);
@@ -153,7 +153,7 @@ void BM_GraphSerialize(benchmark::State& state) {
   const FipState s = sample_state(n, n / 4, n / 4 + 2);
   for (auto _ : state) {
     Writer w;
-    encode_graph(w, s.graph);
+    encode_graph(w, s.graph());
     benchmark::DoNotOptimize(w.take());
   }
 }
@@ -163,7 +163,7 @@ void BM_GraphDeserialize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const FipState s = sample_state(n, n / 4, n / 4 + 2);
   Writer w;
-  encode_graph(w, s.graph);
+  encode_graph(w, s.graph());
   const Bytes payload = w.take();
   for (auto _ : state) {
     Reader r(payload);
@@ -174,7 +174,10 @@ BENCHMARK(BM_GraphDeserialize)->Arg(8)->Arg(32);
 
 // The broadcast δ layer alone: apply_broadcast over round 2 of a seeded
 // E_fip/P_opt instance under SO(t), drop density 0.3 as in e2ebench. The
-// states are restored with the timer paused, so only δ is timed.
+// states are restored with the timer paused, each made its graph's sole
+// owner (a copy shares the stepper's graph, and by_sender holds them too),
+// so only δ is timed, writing in place as on the wire path; a shared graph
+// would make δ clone it first.
 void BM_BroadcastDeltaFip(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int t = n / 4;
@@ -201,6 +204,7 @@ void BM_BroadcastDeltaFip(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     states = s.states();
+    for (FipState& st : states) (void)st.writable_graph();
     state.ResumeTiming();
     apply_broadcast(x, states, actions, by_sender, received, scratch);
     benchmark::DoNotOptimize(states.data());

@@ -42,7 +42,7 @@ int main() {
   }
 
   // What did a nonfaulty agent know, and when?
-  const auto& g = result.final_states[static_cast<std::size_t>(t)].graph;
+  const auto& g = result.final_states[static_cast<std::size_t>(t)].graph();
   std::cout << "\nagent " << t << "'s communication graph covers " << g.time()
             << " rounds, " << g.bit_size() << " bits\n";
 

@@ -120,7 +120,7 @@ void OptimalRule<Model>::infer_actions(const FipState& s) const {
   s.inferred.ensure(n_, s.time);
   InferScratch& scratch = infer_scratch();
   scratch.own.invalidate();
-  const Cone& cone = scratch.own.cone(s.graph, s.self, s.time);
+  const Cone& cone = scratch.own.cone(s.graph(), s.self, s.time);
   for (int m = 0; m <= s.time; ++m) {
     for (AgentId j : cone.at(m)) {
       if (j == s.self && m == s.time) continue;  // the action being computed
@@ -128,8 +128,8 @@ void OptimalRule<Model>::infer_actions(const FipState& s) const {
       // Each (j, m) node is extracted exactly once over the state's
       // lifetime, so its cone and view are not memoized — only rebuilt in
       // the thread's scratch buffers.
-      scratch.cone.rebuild(s.graph, j, m);
-      extract_view_into(scratch.view, s.graph, scratch.cone);
+      scratch.cone.rebuild(s.graph(), j, m);
+      extract_view_into(scratch.view, s.graph(), scratch.cone);
       const CommGraph& view = scratch.view;
       EBA_REQUIRE(view.pref(j) != PrefLabel::unknown,
                   "reachable node with unknown own preference");
@@ -147,9 +147,9 @@ void OptimalRule<Model>::infer_actions(const FipState& s) const {
 
 template <class Model>
 Action OptimalRule<Model>::operator()(const FipState& s) const {
-  EBA_REQUIRE(s.graph.n() == n_, "state from a different system");
-  infer_actions(s);  // leaves s.graph's cone in the own-graph cache
-  return decide_rule(s.graph, s.self, s.init, s.decided.has_value(), t_,
+  EBA_REQUIRE(s.graph().n() == n_, "state from a different system");
+  infer_actions(s);  // leaves s.graph()'s cone in the own-graph cache
+  return decide_rule(s.graph(), s.self, s.init, s.decided.has_value(), t_,
                      s.inferred, use_common_, infer_scratch().own);
 }
 
@@ -216,7 +216,7 @@ bool SendingOmissions::cond1_test(const CommGraph& g, AgentId self,
 }
 
 int SendingOmissions::evidence_ambiguity(const FipState& s, int t) {
-  return std::max(0, t - known_faults(s.graph, s.self, s.time).size());
+  return std::max(0, t - known_faults(s.graph(), s.self, s.time).size());
 }
 
 // Both models are compiled here, out of line for every caller.

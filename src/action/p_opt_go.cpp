@@ -230,7 +230,7 @@ bool GeneralOmissions::forced_zero(const CommGraph& g, AgentId self, int t,
 }
 
 int GeneralOmissions::evidence_ambiguity(const FipState& s, int t) {
-  const OmissionEvidence e = go_evidence(s.graph, s.self, s.time);
+  const OmissionEvidence e = go_evidence(s.graph(), s.self, s.time);
   return go_possibly_faulty(e, t).minus(go_known_faults(e, t)).size();
 }
 

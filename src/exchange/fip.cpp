@@ -29,10 +29,11 @@ void FipExchange::join(Join& u,
 void FipExchange::update_joined(
     State& s, const Action& a, AgentSet received, const Join* u,
     std::span<const std::optional<Message>> by_sender, AgentSet extra) const {
-  s.graph.advance_round(s.self, received);
-  if (u) s.graph.merge(**u);
+  CommGraph& g = s.writable_graph();
+  g.advance_round(s.self, received);
+  if (u) g.merge(**u);
   for (AgentId i : extra.minus(AgentSet{s.self}))
-    s.graph.merge(*by_sender[static_cast<std::size_t>(i)].value());
+    g.merge(*by_sender[static_cast<std::size_t>(i)].value());
 
   s.time += 1;
   if (a.is_decide()) {

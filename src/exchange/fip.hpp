@@ -6,6 +6,12 @@
 // of different action protocols have identical states); `FipState` carries a
 // cached `decided` flag and an inferred-action table for the action
 // protocol's convenience, but equality and hashing ignore both.
+//
+// A state shares its graph with the messages µ sends from it, so a
+// broadcast costs no copy. δ copies the graph only if it must write while
+// a message or a copied state still holds it. On the wire path nothing
+// does, since the payloads are encoded and decoded by then, and δ writes
+// in place.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "core/types.hpp"
 #include "graph/action_table.hpp"
@@ -20,11 +27,21 @@
 
 namespace eba {
 
+/// An agent's E_fip local state. The graph is held behind a shared pointer
+/// so that µ can hand it out without a copy: the message and the state share
+/// one graph until δ writes it. δ writes in place when the state is the
+/// graph's only owner, and first clones it while a message or a copied state
+/// still holds it (copy-on-write), so every holder keeps the value it saw.
 struct FipState {
+  FipState(int time, AgentId self, Value init, CommGraph graph)
+      : time(time),
+        self(self),
+        init(init),
+        graph_(std::make_shared<CommGraph>(std::move(graph))) {}
+
   int time = 0;
   AgentId self = 0;
   Value init = Value::zero;
-  CommGraph graph;
 
   /// Cached decision status (derived information; excluded from equality).
   std::optional<Value> decided;
@@ -34,24 +51,45 @@ struct FipState {
   /// function of the state, can memoize.
   mutable ActionTable inferred;
 
+  [[nodiscard]] const CommGraph& graph() const { return *graph_; }
+  /// The graph as µ sends it: shared, never copied.
+  [[nodiscard]] const std::shared_ptr<const CommGraph>& shared_graph() const {
+    return graph_;
+  }
+  /// The graph for δ (or a state decoder) to write: this state's own graph
+  /// when nothing else holds it, else a clone with room for one more round,
+  /// which replaces it.
+  [[nodiscard]] CommGraph& writable_graph() {
+    if (CommGraph* own = sole_owned(graph_)) return *own;
+    auto copy = std::make_shared<CommGraph>(
+        graph_->copy_with_room(graph_->time() + 1));
+    CommGraph& out = *copy;
+    graph_ = std::move(copy);
+    return out;
+  }
+
   friend bool operator==(const FipState& a, const FipState& b) {
     return a.time == b.time && a.self == b.self && a.init == b.init &&
-           a.graph == b.graph;
+           (a.graph_ == b.graph_ || *a.graph_ == *b.graph_);
   }
+
+ private:
+  std::shared_ptr<const CommGraph> graph_;
 };
 
 [[nodiscard]] inline std::size_t hash_value(const FipState& s) {
   std::size_t h = static_cast<std::size_t>(s.time);
   h = h * 31 + static_cast<std::size_t>(s.self);
   h = h * 31 + static_cast<std::size_t>(to_int(s.init));
-  h = h * 31 + s.graph.hash();
+  h = h * 31 + s.graph().hash();
   return h;
 }
 
 class FipExchange {
  public:
   using State = FipState;
-  /// Graphs are immutable once sent; sharing avoids n copies per broadcast.
+  /// The sender's graph, shared with its state (see FipState): a message
+  /// holder never sees it change, and µ costs one reference count.
   using Message = std::shared_ptr<const CommGraph>;
   /// µ ignores the destination: the graph is broadcast to everyone.
   static constexpr bool kBroadcast = true;
@@ -63,12 +101,7 @@ class FipExchange {
   [[nodiscard]] int n() const { return n_; }
 
   [[nodiscard]] State initial_state(AgentId i, Value init) const {
-    return State{.time = 0,
-                 .self = i,
-                 .init = init,
-                 .graph = CommGraph(n_, i, init),
-                 .decided = {},
-                 .inferred = {}};
+    return State(0, i, init, CommGraph(n_, i, init));
   }
 
   /// µ: broadcast the full graph every round. The EBA-context constraint on
@@ -77,7 +110,7 @@ class FipExchange {
   [[nodiscard]] std::optional<Message> message(const State& s,
                                                const Action& /*a*/,
                                                AgentId /*dest*/) const {
-    return std::make_shared<const CommGraph>(s.graph);
+    return s.shared_graph();
   }
 
   [[nodiscard]] std::size_t message_bits(const Message& m) const {

@@ -29,6 +29,9 @@
 //                  is definite (0 or 1),
 //   value[m][to] — bit `from` set iff that label is 1 (present).
 //
+// The planes interleave in one vector, a (known, value) word pair per row —
+// the wire's order — so a graph's rows are one allocation.
+//
 // Since kMaxAgents == 64, each row is exactly one uint64_t word, so a
 // receiver row doubles as an AgentSet mask: merge is a handful of word ops
 // per row, and the knowledge operators (cone frontiers, fault rows) consume
@@ -38,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -71,17 +75,17 @@ class CommGraph {
   [[nodiscard]] Label label(int m, AgentId from, AgentId to) const {
     const std::uint64_t bit = sender_bit(from);
     const std::size_t r = row(m, to);
-    if (!(known_[r] & bit)) return Label::unknown;
-    return (value_[r] & bit) ? Label::present : Label::absent;
+    if (!(rows_[r] & bit)) return Label::unknown;
+    return (rows_[r + 1] & bit) ? Label::present : Label::absent;
   }
   void set_label(int m, AgentId from, AgentId to, Label l) {
     const std::uint64_t bit = sender_bit(from);
     const std::size_t r = row(m, to);
-    known_[r] &= ~bit;
-    value_[r] &= ~bit;
+    rows_[r] &= ~bit;
+    rows_[r + 1] &= ~bit;
     if (l != Label::unknown) {
-      known_[r] |= bit;
-      if (l == Label::present) value_[r] |= bit;
+      rows_[r] |= bit;
+      if (l == Label::present) rows_[r + 1] |= bit;
     }
     ++revision_;
   }
@@ -108,24 +112,24 @@ class CommGraph {
 
   /// Senders whose round-(m+1) message to `to` has a definite label.
   [[nodiscard]] AgentSet known_senders(int m, AgentId to) const {
-    return AgentSet(known_[row(m, to)]);
+    return AgentSet(rows_[row(m, to)]);
   }
   /// Senders whose round-(m+1) message to `to` is known delivered.
   [[nodiscard]] AgentSet present_senders(int m, AgentId to) const {
-    return AgentSet(value_[row(m, to)]);
+    return AgentSet(rows_[row(m, to) + 1]);
   }
   /// Senders whose round-(m+1) message to `to` is known omitted.
   [[nodiscard]] AgentSet absent_senders(int m, AgentId to) const {
     const std::size_t r = row(m, to);
-    return AgentSet(known_[r] & ~value_[r]);
+    return AgentSet(rows_[r] & ~rows_[r + 1]);
   }
   /// Overwrites one receiver row. Preconditions: present ⊆ known ⊆ {0..n-1}.
   void set_row(int m, AgentId to, AgentSet known, AgentSet present) {
     EBA_REQUIRE(known.subset_of(AgentSet::all(n_)) && present.subset_of(known),
                 "malformed receiver row");
     const std::size_t r = row(m, to);
-    known_[r] = known.bits();
-    value_[r] = present.bits();
+    rows_[r] = known.bits();
+    rows_[r + 1] = present.bits();
     ++revision_;
   }
 
@@ -133,16 +137,14 @@ class CommGraph {
   [[nodiscard]] AgentSet known_prefs() const { return AgentSet(pref_known_); }
   [[nodiscard]] AgentSet one_prefs() const { return AgentSet(pref_value_); }
 
-  // The planes whole, for the byte codec (net/serialize.cpp): entry m·n + to
-  // is row (m, to). assign_rows rebuilds the graph in place with `time`
-  // rounds, taking every row from `next(known, present)` in that order; a
-  // row must keep present ⊆ known ⊆ {0..n-1}. If `next` throws, the graph
-  // is left valid but unspecified.
-  [[nodiscard]] std::span<const std::uint64_t> known_rows() const {
-    return known_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> present_rows() const {
-    return value_;
+  // The rows whole, for the byte codec (net/serialize.cpp): row (m, to) is
+  // the word pair at 2(m·n + to), its known mask then its present mask.
+  // assign_rows rebuilds the graph in place with `time` rounds, taking every
+  // row from `next(known, present)` in that order; a row must keep
+  // present ⊆ known ⊆ {0..n-1}. If `next` throws, the graph is left valid
+  // but unspecified.
+  [[nodiscard]] std::span<const std::uint64_t> row_words() const {
+    return rows_;
   }
   template <class NextRow>
   void assign_rows(int time, AgentSet known_prefs, AgentSet one_prefs,
@@ -151,21 +153,18 @@ class CommGraph {
     EBA_REQUIRE(time >= 0 && known_prefs.subset_of(all) &&
                     one_prefs.subset_of(known_prefs),
                 "malformed graph shape");
-    time_ = time;
-    known_.resize(static_cast<std::size_t>(time) *
-                  static_cast<std::size_t>(n_));
-    value_.resize(known_.size());
+    resize_rows(time, rows_.capacity() > 0);
     pref_known_ = known_prefs.bits();
     pref_value_ = one_prefs.bits();
     ++revision_;
-    for (std::size_t r = 0; r < known_.size(); ++r) {
+    for (std::size_t r = 0; r < rows_.size(); r += 2) {
       std::uint64_t known = 0;
       std::uint64_t present = 0;
       next(known, present);
       EBA_REQUIRE(AgentSet(known).subset_of(all) && (present & ~known) == 0,
                   "malformed receiver row");
-      known_[r] = known;
-      value_[r] = present;
+      rows_[r] = known;
+      rows_[r + 1] = present;
     }
   }
 
@@ -173,6 +172,23 @@ class CommGraph {
   /// from `received_from` (self-delivery is implicit). All other new edges
   /// are unknown.
   void advance_round(AgentId self, AgentSet received_from);
+
+  /// Rounds of row capacity a growing graph takes on when a round no longer
+  /// fits: every advance_round, and a reset_blank/assign_rows of a graph
+  /// that already held rows (a pooled decode target, a reused join). A
+  /// fresh graph (blank, relabeled, a restored checkpoint) is sized exactly.
+  /// E_fip runs mostly end at round 2: of e2ebench's instances, 98% on
+  /// popt_n8 and popt_n8_durable (about 1% at round 3) and all on popt_n32.
+  /// Two rounds at a time grow such a run's graph once, at round 1, and
+  /// leave it full, where vector doubling reallocates at rounds 1, 2, 3 and
+  /// 5; four at a time also grow it once but leave every finished graph
+  /// half empty (traced popt_n32 peak RSS 222 MiB against 163 at two).
+  static constexpr int kGrowthRounds = 2;
+
+  /// A copy with room for `rounds` rounds (at least time()),
+  /// so advancing the copy that far reallocates nothing. Copy-on-write δ
+  /// clones a shared graph this way, one round ahead.
+  [[nodiscard]] CommGraph copy_with_room(int rounds) const;
 
   /// Merges another agent's graph (a FIP message) into this one. The other
   /// graph may cover fewer rounds. Conflicting definite labels indicate a
@@ -207,7 +223,7 @@ class CommGraph {
   friend bool operator==(const CommGraph& a, const CommGraph& b) {
     return a.n_ == b.n_ && a.time_ == b.time_ &&
            a.pref_known_ == b.pref_known_ && a.pref_value_ == b.pref_value_ &&
-           a.known_ == b.known_ && a.value_ == b.value_;
+           a.rows_ == b.rows_;
   }
 
   [[nodiscard]] std::size_t hash() const;
@@ -222,24 +238,58 @@ class CommGraph {
   }
 
  private:
+  /// Index of row (m, to)'s known word; its value word follows.
   [[nodiscard]] std::size_t row(int m, AgentId to) const {
     EBA_REQUIRE(m >= 0 && m < time_, "round out of range");
     EBA_REQUIRE(to >= 0 && to < n_, "agent out of range");
-    return static_cast<std::size_t>(m) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(to);
+    return 2 * (static_cast<std::size_t>(m) * static_cast<std::size_t>(n_) +
+                static_cast<std::size_t>(to));
   }
   [[nodiscard]] std::uint64_t sender_bit(AgentId from) const {
     EBA_REQUIRE(from >= 0 && from < n_, "agent out of range");
     return std::uint64_t{1} << from;
   }
+  /// Sets time_ and sizes the rows to `time` rounds (new rows zero). When
+  /// they must grow they take room for kGrowthRounds rounds at once if
+  /// `ahead`, else exactly `time` rounds.
+  void resize_rows(int time, bool ahead);
 
   int n_;
   int time_;
   std::uint64_t pref_known_ = 0;  ///< bit j: pref of j is definite
   std::uint64_t pref_value_ = 0;  ///< bit j: pref of j is 1 (under known)
   std::uint64_t revision_ = 0;    ///< excluded from equality and hashing
-  std::vector<std::uint64_t> known_;  ///< time * n rows, round-major by receiver
-  std::vector<std::uint64_t> value_;  ///< same shape; value ⊆ known per row
+  /// time * n rows, round-major by receiver, each a (known, value) word
+  /// pair; value ⊆ known per row.
+  std::vector<std::uint64_t> rows_;
 };
+
+/// Whether sole_owned() can answer non-null: only on libstdc++, whose
+/// shared_ptr increments the count with an acquire-release operation.
+inline constexpr bool kSoleOwnedWrites =
+#if defined(__GLIBCXX__)
+    true;
+#else
+    false;
+#endif
+
+/// The graph behind `p`, writable, when `p` is its only owner; null while a
+/// message or another state still shares it. This is the copy-on-write test
+/// of E_fip's graphs (FipState's δ, the pooled decode in net/serialize).
+/// use_count() is a relaxed load, but once it reads 1 no other owner can
+/// appear, and copying `p` then is an acquire-release increment of the
+/// count (libstdc++), which synchronizes with every former owner's release:
+/// their last reads of the graph happen before the caller's writes, on any
+/// thread. Other standard libraries may increment with a relaxed operation,
+/// which orders nothing, so there (kSoleOwnedWrites false) the test always
+/// answers null and every writer clones: slower, never racy. The graphs
+/// behind these pointers are built mutable (FipState, the decoder); `p`
+/// must not point to an object defined const.
+[[nodiscard]] inline CommGraph* sole_owned(
+    std::shared_ptr<const CommGraph>& p) {
+  if (!kSoleOwnedWrites || !p || p.use_count() != 1) return nullptr;
+  { const std::shared_ptr<const CommGraph> acquire = p; }
+  return const_cast<CommGraph*>(p.get());
+}
 
 }  // namespace eba

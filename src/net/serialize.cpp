@@ -186,23 +186,22 @@ std::size_t encoded_size(const CommGraph& g) {
 // accounting — and both directions move the row block in one piece.
 void encode_graph(Writer& w, const CommGraph& g) {
   const auto row_bytes = static_cast<std::size_t>((g.n() + 7) / 8);
-  const std::span<const std::uint64_t> known = g.known_rows();
-  const std::span<const std::uint64_t> present = g.present_rows();
+  const std::span<const std::uint64_t> rows = g.row_words();
   std::uint8_t* p = w.extend(encoded_size(g));
   detail::store_le(p, static_cast<std::uint32_t>(g.n()), 4);
   detail::store_le(p + 4, static_cast<std::uint32_t>(g.time()), 4);
   p += 8;
   with_row_width(row_bytes, [&](auto width) {
-    for (std::size_t r = 0; r < known.size(); ++r, p += 2 * width) {
-      detail::store_le(p, known[r], width);
-      detail::store_le(p + width, present[r], width);
+    for (const std::uint64_t word : rows) {
+      detail::store_le(p, word, width);
+      p += width;
     }
     detail::store_le(p, g.known_prefs().bits(), width);
     detail::store_le(p + width, g.one_prefs().bits(), width);
   });
 }
 
-CommGraph decode_graph(Reader& r) {
+void decode_graph(Reader& r, CommGraph& g) {
   const int n = static_cast<int>(r.u32());
   const int time = static_cast<int>(r.u32());
   if (!(n >= 1 && n <= kMaxAgents && time >= 0 && time <= 4096))
@@ -220,7 +219,7 @@ CommGraph decode_graph(Reader& r) {
   const std::uint64_t pv = detail::load_le(prefs + row_bytes, row_bytes);
   if ((pk & ~full) != 0 || (pv & ~pk) != 0)
     reject(Kind::malformed, "bad pref rows");
-  CommGraph g = CommGraph::blank(n, 0);
+  g.reset_blank(n, 0);
   with_row_width(row_bytes, [&](auto width) {
     g.assign_rows(time, AgentSet(pk), AgentSet(pv),
                   [&](std::uint64_t& known, std::uint64_t& present) {
@@ -231,6 +230,11 @@ CommGraph decode_graph(Reader& r) {
                       reject(Kind::malformed, "bad label row");
                   });
   });
+}
+
+CommGraph decode_graph(Reader& r) {
+  CommGraph g = CommGraph::blank(1, 0);
+  decode_graph(r, g);
   return g;
 }
 
@@ -239,7 +243,13 @@ void encode_message(Writer& w, const std::shared_ptr<const CommGraph>& m) {
   encode_graph(w, *m);
 }
 void decode_message(Reader& r, std::shared_ptr<const CommGraph>& m) {
-  m = std::make_shared<const CommGraph>(decode_graph(r));
+  CommGraph* g = sole_owned(m);
+  if (!g) {
+    auto fresh = std::make_shared<CommGraph>(CommGraph::blank(1, 0));
+    g = fresh.get();
+    m = std::move(fresh);
+  }
+  decode_graph(r, *g);
 }
 
 // -- Failure patterns and run records ----------------------------------------
@@ -440,7 +450,7 @@ void encode_state(Writer& w, const FipState& s) {
   w.u8(static_cast<std::uint8_t>(s.self));
   w.u8(static_cast<std::uint8_t>(to_int(s.init)));
   w.u8(opt_value_tag(s.decided));
-  encode_graph(w, s.graph);
+  encode_graph(w, s.graph());
 }
 
 void decode_state(Reader& r, FipState& s) {
@@ -453,7 +463,7 @@ void decode_state(Reader& r, FipState& s) {
   if (init > 1) reject(Kind::malformed, "bad state init byte");
   s.init = value_of(init);
   s.decided = opt_value_of(r.u8(), "decided");
-  s.graph = decode_graph(r);
+  decode_graph(r, s.writable_graph());
   // The inferred-action cache restarts empty; it refills lazily with
   // identical contents (excluded from state equality).
   s.inferred = {};

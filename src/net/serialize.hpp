@@ -220,6 +220,8 @@ void decode_message(Reader& r, BasicMsg& m);
   return encoded_size(*m);
 }
 void encode_message(Writer& w, const std::shared_ptr<const CommGraph>& m);
+/// Decodes into `m`'s graph in place when `m` is its only owner
+/// (sole_owned), else into a fresh graph that replaces it.
 void decode_message(Reader& r, std::shared_ptr<const CommGraph>& m);
 
 // E_relay messages (decide0 / decide1 / relay0).
@@ -245,6 +247,10 @@ void decode_message(Reader& r, AuthMsg& m);
 
 void encode_graph(Writer& w, const CommGraph& g);
 [[nodiscard]] CommGraph decode_graph(Reader& r);
+/// In-place form: rebuilds `g` through reset_blank/assign_rows, keeping its
+/// row storage. Header, truncation and preference errors leave `g`
+/// untouched; a bad label row leaves it valid but unspecified.
+void decode_graph(Reader& r, CommGraph& g);
 
 // -- Failure patterns and run records ----------------------------------------
 
@@ -298,14 +304,24 @@ template <class Message>
   return w.take();
 }
 
+/// Decodes `b` into `reuse`, the twin of to_bytes(m, reuse): a graph
+/// message is rebuilt in `reuse`'s graph when no other message still
+/// references it, so a pooled target costs no allocation. The checks are
+/// from_bytes(b)'s; after a DecodeError `reuse` holds some valid message.
 template <class Message>
-[[nodiscard]] Message from_bytes(const Bytes& b) {
+Message& from_bytes(const Bytes& b, Message& reuse) {
   Reader r(b);
-  Message m;
-  decode_message(r, m);
+  decode_message(r, reuse);
   if (!r.exhausted())
     throw DecodeError(DecodeError::Kind::trailing,
                       "message payload has unconsumed bytes");
+  return reuse;
+}
+
+template <class Message>
+[[nodiscard]] Message from_bytes(const Bytes& b) {
+  Message m{};
+  from_bytes(b, m);
   return m;
 }
 

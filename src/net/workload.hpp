@@ -200,11 +200,15 @@ enum class RoundOutcome { completed, in_progress, aborted };
 /// owned by drive_workload for one workload call: `spare` holds the payload
 /// buffers the bus handed back after the worker's previous round, and the
 /// message vectors are the decode side (per sender, or n×n per edge).
+/// `pooled[from]` is the decode target of sender `from`'s broadcast,
+/// kept across rounds: by_sender drops its references before the next
+/// decode, so from_bytes rebuilds a graph message in the same storage.
 /// Cache-line aligned: workers' scratches sit side by side in one vector.
 template <ExchangeProtocol X>
 struct alignas(64) WireScratch {
   using Message = typename X::Message;
   std::vector<Bytes> spare;
+  std::vector<Message> pooled;
   std::vector<std::optional<Message>> by_sender;
   std::vector<std::vector<std::optional<Message>>> inbox;
 
@@ -253,14 +257,16 @@ RoundOutcome advance_wire_round_staged(const X& x, Stepper<X, P>& stepper,
           outbox[static_cast<std::size_t>(i)] = scratch.encode(m);
         });
     BusPool::RoundResult res = pool.exchange_round(slot, std::move(outbox));
-    // The bus stores each broadcast payload once, so each is decoded once
-    // and the stepper fans the decoded value out to the receivers in
-    // res.received() — exactly as the in-memory engine shares µ's result.
+    // The bus stores each broadcast payload once, so each is decoded once,
+    // into the sender's pooled target, and the stepper fans the decoded
+    // value out to the receivers in res.received() — exactly as the
+    // in-memory engine shares µ's result.
     std::vector<std::optional<Message>>& by_sender = scratch.by_sender;
     by_sender.assign(un, std::nullopt);
+    scratch.pooled.resize(un);
     for (std::size_t from = 0; from < un; ++from)
       if (const auto& payload = res.payloads()[from])
-        by_sender[from] = from_bytes<Message>(*payload);
+        by_sender[from] = from_bytes(*payload, scratch.pooled[from]);
     scratch.recycle(res);
     stepper.finish_round(by_sender, res.received(), std::move(res.sent),
                          std::move(res.delivered), cost.bits, cost.messages);

@@ -103,12 +103,9 @@ namespace eba {
 
 [[nodiscard]] inline FipState relabel_state(const FipState& s,
                                             const Renaming& ren) {
-  FipState out{.time = s.time,
-               .self = ren[static_cast<std::size_t>(s.self)],
-               .init = s.init,
-               .graph = s.graph.relabeled(ren),
-               .decided = s.decided,
-               .inferred = {}};
+  FipState out(s.time, ren[static_cast<std::size_t>(s.self)], s.init,
+               s.graph().relabeled(ren));
+  out.decided = s.decided;
   return out;
 }
 

@@ -197,13 +197,13 @@ TEST(DifferentialGraph, StaticTestsAgreeWithCachedOverloads) {
       p.infer_actions(s);
       KnowledgeCache cache;
       for (Value v : {Value::zero, Value::one}) {
-        const bool plain = POpt::common_test(s.graph, i, v, t, s.inferred);
+        const bool plain = POpt::common_test(s.graph(), i, v, t, s.inferred);
         // Twice through the same cache: cold then memoized.
-        EXPECT_EQ(plain, POpt::common_test(s.graph, i, v, t, s.inferred, cache));
-        EXPECT_EQ(plain, POpt::common_test(s.graph, i, v, t, s.inferred, cache));
+        EXPECT_EQ(plain, POpt::common_test(s.graph(), i, v, t, s.inferred, cache));
+        EXPECT_EQ(plain, POpt::common_test(s.graph(), i, v, t, s.inferred, cache));
       }
-      const bool plain1 = POpt::cond1_test(s.graph, i, s.inferred);
-      EXPECT_EQ(plain1, POpt::cond1_test(s.graph, i, s.inferred, cache));
+      const bool plain1 = POpt::cond1_test(s.graph(), i, s.inferred);
+      EXPECT_EQ(plain1, POpt::cond1_test(s.graph(), i, s.inferred, cache));
     }
   }
 }

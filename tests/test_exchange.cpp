@@ -125,9 +125,9 @@ TEST(BasicExchangeTest, OnesResetWhenDecided) {
 TEST(FipExchangeTest, InitialGraphKnowsOwnPreferenceOnly) {
   const FipExchange x(3);
   const FipState s = x.initial_state(1, Value::zero);
-  EXPECT_EQ(s.graph.time(), 0);
-  EXPECT_EQ(s.graph.pref(1), PrefLabel::zero);
-  EXPECT_EQ(s.graph.pref(0), PrefLabel::unknown);
+  EXPECT_EQ(s.graph().time(), 0);
+  EXPECT_EQ(s.graph().pref(1), PrefLabel::zero);
+  EXPECT_EQ(s.graph().pref(0), PrefLabel::unknown);
 }
 
 TEST(FipExchangeTest, AlwaysBroadcastsGraph) {
@@ -135,8 +135,8 @@ TEST(FipExchangeTest, AlwaysBroadcastsGraph) {
   const FipState s = x.initial_state(0, Value::one);
   const auto m = x.message(s, Action::noop(), 2);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(**m, s.graph);
-  EXPECT_EQ(x.message_bits(*m), s.graph.bit_size());
+  EXPECT_EQ(**m, s.graph());
+  EXPECT_EQ(x.message_bits(*m), s.graph().bit_size());
 }
 
 TEST(FipExchangeTest, UpdateRecordsDeliveriesAndMergesPrefs) {
@@ -145,20 +145,20 @@ TEST(FipExchangeTest, UpdateRecordsDeliveriesAndMergesPrefs) {
   const FipState s1 = x.initial_state(1, Value::zero);
 
   auto inbox = empty_inbox<FipExchange::Message>(3);
-  inbox[0] = std::make_shared<const CommGraph>(s0.graph);  // self
-  inbox[1] = std::make_shared<const CommGraph>(s1.graph);
+  inbox[0] = std::make_shared<const CommGraph>(s0.graph());  // self
+  inbox[1] = std::make_shared<const CommGraph>(s1.graph());
   // agent 2 omitted
   x.update(s0, Action::noop(), inbox);
 
   EXPECT_EQ(s0.time, 1);
-  EXPECT_EQ(s0.graph.time(), 1);
-  EXPECT_EQ(s0.graph.label(0, 1, 0), Label::present);
-  EXPECT_EQ(s0.graph.label(0, 2, 0), Label::absent);
-  EXPECT_EQ(s0.graph.label(0, 0, 0), Label::present);
-  EXPECT_EQ(s0.graph.label(0, 0, 1), Label::unknown)
+  EXPECT_EQ(s0.graph().time(), 1);
+  EXPECT_EQ(s0.graph().label(0, 1, 0), Label::present);
+  EXPECT_EQ(s0.graph().label(0, 2, 0), Label::absent);
+  EXPECT_EQ(s0.graph().label(0, 0, 0), Label::present);
+  EXPECT_EQ(s0.graph().label(0, 0, 1), Label::unknown)
       << "a sender does not learn whether its own sends were delivered";
-  EXPECT_EQ(s0.graph.pref(1), PrefLabel::zero) << "merged from agent 1's graph";
-  EXPECT_EQ(s0.graph.pref(2), PrefLabel::unknown);
+  EXPECT_EQ(s0.graph().pref(1), PrefLabel::zero) << "merged from agent 1's graph";
+  EXPECT_EQ(s0.graph().pref(2), PrefLabel::unknown);
 }
 
 TEST(FipExchangeTest, StateEqualityIgnoresDecisionCache) {

@@ -300,7 +300,7 @@ TEST(GoFaults, EvidenceRecurrenceOverARun) {
   opt.max_rounds = 3;
   const auto run = simulate(FipExchange(n), POptGo(n, t), alpha, inits, t, opt);
   // Agent 0 at time 2 knows it missed 1, 2, 3 twice: self-conviction.
-  const auto& g0 = run.states[2][0].graph;
+  const auto& g0 = run.states[2][0].graph();
   const OmissionEvidence e0 = go_evidence(g0, 0, 2);
   EXPECT_EQ(e0.adj(0), (AgentSet{1, 2, 3}));
   EXPECT_EQ(go_known_faults(e0, t), AgentSet{0});
@@ -308,7 +308,7 @@ TEST(GoFaults, EvidenceRecurrenceOverARun) {
   // mute), so 1 has 0's evidence of round 1 and knows 0 convicts itself
   // only once the budget is exceeded; with two missing senders at t=1 the
   // round-1 evidence {1->0, 2->0, 3->0} already forces {0}.
-  const auto& g1 = run.states[2][1].graph;
+  const auto& g1 = run.states[2][1].graph();
   EXPECT_EQ(go_known_faults(go_evidence(g1, 1, 2), t), AgentSet{0});
   // The full table agrees with the per-node query.
   const auto table = go_evidence_table(g1);

@@ -81,7 +81,7 @@ TEST(ConeTest, FailureFreeConeCoversEveryone) {
   const int n = 4;
   const auto states = fip_states(n, FailurePattern::failure_free(n),
                                  mixed_inits(n), 2);
-  const Cone cone(states[0].graph, 0, 2);
+  const Cone cone(states[0].graph(), 0, 2);
   EXPECT_EQ(cone.at(2), AgentSet{0});
   EXPECT_EQ(cone.at(1), AgentSet::all(n));
   EXPECT_EQ(cone.at(0), AgentSet::all(n));
@@ -93,7 +93,7 @@ TEST(ConeTest, SilentAgentNeverEntersCone) {
   const int n = 4;
   const auto alpha = silent_agents_pattern(n, AgentSet{3}, 3);
   const auto states = fip_states(n, alpha, mixed_inits(n), 3);
-  const Cone cone(states[0].graph, 0, 3);
+  const Cone cone(states[0].graph(), 0, 3);
   for (int m = 0; m <= 2; ++m) EXPECT_FALSE(cone.contains(3, m)) << m;
   EXPECT_EQ(cone.last_heard(3), -1);
 }
@@ -107,7 +107,7 @@ TEST(ConeTest, RelayedHistoryIsVisible) {
   alpha.drop(1, 3, 0);
   alpha.drop(2, 3, 0);
   const auto states = fip_states(n, alpha, mixed_inits(n), 2);
-  const Cone cone(states[0].graph, 0, 2);
+  const Cone cone(states[0].graph(), 0, 2);
   EXPECT_TRUE(cone.contains(3, 0)) << "relayed through agent 1's graph";
   EXPECT_FALSE(cone.contains(3, 1));
   EXPECT_EQ(cone.last_heard(3), 0);
@@ -127,7 +127,7 @@ TEST(ExtractViewTest, ReconstructsExactSentGraph) {
   opt.stop_when_all_decided = false;
   const auto run = simulate(x, noop, alpha, mixed_inits(n), n - 2, opt);
 
-  const CommGraph& owner = run.states[3][0].graph;
+  const CommGraph& owner = run.states[3][0].graph();
   const Cone cone(owner, 0, 3);
   for (int m = 0; m <= 2; ++m) {
     for (AgentId j = 0; j < n; ++j) {
@@ -135,7 +135,7 @@ TEST(ExtractViewTest, ReconstructsExactSentGraph) {
       const CommGraph view = extract_view(owner, j, m);
       EXPECT_EQ(view, run.states[static_cast<std::size_t>(m)]
                           [static_cast<std::size_t>(j)]
-                              .graph)
+                              .graph())
           << "agent " << j << " time " << m;
     }
   }
@@ -145,7 +145,7 @@ TEST(KnownFaultsTest, ReceiverDetectsSilentSender) {
   const int n = 4;
   const auto alpha = silent_agents_pattern(n, AgentSet{3}, 2);
   const auto states = fip_states(n, alpha, mixed_inits(n), 2);
-  const CommGraph& g = states[0].graph;
+  const CommGraph& g = states[0].graph();
   EXPECT_EQ(known_faults(g, 0, 0), AgentSet{});
   EXPECT_EQ(known_faults(g, 0, 1), AgentSet{3});
   EXPECT_EQ(known_faults(g, 0, 2), AgentSet{3});
@@ -161,7 +161,7 @@ TEST(KnownFaultsTest, FaultKnowledgePropagatesOneRoundLate) {
   FailurePattern alpha(n, AgentSet{0, 1, 2});
   alpha.drop(0, 3, 2);
   const auto states = fip_states(n, alpha, mixed_inits(n), 2);
-  const CommGraph& g = states[0].graph;
+  const CommGraph& g = states[0].graph();
   EXPECT_EQ(known_faults(g, 0, 1), AgentSet{}) << "0 saw nothing in round 1";
   EXPECT_EQ(known_faults(g, 2, 1), AgentSet{3}) << "2 detected the omission";
   EXPECT_EQ(known_faults(g, 0, 2), AgentSet{3}) << "relayed in round 2";
@@ -173,7 +173,7 @@ TEST(DistributedFaultsTest, UnionOverSet) {
   alpha.drop(0, 3, 1);  // only 1 sees 3's fault
   alpha.drop(0, 4, 2);  // only 2 sees 4's fault
   const auto states = fip_states(n, alpha, mixed_inits(n), 2);
-  const CommGraph& g = states[0].graph;
+  const CommGraph& g = states[0].graph();
   EXPECT_EQ(distributed_faults(g, AgentSet{1, 2}, 1), (AgentSet{3, 4}));
   EXPECT_EQ(distributed_faults(g, AgentSet{0}, 1), AgentSet{});
 }
@@ -182,7 +182,7 @@ TEST(KnownValuesTest, TracksWhoKnewWhichInitsWhen) {
   const int n = 4;
   const auto states = fip_states(n, FailurePattern::failure_free(n),
                                  mixed_inits(n), 2);
-  const CommGraph& g = states[1].graph;
+  const CommGraph& g = states[1].graph();
   const Cone cone(g, 1, 2);
   // At time 0, agent 0 knew only its own 0; agent 1 only its own 1.
   EXPECT_EQ(known_values(g, 0, 0, cone), ValueSet{Value::zero});

@@ -38,9 +38,9 @@ class GraphProperties : public ::testing::TestWithParam<Shape> {
 TEST_P(GraphProperties, MergeIsIdempotent) {
   for (const auto& row : states()) {
     for (const auto& s : row) {
-      CommGraph g = s.graph;
-      g.merge(s.graph);
-      EXPECT_EQ(g, s.graph);
+      CommGraph g = s.graph();
+      g.merge(s.graph());
+      EXPECT_EQ(g, s.graph());
     }
   }
 }
@@ -50,10 +50,10 @@ TEST_P(GraphProperties, MergeIsCommutativeOnDefiniteLabels) {
   const auto& last = all.back();
   for (std::size_t a = 0; a < last.size(); ++a) {
     for (std::size_t b = a + 1; b < last.size(); ++b) {
-      CommGraph ab = last[a].graph;
-      ab.merge(last[b].graph);
-      CommGraph ba = last[b].graph;
-      ba.merge(last[a].graph);
+      CommGraph ab = last[a].graph();
+      ab.merge(last[b].graph());
+      CommGraph ba = last[b].graph();
+      ba.merge(last[a].graph());
       EXPECT_EQ(ab, ba) << "merging peers " << a << " and " << b;
     }
   }
@@ -62,10 +62,10 @@ TEST_P(GraphProperties, MergeIsCommutativeOnDefiniteLabels) {
 TEST_P(GraphProperties, ExtractViewIsIdempotent) {
   const auto all = states();
   const auto& s = all.back()[0];
-  const Cone cone(s.graph, s.self, s.graph.time());
-  for (int m = 0; m < s.graph.time(); ++m) {
+  const Cone cone(s.graph(), s.self, s.graph().time());
+  for (int m = 0; m < s.graph().time(); ++m) {
     for (AgentId j : cone.at(m)) {
-      const CommGraph once = extract_view(s.graph, j, m);
+      const CommGraph once = extract_view(s.graph(), j, m);
       const CommGraph twice = extract_view(once, j, m);
       EXPECT_EQ(once, twice);
     }
@@ -78,15 +78,15 @@ TEST_P(GraphProperties, ExtractViewIsTransitive) {
   // original owner knows about it.
   const auto all = states();
   const auto& s = all.back()[0];
-  const int top = s.graph.time();
-  const Cone cone(s.graph, s.self, top);
+  const int top = s.graph().time();
+  const Cone cone(s.graph(), s.self, top);
   for (int m = 0; m < top; ++m) {
     for (AgentId j : cone.at(m)) {
-      const CommGraph view = extract_view(s.graph, j, m);
+      const CommGraph view = extract_view(s.graph(), j, m);
       const Cone sub(view, j, m);
       for (int m2 = 0; m2 < m; ++m2) {
         for (AgentId k : sub.at(m2)) {
-          EXPECT_EQ(extract_view(view, k, m2), extract_view(s.graph, k, m2));
+          EXPECT_EQ(extract_view(view, k, m2), extract_view(s.graph(), k, m2));
         }
       }
     }
@@ -97,10 +97,10 @@ TEST_P(GraphProperties, ConesGrowWithTime) {
   const auto all = states();
   for (std::size_t m = 1; m < all.size(); ++m) {
     for (const auto& s : all[m]) {
-      const Cone now(s.graph, s.self, s.time);
+      const Cone now(s.graph(), s.self, s.time);
       // Everything heard by time m-1 is still heard at time m.
       const auto& prev_state = all[m - 1][static_cast<std::size_t>(s.self)];
-      const Cone before(prev_state.graph, s.self, prev_state.time);
+      const Cone before(prev_state.graph(), s.self, prev_state.time);
       for (int m2 = 0; m2 < prev_state.time; ++m2)
         EXPECT_TRUE(before.at(m2).subset_of(now.at(m2)));
     }
@@ -119,8 +119,8 @@ TEST_P(GraphProperties, KnownFaultsAreMonotoneAndSound) {
   const auto run = simulate(FipExchange(n), noop, alpha, prefs, t, opt);
   for (const auto& row : run.states) {
     for (const auto& s : row) {
-      const auto table = known_faults_table(s.graph);
-      for (int m = 0; m + 1 <= s.graph.time(); ++m) {
+      const auto table = known_faults_table(s.graph());
+      for (int m = 0; m + 1 <= s.graph().time(); ++m) {
         for (AgentId j = 0; j < n; ++j) {
           const AgentSet fm = table[static_cast<std::size_t>(m)]
                                    [static_cast<std::size_t>(j)];
@@ -140,16 +140,16 @@ TEST_P(GraphProperties, SerializationRoundTripsAndSizesMatch) {
   for (const auto& row : all) {
     for (const auto& s : row) {
       Writer w;
-      encode_graph(w, s.graph);
+      encode_graph(w, s.graph());
       const Bytes payload = w.take();
       Reader r(payload);
-      EXPECT_EQ(decode_graph(r), s.graph);
+      EXPECT_EQ(decode_graph(r), s.graph());
       // 8 header bytes + two ceil(n/8)-byte plane words per receiver row
       // (time * n rows) plus two for the preference planes.
       const std::size_t row_bytes =
-          (static_cast<std::size_t>(s.graph.n()) + 7) / 8;
-      const std::size_t rows = static_cast<std::size_t>(s.graph.time()) *
-                               static_cast<std::size_t>(s.graph.n());
+          (static_cast<std::size_t>(s.graph().n()) + 7) / 8;
+      const std::size_t rows = static_cast<std::size_t>(s.graph().time()) *
+                               static_cast<std::size_t>(s.graph().n());
       EXPECT_EQ(payload.size(), 8u + 2 * row_bytes * (rows + 1));
     }
   }

@@ -165,7 +165,7 @@ TEST(LemmaA20, GraphCardinalityTestMatchesCommonKnowledge) {
       const bool ck = common_t_faulty(sys, pt);
       bool graph_test = false;
       for (AgentId i = 0; i < sys.n() && !graph_test; ++i) {
-        const CommGraph& g = sys.state(pt, i).graph;
+        const CommGraph& g = sys.state(pt, i).graph();
         const auto f = known_faults_table(g);
         const AgentSet f_self =
             f[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)];

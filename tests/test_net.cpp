@@ -5,9 +5,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
@@ -22,14 +25,17 @@
 
 // -- Allocation tracking -----------------------------------------------------
 // Replacement global new/delete (malloc/free, as the default ones) that
-// remember the largest single request, so a test can assert that a decoder
-// sized nothing from a count its bytes do not back.
+// count requests and remember the largest, so a test can assert that a
+// decoder sized nothing from a count its bytes do not back, and that a warm
+// wire round allocates nothing.
 
 namespace {
 std::atomic<std::size_t> g_largest_alloc{0};
+std::atomic<std::size_t> g_allocs{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
   while (size > seen && !g_largest_alloc.compare_exchange_weak(
                             seen, size, std::memory_order_relaxed)) {
@@ -402,15 +408,36 @@ TEST(SerializeFuzzTest, HostileLengthsThrowTruncatedBeforeAllocating) {
       rec.take(), [](Reader& r) { (void)decode_record(r); }, "record");
 }
 
-// -- Recycled encode buffers -------------------------------------------------
+// -- Recycled encode buffers and pooled decode targets ----------------------
+
+CommGraph golden_graph(int n, int time);
 
 /// to_bytes into a dirty buffer, larger and smaller than the payload,
-/// writes exactly the bytes a fresh buffer gets.
+/// writes exactly the bytes a fresh buffer gets; from_bytes into each
+/// pooled target (and into an empty one) decodes what a fresh from_bytes
+/// does, in the target's own graph when it holds one.
 template <class Message>
-void expect_reuse_matches_fresh(const Message& m, const std::string& what) {
+void expect_reuse_matches_fresh(const Message& m, const std::string& what,
+                                std::vector<Message> targets = {}) {
   const Bytes fresh = to_bytes(m);
   EXPECT_EQ(to_bytes(m, Bytes(fresh.size() + 40, 0xA5)), fresh) << what;
   EXPECT_EQ(to_bytes(m, Bytes(fresh.size() / 2, 0x5A)), fresh) << what;
+  const Message want = from_bytes<Message>(fresh);
+  targets.emplace_back();
+  for (Message& target : targets) {
+    if constexpr (std::is_same_v<Message, std::shared_ptr<const CommGraph>>) {
+      const CommGraph* pooled = target.get();
+      from_bytes(fresh, target);
+      EXPECT_EQ(*target, *want) << what;
+      if (pooled && kSoleOwnedWrites) {
+        EXPECT_EQ(target.get(), pooled) << what << ": not reused";
+      }
+    } else {
+      from_bytes(fresh, target);
+      EXPECT_EQ(target, want) << what;
+    }
+    EXPECT_EQ(to_bytes(target), fresh) << what;
+  }
 }
 
 TEST(SerializeTest, EncodingIntoADirtyBufferMatchesAFreshOne) {
@@ -427,9 +454,74 @@ TEST(SerializeTest, EncodingIntoADirtyBufferMatchesAFreshOne) {
   for (int n : {1, 9, 32, 64}) {
     CommGraph g(n, 0, Value::one);
     g.advance_round(0, AgentSet::all(n));
+    // Pooled targets: one left at another n and a larger time, and one
+    // left by a payload rejected halfway through its rows.
+    using Message = std::shared_ptr<const CommGraph>;
+    const int other_n = n == 64 ? 9 : 64;
+    Message wider = from_bytes<Message>(
+        to_bytes(std::make_shared<const CommGraph>(golden_graph(other_n, 5))));
+    Message rejected = from_bytes<Message>(to_bytes(wider));
+    Bytes bad = to_bytes(wider);
+    const std::size_t row_bytes = (other_n + 7) / 8;
+    bad[8 + 2 * 3 * row_bytes] = 0;                 // row 3: known cleared,
+    bad[8 + 2 * 3 * row_bytes + row_bytes] = 0xFF;  // present set
+    EXPECT_THROW(from_bytes(bad, rejected), DecodeError);
+    // Moved in, not listed: an initializer list would keep second owners.
+    std::vector<Message> targets;
+    targets.push_back(std::move(wider));
+    targets.push_back(std::move(rejected));
     expect_reuse_matches_fresh(std::make_shared<const CommGraph>(g),
-                               "graph n=" + std::to_string(n));
+                               "graph n=" + std::to_string(n),
+                               std::move(targets));
   }
+}
+
+// One E_fip wire round two rounds into a run: µ of every state encoded into
+// its recycled buffer, every payload decoded into its sender's pooled target.
+// Once warm the round allocates nothing: µ shares the state's graph and the
+// decode refills the pooled graphs in place. A graph's rows grow
+// CommGraph::kGrowthRounds rounds at a time: advance_round allocates once
+// per that many rounds, where doubling two planes allocated twice a round
+// early on.
+TEST(SerializeTest, WarmFipWireRoundAllocatesNothing) {
+  const int n = 8;
+  const int t = 2;
+  const auto un = static_cast<std::size_t>(n);
+  const FipExchange x(n);
+  const POpt p(n, t);
+  Rng rng(26);
+  Stepper<FipExchange, POpt> stepper(
+      x, p, sample_adversary(n, t, t + 4, 0.3, rng), sample_preferences(n, rng),
+      t);
+  ASSERT_TRUE(stepper.step());
+  ASSERT_TRUE(stepper.step());
+  const std::vector<FipState>& states = stepper.states();
+  std::vector<Bytes> buffers(un);
+  std::vector<FipExchange::Message> pooled(un);
+  const auto round = [&] {
+    for (std::size_t i = 0; i < un; ++i)
+      buffers[i] = to_bytes(*x.message(states[i], Action::noop(), 0),
+                            std::move(buffers[i]));
+    for (std::size_t i = 0; i < un; ++i) from_bytes(buffers[i], pooled[i]);
+  };
+  round();
+  const std::size_t before = g_allocs.load();
+  round();
+  if (kSoleOwnedWrites) {
+    EXPECT_EQ(g_allocs.load() - before, 0u) << "warm wire round allocated";
+  }
+  for (std::size_t i = 0; i < un; ++i)
+    EXPECT_EQ(*pooled[i], states[i].graph());
+
+  CommGraph g(n, 0, Value::one);
+  for (int m = 0; m < 3 * CommGraph::kGrowthRounds; ++m) {
+    const std::size_t grown = g_allocs.load();
+    g.advance_round(0, AgentSet{3});
+    EXPECT_EQ(g_allocs.load() - grown,
+              m % CommGraph::kGrowthRounds == 0 ? 1u : 0u)
+        << "advance_round from time " << m;
+  }
+  EXPECT_EQ(g.time(), 3 * CommGraph::kGrowthRounds);
 }
 
 // -- Golden wire bytes -------------------------------------------------------

@@ -31,14 +31,14 @@ TEST(POptConditions, Cond0AtTimeZeroIsOwnInit) {
   const FipExchange x(3);
   const FipState s0 = x.initial_state(0, Value::zero);
   const FipState s1 = x.initial_state(1, Value::one);
-  EXPECT_TRUE(POpt::cond0_test(s0.graph, 0, Value::zero, s0.inferred));
-  EXPECT_FALSE(POpt::cond0_test(s1.graph, 1, Value::one, s1.inferred));
+  EXPECT_TRUE(POpt::cond0_test(s0.graph(), 0, Value::zero, s0.inferred));
+  EXPECT_FALSE(POpt::cond0_test(s1.graph(), 1, Value::one, s1.inferred));
 }
 
 TEST(POptConditions, Cond1FalseAtTimeZero) {
   const FipExchange x(3);
   const FipState s = x.initial_state(0, Value::one);
-  EXPECT_FALSE(POpt::cond1_test(s.graph, 0, s.inferred));
+  EXPECT_FALSE(POpt::cond1_test(s.graph(), 0, s.inferred));
 }
 
 TEST(POptConditions, Cond0SeesDeliveredZeroDecision) {
@@ -50,7 +50,7 @@ TEST(POptConditions, Cond0SeesDeliveredZeroDecision) {
   const FipState& s1 = run.states[1][1];
   const POpt p(n, 1);
   p.infer_actions(s1);
-  EXPECT_TRUE(POpt::cond0_test(s1.graph, 1, Value::one, s1.inferred));
+  EXPECT_TRUE(POpt::cond0_test(s1.graph(), 1, Value::one, s1.inferred));
   EXPECT_EQ(s1.inferred.get(0, 0), KnownAction::decide0);
 }
 
@@ -62,7 +62,7 @@ TEST(POptConditions, Cond1TrueWhenEveryoneHeardAndNoZeros) {
   const FipState& s = run.states[1][0];
   const POpt p(n, 2);
   p.infer_actions(s);
-  EXPECT_TRUE(POpt::cond1_test(s.graph, 0, s.inferred));
+  EXPECT_TRUE(POpt::cond1_test(s.graph(), 0, s.inferred));
 }
 
 TEST(POptConditions, Cond1FalseWhileHiddenChainPossible) {
@@ -76,14 +76,14 @@ TEST(POptConditions, Cond1FalseWhileHiddenChainPossible) {
   const FipState& s = run.states[1][0];
   const POpt p(n, 1);
   p.infer_actions(s);
-  EXPECT_FALSE(POpt::cond1_test(s.graph, 0, s.inferred));
+  EXPECT_FALSE(POpt::cond1_test(s.graph(), 0, s.inferred));
 }
 
 TEST(POptConditions, CommonRequiresAtLeastOneRound) {
   const FipExchange x(3);
   const FipState s = x.initial_state(0, Value::one);
-  EXPECT_FALSE(POpt::common_test(s.graph, 0, Value::one, 1, s.inferred));
-  EXPECT_FALSE(POpt::common_test(s.graph, 0, Value::zero, 1, s.inferred));
+  EXPECT_FALSE(POpt::common_test(s.graph(), 0, Value::one, 1, s.inferred));
+  EXPECT_FALSE(POpt::common_test(s.graph(), 0, Value::zero, 1, s.inferred));
 }
 
 TEST(POptConditions, CommonOneHoldsAfterSilentFaultsDetected) {
@@ -98,13 +98,13 @@ TEST(POptConditions, CommonOneHoldsAfterSilentFaultsDetected) {
 
   const FipState& s1 = run.states[1][0];
   p.infer_actions(s1);
-  EXPECT_FALSE(POpt::common_test(s1.graph, 0, Value::one, t, s1.inferred))
+  EXPECT_FALSE(POpt::common_test(s1.graph(), 0, Value::one, t, s1.inferred))
       << "only distributed knowledge at time 1, not common";
 
   const FipState& s2 = run.states[2][0];
   p.infer_actions(s2);
-  EXPECT_TRUE(POpt::common_test(s2.graph, 0, Value::one, t, s2.inferred));
-  EXPECT_FALSE(POpt::common_test(s2.graph, 0, Value::zero, t, s2.inferred))
+  EXPECT_TRUE(POpt::common_test(s2.graph(), 0, Value::one, t, s2.inferred));
+  EXPECT_FALSE(POpt::common_test(s2.graph(), 0, Value::zero, t, s2.inferred))
       << "no agent is known to prefer 0";
 }
 
@@ -123,7 +123,7 @@ TEST(POptConditions, CommonZeroBlockedByKnownOneDecision) {
   const FipState& s3 = run.states[3][0];
   const POpt p(n, t);
   p.infer_actions(s3);
-  EXPECT_FALSE(POpt::common_test(s3.graph, 0, Value::zero, t, s3.inferred));
+  EXPECT_FALSE(POpt::common_test(s3.graph(), 0, Value::zero, t, s3.inferred));
 }
 
 TEST(POptConditions, CommonZeroTakesPriorityOverCommonOne) {
@@ -149,8 +149,8 @@ TEST(POptConditions, CommonZeroTakesPriorityOverCommonOne) {
 
   const FipState& s3 = run.states[3][2];
   p.infer_actions(s3);
-  EXPECT_TRUE(POpt::common_test(s3.graph, 2, Value::zero, t, s3.inferred));
-  EXPECT_TRUE(POpt::common_test(s3.graph, 2, Value::one, t, s3.inferred));
+  EXPECT_TRUE(POpt::common_test(s3.graph(), 2, Value::zero, t, s3.inferred));
+  EXPECT_TRUE(POpt::common_test(s3.graph(), 2, Value::one, t, s3.inferred));
   for (AgentId i : {2, 3})
     EXPECT_EQ(run.record.decision(i), (Decision{Value::zero, 4})) << i;
 }
@@ -255,7 +255,7 @@ std::vector<std::vector<FipState>> cold_states(int n, int t, int rounds,
 }
 
 void expect_same_inferences(const FipState& got, const FipState& want) {
-  for (AgentId j = 0; j < want.graph.n(); ++j)
+  for (AgentId j = 0; j < want.graph().n(); ++j)
     for (int m = 0; m <= want.time; ++m)
       EXPECT_EQ(got.inferred.get(j, m), want.inferred.get(j, m))
           << "d(" << j << ", " << m << ")";
@@ -263,8 +263,9 @@ void expect_same_inferences(const FipState& got, const FipState& want) {
 
 // The knowledge cache of the agent's own graph is per-thread scratch keyed
 // on (graph address, revision), and invalidated on entry to every call.
-// Two states sharing both — one copy-assigned over the other in place, the
-// revision being a mutation count that lockstep agents repeat — and the
+// Two states sharing both — loaded one after the other into one state whose
+// graph is copy-assigned in place, which keeps its address and takes the
+// source's revision, a mutation count that lockstep agents repeat — and the
 // agents of two runs evaluated interleaved on one thread must each decide
 // and infer exactly as a fresh single evaluation does.
 TYPED_TEST(OptimalRuleBothModels, OwnGraphCacheNeverAnswersForAnotherState) {
@@ -281,24 +282,38 @@ TYPED_TEST(OptimalRuleBothModels, OwnGraphCacheNeverAnswersForAnotherState) {
   for (std::size_t r = 0; r < fresh.size(); ++r)
     for (const FipState& s : fresh[r]) want[r].push_back(p(s));
 
-  // Copy-assigned in place: same self, time, graph address and revision,
-  // different labels.
+  // Loaded in place: same self, time, graph address and revision, different
+  // labels. The slot owns its graph alone, so writable_graph() is always the
+  // same object (where sole_owned can answer; elsewhere every load clones).
   int reused = 0;
   FipState slot = cold[0][0];
+  const CommGraph* const home = &slot.writable_graph();
+  const auto load = [&](const FipState& s) {
+    slot.time = s.time;
+    slot.self = s.self;
+    slot.init = s.init;
+    slot.decided = s.decided;
+    slot.inferred = s.inferred;
+    slot.writable_graph() = s.graph();
+  };
   for (std::size_t a = 0; a < cold.size(); ++a)
     for (std::size_t b = 0; b < cold.size(); ++b)
       for (AgentId i = 0; i < n; ++i) {
         const FipState& sa = cold[a][static_cast<std::size_t>(i)];
         const FipState& sb = cold[b][static_cast<std::size_t>(i)];
-        if (sa.time != sb.time || sa.graph == sb.graph ||
-            sa.graph.revision() != sb.graph.revision())
+        if (sa.time != sb.time || sa.graph() == sb.graph() ||
+            sa.graph().revision() != sb.graph().revision())
           continue;
         SCOPED_TRACE(testing::Message() << "agent " << i << " time "
                                         << sb.time << ": state " << a
                                         << " then " << b);
-        slot = sa;
+        load(sa);
         (void)p(slot);
-        slot = sb;
+        load(sb);
+        if (kSoleOwnedWrites) {
+          ASSERT_EQ(&slot.graph(), home) << "the slot's graph moved";
+        }
+        ASSERT_EQ(slot.graph().revision(), sa.graph().revision());
         EXPECT_EQ(p(slot), want[b][static_cast<std::size_t>(i)]);
         expect_same_inferences(slot, fresh[b][static_cast<std::size_t>(i)]);
         ++reused;

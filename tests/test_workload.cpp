@@ -10,6 +10,10 @@
 // test_net.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+
 #include "action/early_stop.hpp"
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
@@ -667,7 +671,7 @@ TEST(StepperTest, JoinedFipDeltaKeepsTheConflictCheck) {
       for (std::size_t i = 0; i < un; ++i)
         by_sender[i] = x.message(s.states()[i], (*actions)[i], 0);
       // Agent 1 prefers 0 and says so in its graph; the forger claims 1.
-      CommGraph forged = s.states()[forger].graph;
+      CommGraph forged = s.states()[forger].graph();
       forged.set_pref(1, PrefLabel::one);
       by_sender[forger] = std::make_shared<const CommGraph>(forged);
       std::vector<AgentSet> received(un);
@@ -693,6 +697,76 @@ TEST(StepperTest, JoinedFipDeltaKeepsTheConflictCheck) {
       }
     }
   }
+}
+
+// E_fip's graphs are copy-on-write: µ shares the state's graph, and δ
+// clones it first while a message or a copied state still holds it. Each
+// holder keeps the graph it saw; a sole owner is written in place.
+TEST(FipStateTest, DeltaClonesAGraphThatAMessageOrACopyStillHolds) {
+  const int n = 4;
+  const auto un = static_cast<std::size_t>(n);
+  const FipExchange x(n);
+  std::vector<FipState> states;
+  for (AgentId i = 0; i < n; ++i)
+    states.push_back(x.initial_state(i, i % 2 ? Value::one : Value::zero));
+  const auto round = [&] {
+    std::vector<std::optional<FipExchange::Message>> inbox(un);
+    for (std::size_t i = 0; i < un; ++i)
+      inbox[i] = x.message(states[i], Action::noop(), 0);
+    for (FipState& s : states) x.update(s, Action::noop(), inbox);
+  };
+  round();  // every δ clones: the round's inbox holds every graph
+
+  FipState& s = states[0];
+  const FipState before = s;  // shares s's graph
+  const std::optional<FipExchange::Message> mu =
+      x.message(s, Action::noop(), 0);
+  ASSERT_EQ(mu->get(), &s.graph()) << "µ copied the graph";
+  const CommGraph seen = **mu;
+  round();
+  EXPECT_EQ(s.time, 2);
+  EXPECT_NE(&s.graph(), mu->get());
+  EXPECT_EQ(**mu, seen) << "δ changed a sent message";
+  EXPECT_EQ(before.graph(), seen) << "δ changed a copied state";
+  EXPECT_EQ(before.time, 1);
+  EXPECT_NE(s, before);
+
+  // Nothing else holds states[2]'s graph once the round's inbox is gone,
+  // so δ writes it in place.
+  const FipState alone = states[1];
+  const CommGraph* own = &states[2].graph();
+  std::vector<std::optional<FipExchange::Message>> inbox(un);
+  inbox[1] = alone.shared_graph();
+  x.update(states[2], Action::noop(), inbox);
+  if (kSoleOwnedWrites) {
+    EXPECT_EQ(&states[2].graph(), own) << "a sole owner was cloned";
+  }
+  EXPECT_EQ(states[2].graph().label(2, 1, 2), Label::present);
+}
+
+// The sole-owner test is race-free across threads: a copy read and dropped
+// on another thread, with only a relaxed flag between that drop and δ,
+// still happens before δ's in-place write (ThreadSanitizer checks this).
+TEST(FipStateTest, SoleOwnerSeesAnotherThreadsDropBeforeWritingInPlace) {
+  if (!kSoleOwnedWrites) GTEST_SKIP() << "every δ clones on this library";
+  const FipExchange x(4);
+  FipState s = x.initial_state(0, Value::one);
+  auto held = std::make_unique<FipState>(s);
+  std::atomic<bool> dropped{false};
+  std::size_t seen = 0;
+  std::thread reader([&] {
+    seen = held->graph().hash();
+    held.reset();
+    dropped.store(true, std::memory_order_relaxed);
+  });
+  while (!dropped.load(std::memory_order_relaxed)) std::this_thread::yield();
+  const CommGraph* own = &s.graph();
+  x.update(s, Action::noop(),
+           std::vector<std::optional<FipExchange::Message>>(4));
+  reader.join();
+  EXPECT_EQ(&s.graph(), own);
+  EXPECT_EQ(s.graph().time(), 1);
+  EXPECT_EQ(seen, x.initial_state(0, Value::one).graph().hash());
 }
 
 // step() is begin_round() + an in-memory transport + finish_round(), so
