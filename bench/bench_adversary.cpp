@@ -19,7 +19,7 @@
 //
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_adversary.json by ci/run_benches.cmake; its "gate" block names the
-// headline search wall time for ci/check_bench.py); human-readable table on
+// headline search wall time for ci/ab.py); human-readable table on
 // stderr. Exit code is self-gating. `--fuzz-smoke` runs a seconds-budget
 // fuzz subset only (for ci/verify.sh) and writes no JSON.
 #include <chrono>
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "failure/generators.hpp"
 #include "failure/strategy.hpp"
 #include "sim/adaptive.hpp"
@@ -40,12 +41,6 @@
 
 namespace eba::bench {
 namespace {
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 // ---------------------------------------------------------------------------
 // Worst-case search rows
@@ -120,7 +115,7 @@ void json_worst_case(std::ostringstream& out, const WorstCaseRow& r,
       << ", \"pruned_symmetry\": " << r.pruned_symmetry
       << ", \"pruned_settled\": " << r.pruned_settled
       << ", \"pruned_unreached\": " << r.pruned_unreached
-      << ", \"seconds\": " << fmt(r.seconds) << ", \"ok\": "
+      << ", \"seconds\": " << fmt_full(r.seconds) << ", \"ok\": "
       << (r.ok ? "true" : "false") << "}";
 }
 

@@ -27,7 +27,7 @@
 //
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_durability.json by ci/run_benches.cmake; its "gate" block names the
-// headline in-memory append throughput for ci/check_bench.py);
+// headline in-memory append throughput for ci/ab.py);
 // human-readable table on stderr. Exit code is self-gating.
 #include <chrono>
 #include <cstdio>
@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
 #include "action/p_opt_go.hpp"
@@ -56,33 +57,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::vector<InstanceSpec> make_specs(int n, int t, std::size_t count,
-                                     FailureModel model, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<InstanceSpec> specs;
-  specs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    FailurePattern alpha =
-        model == FailureModel::sending
-            ? sample_adversary(n, t, t + 2, 0.35, rng)
-            : sample_go_adversary(n, t, t + 2, 0.35, 0.2, rng);
-    specs.push_back({std::move(alpha), sample_preferences(n, rng)});
-  }
-  return specs;
-}
 
 // ---------------------------------------------------------------------------
 // Fsync'd journal append throughput (headline: MemVfs; informational: disk)

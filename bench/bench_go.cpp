@@ -20,7 +20,7 @@
 //
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_go.json by ci/run_benches.cmake; its "gate" block names the headline
-// sweep wall time for ci/check_bench.py); human-readable table on stderr.
+// sweep wall time for ci/ab.py); human-readable table on stderr.
 // Exit code is nonzero when any self-check fails.
 #include <algorithm>
 #include <chrono>
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "action/p_opt_go.hpp"
 #include "core/spec.hpp"
 #include "failure/canonical.hpp"
@@ -39,12 +40,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 struct SweepResult {
   std::uint64_t orbits = 0;

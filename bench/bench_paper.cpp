@@ -11,7 +11,7 @@
 //
 // Output: JSON on stdout (written to BENCH_paper.json by
 // ci/run_benches.cmake; its "gate" block names the total wall time for
-// ci/check_bench.py), one table per section on stderr. Exit code is nonzero
+// ci/ab.py), one table per section on stderr. Exit code is nonzero
 // when any section's claim fails, and stderr names the section and the row.
 #include <algorithm>
 #include <array>
@@ -38,12 +38,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// One cell of a section's rows: the stderr table's text and the JSON value.
 /// Strings here are fixed labels with no quotes or backslashes to escape.

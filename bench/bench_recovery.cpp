@@ -19,7 +19,7 @@
 //
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_recovery.json by ci/run_benches.cmake; its "gate" block names the
-// headline replay throughput for ci/check_bench.py); human-readable summary
+// headline replay throughput for ci/ab.py); human-readable summary
 // on stderr. Exit code is self-gating.
 #include <chrono>
 #include <cstdio>
@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "action/p_opt.hpp"
 #include "audit/trace_file.hpp"
 #include "exchange/fip.hpp"
@@ -39,33 +40,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::vector<InstanceSpec> make_specs(int n, int t, std::size_t count,
-                                     FailureModel model, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<InstanceSpec> specs;
-  specs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    FailurePattern alpha =
-        model == FailureModel::sending
-            ? sample_adversary(n, t, t + 2, 0.35, rng)
-            : sample_go_adversary(n, t, t + 2, 0.35, 0.2, rng);
-    specs.push_back({std::move(alpha), sample_preferences(n, rng)});
-  }
-  return specs;
-}
 
 // ---------------------------------------------------------------------------
 // Replay-verification throughput (headline)

@@ -22,8 +22,10 @@
 //
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_scale.json by ci/run_benches.cmake; its "gate" block names the
-// headline relabel-path wall time for ci/check_bench.py); human-readable
-// table on stderr. Exit code is nonzero when any self-check fails.
+// headline relabel-path wall time, which ci/ab.py leaves unpaired: one run
+// is too slow and too large to repeat in pairs); human-readable table on
+// stderr. Exit code is nonzero when any self-check fails, including a
+// relabel speedup below kMinSpeedup.
 #include <chrono>
 #include <iostream>
 #include <limits>
@@ -35,6 +37,7 @@
 #include <malloc.h>
 #endif
 
+#include "bench_util.hpp"
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
 #include "action/p_opt_go.hpp"
@@ -50,12 +53,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 struct ReusePoint {
   std::string label;

@@ -15,7 +15,7 @@
 //
 // Output: machine-readable JSON on stdout (written verbatim to
 // BENCH_synthesis.json by ci/run_benches.cmake; its "gate" block names the
-// headline optimized wall time for ci/check_bench.py); human table on
+// headline optimized wall time for ci/ab.py); human table on
 // stderr. Exit code is nonzero when any self-check fails.
 #include <chrono>
 #include <iostream>

@@ -19,7 +19,7 @@
 //
 // Output: machine-readable JSON on stdout (written to BENCH_zoo.json by
 // ci/run_benches.cmake; its "gate" block names the headline matrix wall time
-// for ci/check_bench.py); human-readable table on stderr. Exit code is
+// for ci/ab.py); human-readable table on stderr. Exit code is
 // nonzero when any self-check fails or a protocol is missing from the
 // matrix. `--smoke` restricts to n = 8 for ci/verify.sh and prints no gate
 // block, so a smoke report can never pass as a baseline's fresh run.
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/spec.hpp"
 #include "failure/generators.hpp"
 #include "sim/drivers.hpp"
@@ -38,12 +39,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 struct Row {
   std::string protocol;
