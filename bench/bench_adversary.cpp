@@ -5,7 +5,9 @@
 //  * worst_case — the branch-and-bound searcher (failure/strategy.hpp) must
 //    find the ANALYTIC worst decision round — the Prop 6.1 bound t+2 — for
 //    each small (protocol, n, t) configuration, SO and GO; the headline is
-//    P_opt at n=4, t=2 with the t+2 score ceiling (first-witness mode). An
+//    P_opt at n=4, t=2 with the t+2 score ceiling (first-witness mode).
+//    Each row runs its search kSearchRepeats times, must find the same
+//    result every time, and reports the best wall time. An
 //    Example-7.1 anchor row pins the analytic decision rounds (P_opt round
 //    3, P_min/P_basic round t+2) the searches are measured against.
 //  * adaptive — the shipped adaptive GO strategies (sim/adaptive.hpp) at
@@ -22,6 +24,7 @@
 // headline search wall time for ci/ab.py); human-readable table on
 // stderr. Exit code is self-gating. `--fuzz-smoke` runs a seconds-budget
 // fuzz subset only (for ci/verify.sh) and writes no JSON.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -71,6 +74,10 @@ struct WorstCaseRow {
   bool ok = false;
 };
 
+/// Searches per row. One search of the headline takes ~10 ms, too short to
+/// time once: `seconds` is the best of kSearchRepeats identical searches.
+constexpr int kSearchRepeats = 25;
+
 void run_worst_case(WorstCaseRow& row) {
   ObjectiveConfig ocfg;
   ocfg.objective = SearchObjective::decision_round;
@@ -85,9 +92,20 @@ void run_worst_case(WorstCaseRow& row) {
   if (row.use_ceiling)
     opt.score_ceiling = static_cast<double>(row.expected_round);
 
-  const SearchResult res = row.searcher == "greedy"
-                               ? greedy_worst_case(opt, eval)
-                               : branch_and_bound_worst_case(opt, eval);
+  SearchResult res;
+  bool repeatable = true;
+  for (int r = 0; r < kSearchRepeats; ++r) {
+    SearchResult next = row.searcher == "greedy"
+                            ? greedy_worst_case(opt, eval)
+                            : branch_and_bound_worst_case(opt, eval);
+    if (r > 0) {
+      repeatable = repeatable && next.best_score == res.best_score &&
+                   next.stats.nodes == res.stats.nodes &&
+                   next.stats.evaluations == res.stats.evaluations;
+      next.seconds = std::min(next.seconds, res.seconds);
+    }
+    res = std::move(next);
+  }
   row.found_round = static_cast<int>(res.best_score);
   row.ceiling_reached = res.ceiling_reached;
   row.nodes = res.stats.nodes;
@@ -96,8 +114,9 @@ void run_worst_case(WorstCaseRow& row) {
   row.pruned_settled = res.stats.pruned_settled;
   row.pruned_unreached = res.stats.pruned_unreached;
   row.seconds = res.seconds;
-  row.ok = row.gate_exact ? row.found_round == row.expected_round
-                          : row.found_round <= row.expected_round;
+  row.ok = repeatable && (row.gate_exact
+                              ? row.found_round == row.expected_round
+                              : row.found_round <= row.expected_round);
 }
 
 void json_worst_case(std::ostringstream& out, const WorstCaseRow& r,

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_specs.hpp"
 #include "bench_util.hpp"
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"

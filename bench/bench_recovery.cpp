@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_specs.hpp"
 #include "bench_util.hpp"
 #include "action/p_opt.hpp"
 #include "audit/trace_file.hpp"

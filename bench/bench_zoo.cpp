@@ -22,7 +22,7 @@
 // for ci/ab.py); human-readable table on stderr. Exit code is
 // nonzero when any self-check fails or a protocol is missing from the
 // matrix. `--smoke` restricts to n = 8 for ci/verify.sh and prints no gate
-// block, so a smoke report can never pass as a baseline's fresh run.
+// block.
 #include <algorithm>
 #include <chrono>
 #include <cstring>

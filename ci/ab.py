@@ -25,9 +25,11 @@ ratio and name the one that moved most.
 The gate fails closed: a bench with no binary, a bench that exits nonzero on
 either side, a headline that is missing, non-finite or not positive, and an
 e2ebench run reporting "correct": false each fail it. A bench or workload
-the base does not have at all is new in the change: it is listed as
-unpaired, not failed, so a change can land a new gated bench with its
-baseline. A GATED row joins the list one change after its benchmark lands.
+the base does not have at all is new in the change, and a bench whose
+committed gate block differs from the base's (another headline, or another
+"better") is a redefined headline: either is listed as unpaired, not
+failed, for that one change. A GATED row joins the list one change after
+its benchmark lands.
 """
 
 import argparse
@@ -324,6 +326,11 @@ def build(side, targets):
                           f"{' '.join(map(str, cmd))}")
 
 
+def base_gate(path):
+    """The gate block of the base's committed baseline, or None."""
+    return json.loads(path.read_text()).get("gate") if path.is_file() else None
+
+
 def discover(base_root):
     """The units to pair, and the (name, reason) of those left unpaired."""
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
@@ -335,10 +342,14 @@ def discover(base_root):
         gate = json.loads(path.read_text()).get("gate")
         if gate is None:
             continue
+        was = base_gate(base_root / path.name)
         if name in UNPAIRED:
             unpaired.append((path.name, UNPAIRED[name]))
         elif not (base_root / "bench" / f"bench_{name}.cpp").is_file():
             unpaired.append((path.name, "new in the change"))
+        elif was != gate:
+            unpaired.append((path.name,
+                             f"gate changed: the base gates {json.dumps(was)}"))
         else:
             units.append(Bench(name, gate))
     units.append(Perf(GATED))

@@ -238,6 +238,33 @@ class CommittedBaselinesTest(unittest.TestCase):
         self.assertEqual(set(per_layer),
                          {m["name"] for m in spec["per_layer"]})
 
+    def test_a_changed_gate_leaves_the_bench_unpaired(self):
+        # The base is this checkout with bench_go's headline redefined and
+        # bench_zoo not yet written: neither headline can be paired.
+        with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
+            base = Path(tmp)
+            (base / "bench").mkdir()
+            for name in ("BENCHMARK.json", *(
+                    os.path.basename(p)
+                    for p in glob.glob(os.path.join(REPO, "BENCH_*.json")))):
+                (base / name).write_text(Path(REPO, name).read_text())
+            for path in glob.glob(os.path.join(REPO, "bench", "*.cpp")):
+                if not path.endswith("bench_zoo.cpp"):
+                    (base / "bench" / os.path.basename(path)).touch()
+            go = json.loads((base / "BENCH_go.json").read_text())
+            go["gate"] = {"metric": "headline.old_seconds", "better": "lower"}
+            (base / "BENCH_go.json").write_text(json.dumps(go))
+
+            units, unpaired, _ = ab.discover(base)
+        labels = [unit.label for unit in units]
+        self.assertNotIn("bench_go", labels)
+        self.assertNotIn("bench_zoo", labels)
+        self.assertIn("bench_adversary", labels)
+        reasons = dict(unpaired)
+        self.assertIn("gate changed", reasons["BENCH_go.json"])
+        self.assertIn("headline.old_seconds", reasons["BENCH_go.json"])
+        self.assertEqual(reasons["BENCH_zoo.json"], "new in the change")
+
 
 if __name__ == "__main__":
     unittest.main()
