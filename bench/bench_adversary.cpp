@@ -25,7 +25,6 @@
 // stderr. Exit code is self-gating. `--fuzz-smoke` runs a seconds-budget
 // fuzz subset only (for ci/verify.sh) and writes no JSON.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -119,6 +118,8 @@ void run_worst_case(WorstCaseRow& row) {
                               : row.found_round <= row.expected_round);
 }
 
+/// `seconds` at the stream's six significant digits: fmt()'s %.3f would
+/// round a ~8 ms search to whole milliseconds.
 void json_worst_case(std::ostringstream& out, const WorstCaseRow& r,
                      const char* indent) {
   out << indent << "{\"label\": \"" << r.label << "\", \"searcher\": \""
@@ -134,7 +135,7 @@ void json_worst_case(std::ostringstream& out, const WorstCaseRow& r,
       << ", \"pruned_symmetry\": " << r.pruned_symmetry
       << ", \"pruned_settled\": " << r.pruned_settled
       << ", \"pruned_unreached\": " << r.pruned_unreached
-      << ", \"seconds\": " << fmt_full(r.seconds) << ", \"ok\": "
+      << ", \"seconds\": " << r.seconds << ", \"ok\": "
       << (r.ok ? "true" : "false") << "}";
 }
 
@@ -195,7 +196,6 @@ struct AdaptiveReport {
 };
 
 AdaptiveReport run_adaptive_vs_static() {
-  using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
   AdaptiveReport rep;
   const int n = rep.n;
@@ -235,7 +235,7 @@ AdaptiveReport run_adaptive_vs_static() {
   }
 
   rep.ok = rep.adaptive_worst >= rep.static_worst;
-  rep.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  rep.seconds = seconds_since(start);
   return rep;
 }
 

@@ -72,7 +72,7 @@ ReplayRow run_replay(std::size_t count, int repetitions) {
   for (const Bytes& trace : result.traces) row.bytes += trace.size();
 
   // One verification is sub-microsecond work; repeating the pass keeps the
-  // measured interval long enough for a cross-machine ratio gate.
+  // measured interval long enough to time.
   const Clock::time_point start = Clock::now();
   bool all_ok = true;
   for (int rep = 0; rep < repetitions; ++rep) {

@@ -17,13 +17,13 @@
 // BENCH_synthesis.json by ci/run_benches.cmake; its "gate" block names the
 // headline optimized wall time for ci/ab.py); human table on
 // stderr. Exit code is nonzero when any self-check fails.
-#include <chrono>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "action/p_basic.hpp"
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
@@ -34,8 +34,6 @@
 
 namespace eba::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct PointResult {
   std::string label;
@@ -76,22 +74,47 @@ bool same_decisions(const SynthesisResult<X>& a, const SynthesisResult<X>& b) {
   return a.table == b.table;
 }
 
-/// Best-of-`repeats` wall time of one synthesis run; returns the last result.
+/// Best-of-`repeats` wall time of one synthesis run (over `orbits`, when
+/// given: kripke/canonical_worlds.hpp); returns the last result.
 template <class X>
 SynthesisResult<X> timed_run(const X& x, int t, KbpProgram program,
                              const SynthesisOptions& opt,
                              const std::vector<typename KbpSynthesizer<X>::World>& worlds,
-                             int horizon, int repeats, double& best_seconds) {
+                             int horizon, int repeats, double& best_seconds,
+                             const std::vector<WorldOrbit>& orbits = {}) {
   best_seconds = 0;
   SynthesisResult<X> result;
   for (int r = 0; r < repeats; ++r) {
     KbpSynthesizer<X> synth(x, t, program, opt);
     const auto start = Clock::now();
-    result = synth.run(worlds, horizon);
-    const double s = std::chrono::duration<double>(Clock::now() - start).count();
+    result = synth.run(worlds, horizon, orbits);
+    const double s = seconds_since(start);
     if (r == 0 || s < best_seconds) best_seconds = s;
   }
   return result;
+}
+
+/// Whether every world's synthesized decisions are P_opt's (n, t = 1) over
+/// `horizon` rounds, simulated directly.
+bool matches_p_opt(const SynthesisResult<FipExchange>& result,
+                   const std::vector<KbpSynthesizer<FipExchange>::World>& worlds,
+                   int n, int horizon) {
+  for (std::size_t w = 0; w < worlds.size(); ++w) {
+    SimulateOptions sopt;
+    sopt.max_rounds = horizon;
+    sopt.stop_when_all_decided = false;
+    const auto run = simulate(FipExchange(n), POpt(n, 1), worlds[w].first,
+                              worlds[w].second, 1, sopt);
+    for (AgentId i = 0; i < n; ++i) {
+      const auto expected = run.record.decision(i);
+      const auto& got = result.decisions[w][static_cast<std::size_t>(i)];
+      if (got.has_value() != expected.has_value() ||
+          (expected && (got->value != expected->value ||
+                        got->round != expected->round)))
+        return false;
+    }
+  }
+  return true;
 }
 
 constexpr SynthesisOptions kBaseline{
@@ -189,21 +212,7 @@ int run() {
                                   kOptimized, worlds, 4, 2,
                                   p.optimized_seconds);
     p.stats = result.stats;
-    for (std::size_t w = 0; w < worlds.size() && p.match; ++w) {
-      SimulateOptions sopt;
-      sopt.max_rounds = 4;
-      sopt.stop_when_all_decided = false;
-      const auto run = simulate(FipExchange(4), POpt(4, 1), worlds[w].first,
-                                worlds[w].second, 1, sopt);
-      for (AgentId i = 0; i < 4; ++i) {
-        const auto expected = run.record.decision(i);
-        const auto& got = result.decisions[w][static_cast<std::size_t>(i)];
-        if (got.has_value() != expected.has_value() ||
-            (expected && (got->value != expected->value ||
-                          got->round != expected->round)))
-          p.match = false;
-      }
-    }
+    p.match = matches_p_opt(result, worlds, 4, 4);
     points.push_back(p);
   }
   {
@@ -218,33 +227,11 @@ int run() {
     const CanonicalContext ctx =
         canonical_context_worlds({.n = 5, .t = 1, .rounds = 2});
     p.worlds = ctx.worlds.size();
-    SynthesisResult<FipExchange> result;
-    for (int r = 0; r < 2; ++r) {
-      KbpSynthesizer<FipExchange> synth(FipExchange(5), 1, KbpProgram::p1,
-                                        kOptimized);
-      const auto start = Clock::now();
-      result = synth.run(ctx.worlds, 4, ctx.orbits);
-      const double s =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      if (r == 0 || s < p.optimized_seconds) p.optimized_seconds = s;
-    }
+    const auto result = timed_run(FipExchange(5), 1, KbpProgram::p1,
+                                  kOptimized, ctx.worlds, 4, 2,
+                                  p.optimized_seconds, ctx.orbits);
     p.stats = result.stats;
-    for (std::size_t w = 0; w < ctx.worlds.size() && p.match; ++w) {
-      SimulateOptions sopt;
-      sopt.max_rounds = 4;
-      sopt.stop_when_all_decided = false;
-      const auto run = simulate(FipExchange(5), POpt(5, 1),
-                                ctx.worlds[w].first, ctx.worlds[w].second, 1,
-                                sopt);
-      for (AgentId i = 0; i < 5; ++i) {
-        const auto expected = run.record.decision(i);
-        const auto& got = result.decisions[w][static_cast<std::size_t>(i)];
-        if (got.has_value() != expected.has_value() ||
-            (expected && (got->value != expected->value ||
-                          got->round != expected->round)))
-          p.match = false;
-      }
-    }
+    p.match = matches_p_opt(result, ctx.worlds, 5, 4);
     points.push_back(p);
   }
   {

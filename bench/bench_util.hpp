@@ -26,14 +26,6 @@ inline std::string fmt(double v) {
   return buf;
 }
 
-/// Nine significant digits, for a millisecond-scale headline: %.3f would
-/// round it to whole milliseconds, too coarse to show a 10% change.
-inline std::string fmt_full(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 inline std::vector<Value> all_ones(int n) {
   return std::vector<Value>(static_cast<std::size_t>(n), Value::one);
 }

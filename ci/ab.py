@@ -10,8 +10,8 @@ alternating which side goes first, and measures:
 
   * every bench whose committed BENCH_<name>.json declares a "gate" (except
     the UNPAIRED ones): that headline, read from the bench's JSON stdout;
-  * bench_perf's GATED rows, one process per side per pair: each row's
-    least cpu time over PERF_REPETITIONS repetitions;
+  * bench_perf's GATED rows, each run alone, the two sides back to back:
+    a row's least cpu time over PERF_REPETITIONS repetitions;
   * every BENCHMARK.json workload, each side through its own checkout's
     e2ebench/run.py --workload W --seconds 3 --trace 0: every end_to_end
     metric.
@@ -157,12 +157,13 @@ class Bench:
     """A native-JSON bench whose committed baseline declares a gate."""
 
     def __init__(self, name, gate):
-        self.label, self.headline = f"bench_{name}", gate["metric"]
+        self.label = self.target = f"bench_{name}"
+        self.headline = gate["metric"]
         self.key = f"BENCH_{name}.json {self.headline}"
         self.metrics = {self.key: (gate["better"], MAX_SLIDE)}
 
     def measure(self, side):
-        out = side.run([side.binary(self.label)], self.label)
+        out = side.run([side.binary(self.target)], self.target)
         value = parse(out, f"{side.name} {self.label}")
         for key in self.headline.split("."):
             value = value.get(key) if isinstance(value, dict) else None
@@ -170,36 +171,34 @@ class Bench:
 
 
 class Perf:
-    """bench_perf's gated rows, all in one process per side."""
+    """One of bench_perf's gated rows, run alone in one process per side, so
+    the two sides of a pair read it seconds apart."""
 
-    label = "bench_perf"
+    target = "bench_perf"
 
-    def __init__(self, rows):
-        self.metrics = {row: ("lower", MAX_SLIDE) for row in rows}
-
-    @property
-    def rows(self):
-        return list(self.metrics)
+    def __init__(self, row):
+        self.label = row
+        self.metrics = {row: ("lower", MAX_SLIDE)}
 
     def measure(self, side):
-        pattern = "^(" + "|".join(map(re.escape, self.rows)) + ")$"
-        out = side.run([side.binary(self.label),
-                        f"--benchmark_filter={pattern}",
+        out = side.run([side.binary(self.target),
+                        f"--benchmark_filter=^{re.escape(self.label)}$",
                         f"--benchmark_min_time={PERF_MIN_TIME}",
                         f"--benchmark_repetitions={PERF_REPETITIONS}",
-                        "--benchmark_format=json"], self.label)
-        times = {}
-        for row in parse(out, f"{side.name} {self.label}").get("benchmarks",
-                                                                []):
-            if row.get("run_type", "iteration") == "iteration":
-                cpu = row["cpu_time"] * TIME_UNITS[row["time_unit"]]
-                times[row["name"]] = min(cpu, times.get(row["name"], cpu))
-        return {row: positive(times.get(row), f"{side.name} {row} cpu_time")
-                for row in self.rows}
+                        "--benchmark_format=json"], self.target)
+        times = [row["cpu_time"] * TIME_UNITS[row["time_unit"]]
+                 for row in parse(out, f"{side.name} {self.target}")
+                 .get("benchmarks", [])
+                 if row.get("name") == self.label
+                 and row.get("run_type", "iteration") == "iteration"]
+        return {self.label: positive(min(times, default=None),
+                                     f"{side.name} {self.label} cpu_time")}
 
 
 class Workload:
     """One BENCHMARK.json workload, run through the side's own run.py."""
+
+    target = None  # run.py builds its own driver
 
     def __init__(self, name, end_to_end):
         self.name = self.label = name
@@ -333,11 +332,6 @@ def build(side, targets):
                           f"{' '.join(map(str, cmd))}")
 
 
-def base_gate(path):
-    """The gate block of the base's committed baseline, or None."""
-    return json.loads(path.read_text()).get("gate") if path.is_file() else None
-
-
 def discover(base_root):
     """The units to pair, and the (name, reason) of those left unpaired."""
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
@@ -349,7 +343,9 @@ def discover(base_root):
         gate = json.loads(path.read_text()).get("gate")
         if gate is None:
             continue
-        was = base_gate(base_root / path.name)
+        base_path = base_root / path.name
+        was = (json.loads(base_path.read_text()).get("gate")
+               if base_path.is_file() else None)
         if name in UNPAIRED:
             unpaired.append((path.name, UNPAIRED[name]))
         elif not (base_root / "bench" / f"bench_{name}.cpp").is_file():
@@ -359,7 +355,7 @@ def discover(base_root):
                              f"gate changed: the base gates {json.dumps(was)}"))
         else:
             units.append(Bench(name, gate))
-    units.append(Perf(GATED))
+    units.extend(Perf(row) for row in GATED)
     for w in spec["workloads"]:
         if w["name"] in base_workloads:
             units.append(Workload(w["name"], spec["end_to_end"]))
@@ -388,7 +384,7 @@ def main(argv=None):
     for name, reason in unpaired:
         print(f"unpaired: {name}: {reason}")
 
-    targets = [u.label for u in units if not isinstance(u, Workload)]
+    targets = sorted({unit.target for unit in units} - {None})
     try:
         for side in (base, change):
             build(side, targets)

@@ -9,6 +9,7 @@ import glob
 import io
 import json
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -161,7 +162,7 @@ class FailClosedTest(FakeSides):
               "cpu_time": 50.0, "time_unit": "ns"}]}
         self.script(self.base.bindir / "bench_perf",
                     f"echo '{json.dumps(report)}'")
-        self.assertEqual(ab.Perf(["BM_GraphMerge/8"]).measure(self.base),
+        self.assertEqual(ab.Perf("BM_GraphMerge/8").measure(self.base),
                          {"BM_GraphMerge/8": 40.0})
 
     def test_missing_perf_row_fails(self):
@@ -169,9 +170,9 @@ class FailClosedTest(FakeSides):
                                   "time_unit": "us"}]}
         self.script(self.base.bindir / "bench_perf",
                     f"echo '{json.dumps(report)}'")
-        perf = ab.Perf(["BM_GraphMerge/8", "BM_GraphMerge/16"])
-        self.assert_fails_closed(perf, self.base, "BM_GraphMerge/16")
-        self.assertEqual(ab.Perf(["BM_GraphMerge/8"]).measure(self.base),
+        self.assert_fails_closed(ab.Perf("BM_GraphMerge/16"), self.base,
+                                 "BM_GraphMerge/16")
+        self.assertEqual(ab.Perf("BM_GraphMerge/8").measure(self.base),
                          {"BM_GraphMerge/8": 2000.0})
 
     def test_a_failing_side_fails_the_gate(self):
@@ -241,7 +242,8 @@ class CommittedBaselinesTest(unittest.TestCase):
         self.assertIn("bench_go", labels)
         self.assertNotIn("bench_scale", labels)
         self.assertIn(("BENCH_scale.json", ab.UNPAIRED["scale"]), unpaired)
-        self.assertEqual(units[labels.index("bench_perf")].rows, ab.GATED)
+        self.assertEqual([u.label for u in units if isinstance(u, ab.Perf)],
+                         ab.GATED)
         with open(os.path.join(REPO, "BENCHMARK.json")) as fh:
             spec = json.load(fh)
         for workload in spec["workloads"]:
@@ -250,27 +252,21 @@ class CommittedBaselinesTest(unittest.TestCase):
                          {m["name"] for m in spec["per_layer"]})
 
     def test_a_changed_gate_leaves_the_bench_unpaired(self):
-        # The base is this checkout with bench_go's headline redefined and
-        # bench_zoo not yet written: neither headline can be paired.
+        # The base has bench_paper as here, bench_go with another headline
+        # and no other bench.
         with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
             base = Path(tmp)
             (base / "bench").mkdir()
-            for name in ("BENCHMARK.json", *(
-                    os.path.basename(p)
-                    for p in glob.glob(os.path.join(REPO, "BENCH_*.json")))):
-                (base / name).write_text(Path(REPO, name).read_text())
-            for path in glob.glob(os.path.join(REPO, "bench", "*.cpp")):
-                if not path.endswith("bench_zoo.cpp"):
-                    (base / "bench" / os.path.basename(path)).touch()
-            go = json.loads((base / "BENCH_go.json").read_text())
-            go["gate"] = {"metric": "headline.old_seconds", "better": "lower"}
-            (base / "BENCH_go.json").write_text(json.dumps(go))
-
+            for name in ("BENCHMARK.json", "BENCH_paper.json"):
+                shutil.copy(os.path.join(REPO, name), base)
+            (base / "BENCH_go.json").write_text(json.dumps({"gate": {
+                "metric": "headline.old_seconds", "better": "lower"}}))
+            for name in ("go", "paper"):
+                (base / "bench" / f"bench_{name}.cpp").touch()
             units, unpaired, _ = ab.discover(base)
         labels = [unit.label for unit in units]
+        self.assertIn("bench_paper", labels)
         self.assertNotIn("bench_go", labels)
-        self.assertNotIn("bench_zoo", labels)
-        self.assertIn("bench_adversary", labels)
         reasons = dict(unpaired)
         self.assertIn("gate changed", reasons["BENCH_go.json"])
         self.assertIn("headline.old_seconds", reasons["BENCH_go.json"])
