@@ -52,7 +52,7 @@ MAX_SLIDE = 0.10
 TRACED_PAIRS = 3
 E2E_SECONDS = 3
 # 0.3 s per row, as three 0.1 s repetitions whose least cpu time is kept: a
-# single 0.3 s run of a row swings up to 1.5x between processes on a shared
+# single 0.3 s run of a row swings up to 1.7x between processes on a shared
 # host, and one slow spell in three repetitions is dropped.
 PERF_MIN_TIME = "0.1"
 PERF_REPETITIONS = 3
