@@ -11,7 +11,9 @@
 //     in the same order (decisions included) and the same finalized Kripke
 //     partition. "sims" is the number of simulations the relabel path
 //     actually performs — one per (orbit × stabilizer preference class) —
-//     versus "runs" for the re-simulation baseline.
+//     versus "runs" for the re-simulation baseline. Each row also reports
+//     each policy's finalize time (building the indistinguishability
+//     index), which no gate reads.
 //
 //   * spec_scale — exhaustive EBA spec sweeps that only the
 //     representative-world quotient makes affordable: P_opt on every
@@ -24,14 +26,17 @@
 // BENCH_scale.json by ci/run_benches.cmake; its "gate" block names the
 // headline relabel-path wall time, which ci/ab.py leaves unpaired: one run
 // is too slow and too large to repeat in pairs); human-readable table on
-// stderr. Exit code is nonzero when any self-check fails, including a
-// relabel speedup below kMinSpeedup.
+// stderr. The JSON ends with the process's peak RSS (getrusage), ungated.
+// Exit code is nonzero when any self-check fails, including a relabel
+// speedup below kMinSpeedup.
 #include <chrono>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -61,6 +66,8 @@ struct ReusePoint {
   double resim_seconds = 0;
   double seconds = 0;               ///< relabel-path wall time
   double speedup = 0;
+  double resim_finalize_seconds = 0;  ///< finalize of the resimulated runs
+  double finalize_seconds = 0;        ///< finalize of the relabeled runs
   bool decisions_match = true;
   bool knowledge_identical = true;
   [[nodiscard]] bool identical_to_resimulation() const {
@@ -70,7 +77,9 @@ struct ReusePoint {
 
 /// add_all_runs under both reuse policies, pinned identical: same run list
 /// (decisions compared explicitly), same finalized partition. Best-of-
-/// `repeats` wall time per policy.
+/// `repeats` wall time per policy for adding the runs. Finalize is timed
+/// once per policy, on the kept system after the timed repeats, so it
+/// cannot disturb the heap they run on.
 template <class X, class P>
 ReusePoint reuse_point(const std::string& label, const X& x, const P& act,
                        int t, int horizon, const EnumerationConfig& cfg,
@@ -112,8 +121,12 @@ ReusePoint reuse_point(const std::string& label, const X& x, const P& act,
       if (resim.run(r).record.decision(i) != relab.run(r).record.decision(i))
         out.decisions_match = false;
   }
+  auto start = Clock::now();
   resim.finalize();
+  out.resim_finalize_seconds = seconds_since(start);
+  start = Clock::now();
   relab.finalize();
+  out.finalize_seconds = seconds_since(start);
   out.knowledge_identical = relab.same_partition(resim);
   return out;
 }
@@ -146,6 +159,13 @@ SpecScalePoint spec_scale_point(const std::string& label,
   out.seconds = seconds_since(start);
   if (out.covered != out.space) out.spec_ok = false;
   return out;
+}
+
+/// The process's peak resident set so far (getrusage reports KiB on Linux).
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 int run() {
@@ -188,13 +208,17 @@ int run() {
   std::cerr << "=== bench_scale: orbit-level run reuse "
                "(simulate once, relabel everywhere) ===\n\n";
   Table rtable({"reuse point", "runs", "sims", "resim s", "relabel s",
-                "speedup", "identical"});
-  for (const auto& p : reuse)
+                "speedup", "finalize s (resim/relabel)", "identical"});
+  for (const auto& p : reuse) {
+    std::string finalize = std::to_string(p.resim_finalize_seconds).substr(0, 8);
+    finalize.append(" / ").append(
+        std::to_string(p.finalize_seconds).substr(0, 8));
     rtable.row(p.label, p.runs, p.sims,
                std::to_string(p.resim_seconds).substr(0, 8),
                std::to_string(p.seconds).substr(0, 8),
-               std::to_string(p.speedup).substr(0, 6),
+               std::to_string(p.speedup).substr(0, 6), finalize,
                p.identical_to_resimulation() ? "yes" : "NO");
+  }
   rtable.print(std::cerr);
   std::cerr << "\n";
   Table stable({"spec sweep", "worlds", "covered", "space", "seconds", "ok"});
@@ -210,6 +234,8 @@ int run() {
         << ", \"sims\": " << p.sims
         << ", \"resim_seconds\": " << p.resim_seconds
         << ", \"seconds\": " << p.seconds << ", \"speedup\": " << p.speedup
+        << ", \"resim_finalize_seconds\": " << p.resim_finalize_seconds
+        << ", \"finalize_seconds\": " << p.finalize_seconds
         << ", \"decisions_match\": " << (p.decisions_match ? "true" : "false")
         << ", \"knowledge_identical\": "
         << (p.knowledge_identical ? "true" : "false")
@@ -240,7 +266,7 @@ int run() {
     json_spec(out, spec[i]);
     out << (i + 1 < spec.size() ? ",\n" : "\n");
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"peak_rss_mib\": " << peak_rss_mib() << "\n}\n";
   std::cout << out.str();
 
   bool ok = true;

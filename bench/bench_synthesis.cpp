@@ -7,7 +7,10 @@
 // BFS per test, exactly the seed implementation. Both variants must produce
 // bit-identical decision tables; the headline config is the full
 // γ_min(n=4, t=1, drops ≤ 2 rounds) enumeration (4112 worlds) and its
-// speedup is gated here (>= 5x, kMinSpeedup). Scale points the
+// speedup is gated here (>= 5x, kMinSpeedup). The speedup compares serial
+// runs on both sides (the optimized synthesizer at one worker): at this
+// size the pool's per-call thread start costs more than it saves, and it
+// slows more than serial code on a busy host. Scale points the
 // baseline cannot reach in bench time (γ_fip n=4 full enumeration, Thm 6.5
 // at n=5, and γ_fip n=5 via orbit-level run reuse —
 // kripke/canonical_worlds.hpp) run optimized-only and are checked against
@@ -41,7 +44,8 @@ struct PointResult {
   int horizon = 0;
   std::optional<double> baseline_seconds;
   double optimized_seconds = 0;
-  std::optional<double> speedup;
+  std::optional<double> serial_seconds;  ///< optimized, one worker
+  std::optional<double> speedup;         ///< baseline / serial
   bool match = true;  ///< decisions identical (baseline vs optimized, or
                       ///< synthesized vs the paper's protocol)
   SynthesisStats stats;
@@ -117,13 +121,12 @@ bool matches_p_opt(const SynthesisResult<FipExchange>& result,
   return true;
 }
 
-constexpr SynthesisOptions kBaseline{
-    .dedup_worlds = false, .memoize = false, .workers = 1};
-constexpr SynthesisOptions kOptimized{
-    .dedup_worlds = true, .memoize = true, .workers = 0};
+constexpr SynthesisOptions kBaseline{.memoize = false, .workers = 1};
+constexpr SynthesisOptions kOptimized{.memoize = true, .workers = 0};
+constexpr SynthesisOptions kOptimizedSerial{.memoize = true, .workers = 1};
 
 /// A baseline-vs-optimized comparison point: best of `repeats` each, the
-/// two variants alternating so a slow spell of the host hits both sides.
+/// variants alternating so a slow spell of the host hits every side.
 template <class X>
 PointResult compare_point(const std::string& label, const X& x, int t,
                           KbpProgram program, const EnumerationConfig& cfg,
@@ -135,20 +138,26 @@ PointResult compare_point(const std::string& label, const X& x, int t,
   out.worlds = worlds.size();
   double base_s = 0;
   double opt_s = 0;
+  double serial_s = 0;
   SynthesisResult<X> base;
   SynthesisResult<X> fast;
+  SynthesisResult<X> serial;
   for (int r = 0; r < repeats; ++r) {
     double b = 0;
     double o = 0;
+    double s = 0;
     base = timed_run(x, t, program, kBaseline, worlds, horizon, 1, b);
     fast = timed_run(x, t, program, kOptimized, worlds, horizon, 1, o);
+    serial = timed_run(x, t, program, kOptimizedSerial, worlds, horizon, 1, s);
     if (r == 0 || b < base_s) base_s = b;
     if (r == 0 || o < opt_s) opt_s = o;
+    if (r == 0 || s < serial_s) serial_s = s;
   }
   out.baseline_seconds = base_s;
   out.optimized_seconds = opt_s;
-  out.speedup = opt_s > 0 ? base_s / opt_s : 0;
-  out.match = same_decisions(base, fast);
+  out.serial_seconds = serial_s;
+  out.speedup = serial_s > 0 ? base_s / serial_s : 0;
+  out.match = same_decisions(base, fast) && same_decisions(base, serial);
   out.stats = fast.stats;
   return out;
 }
@@ -168,7 +177,12 @@ void json_point(std::ostringstream& out, const PointResult& p,
   else
     out << "null";
   out << ", \"optimized_seconds\": " << p.optimized_seconds
-      << ", \"speedup\": ";
+      << ", \"optimized_serial_seconds\": ";
+  if (p.serial_seconds)
+    out << *p.serial_seconds;
+  else
+    out << "null";
+  out << ", \"speedup\": ";
   if (p.speedup)
     out << *p.speedup;
   else
@@ -184,10 +198,10 @@ int run() {
   std::vector<PointResult> points;
 
   // Headline: Thm 6.5's context at the seed's scaling limit — the full
-  // gamma_min(4, 1) enumeration, P0. The optimized run takes ~6 ms; a slow
-  // spell of the host across best-of-15 still sank the speedup below the
-  // floor about once in twenty runs, so the headline takes the best of 45
-  // alternating pairs (~2 s).
+  // gamma_min(4, 1) enumeration, P0. The optimized run takes ~4-6 ms; a
+  // slow spell of the host across best-of-15 still sank the speedup below
+  // the floor about once in twenty runs, so the headline takes the best of
+  // 45 alternating rounds (~2 s).
   points.push_back(compare_point("p0/gamma_min n=4 full", MinExchange(4), 1,
                                  KbpProgram::p0,
                                  {.n = 4, .t = 1, .rounds = 2}, 4, 45));
@@ -256,8 +270,8 @@ int run() {
   // Human-readable report (stderr).
   std::cerr << "=== bench_synthesis: KBP synthesizer, baseline vs "
                "class-memoized/deduped/parallel ===\n\n";
-  Table table({"point", "worlds", "baseline s", "optimized s", "speedup",
-               "eval'd/world-rounds", "C_N BFS", "match"});
+  Table table({"point", "worlds", "baseline s", "optimized s", "serial s",
+               "speedup", "eval'd/world-rounds", "C_N BFS", "match"});
   for (const auto& p : points) {
     std::ostringstream frac;
     frac << p.stats.evaluated_rounds << "/" << p.stats.world_rounds;
@@ -266,6 +280,9 @@ int run() {
                   ? std::to_string(*p.baseline_seconds).substr(0, 8)
                   : std::string("-"),
               std::to_string(p.optimized_seconds).substr(0, 8),
+              p.serial_seconds
+                  ? std::to_string(*p.serial_seconds).substr(0, 8)
+                  : std::string("-"),
               p.speedup ? std::to_string(*p.speedup).substr(0, 6)
                         : std::string("-"),
               frac.str(), p.stats.common_bfs, p.match ? "yes" : "NO");

@@ -85,7 +85,7 @@ GATED = [
 
 # Gated benches left out of the pairs, with the reason.
 UNPAIRED = {
-    "scale": "one run takes ~110 s and ~7.4 GiB; it keeps its own >= 5x "
+    "scale": "one run takes ~40 s and ~6.8 GiB; it keeps its own >= 5x "
              "relabel-vs-resimulate floor (ROADMAP item 4)",
 }
 

@@ -13,10 +13,11 @@
 //
 // Scaling (SynthesisOptions): the naive evaluation is world-by-world with a
 // fresh common-knowledge BFS per test, which caps full contexts at n <= 4.
-// Three observations make n = 5–6 and γ_fip contexts tractable, each gated
-// by an option so the naive path stays available as a baseline
-// (bench/bench_synthesis.cpp) and the equivalence of all option
-// combinations is testable (tests/test_synthesis_opts.cpp):
+// Four observations make n = 5–6 and γ_fip contexts tractable. The first
+// three are switched together by `memoize`, so the naive path stays
+// available as a baseline (bench/bench_synthesis.cpp); the fourth is
+// `workers`. Every setting is pinned against the baseline
+// (tests/test_synthesis_opts.cpp):
 //
 //   * every knowledge test of P0/P1 is a function of the agent's
 //     indistinguishability *class*, not of the (world, agent) pair — so each
@@ -29,7 +30,7 @@
 //   * worlds whose joint signature (per-agent classes, decision state,
 //     jdecided-0 flag) coincides are indistinguishable to every test, so
 //     only one representative per signature is evaluated and the actions are
-//     copied to the duplicates (`dedup_worlds`);
+//     copied to the duplicates (`memoize`);
 //   * representatives are independent given the per-round tables, so their
 //     evaluation — and the per-world state advance — fans out over the
 //     shared worker pool of net/pool.hpp (`workers`).
@@ -44,11 +45,14 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "failure/pattern.hpp"
+#include "kripke/partition.hpp"
 #include "net/pool.hpp"
 #include "sim/relabel.hpp"
 #include "sim/simulator.hpp"
@@ -68,9 +72,9 @@ struct WorldOrbit {
 };
 
 struct SynthesisOptions {
-  /// Evaluate knowledge tests once per joint-signature class of worlds.
-  bool dedup_worlds = true;
-  /// Class-level memo of the P0 tests and component memo of the C_N BFS.
+  /// Evaluate knowledge tests once per joint-signature class of worlds,
+  /// memoize the P0 tests per class and the C_N BFS per component. Off is
+  /// the naive world-by-world baseline.
   bool memoize = true;
   /// Worker threads for per-round evaluation and state advance
   /// (0 = hardware concurrency, 1 = sequential). All settings produce
@@ -108,17 +112,13 @@ class KbpSynthesizer {
   KbpSynthesizer(X x, int t, KbpProgram program, SynthesisOptions opt = {})
       : x_(std::move(x)), t_(t), program_(program), opt_(opt) {}
 
-  [[nodiscard]] SynthesisResult<X> run(const std::vector<World>& worlds,
-                                       int horizon) {
-    return run(worlds, horizon, {});
-  }
-
-  /// Orbit-reuse run: when `orbits` is non-empty it must annotate every
-  /// world with its renaming-orbit representative, and the world list must
-  /// be closed under the annotated renamings (canonical_context_worlds
-  /// guarantees both). Knowledge tests are then evaluated on representative
-  /// worlds only; member actions and advanced states are obtained by
-  /// relabeling the representative's (sim/relabel.hpp).
+  /// Synthesizes over `worlds` for `horizon` rounds. Orbit reuse: when
+  /// `orbits` is non-empty it must annotate every world with its
+  /// renaming-orbit representative, and the world list must be closed under
+  /// the annotated renamings (canonical_context_worlds guarantees both).
+  /// Knowledge tests are then evaluated on representative worlds only; member
+  /// actions and advanced states are obtained by relabeling the
+  /// representative's (sim/relabel.hpp).
   ///
   /// Soundness is the equivariance induction: member initial states equal
   /// the relabeled representative initial states by construction, and if
@@ -131,9 +131,9 @@ class KbpSynthesizer {
   /// per-world decisions are identical to the annotation-free run
   /// (tests/test_relabel.cpp pins this; bench_synthesis gates the γ_fip(5)
   /// point's decisions).
-  [[nodiscard]] SynthesisResult<X> run(const std::vector<World>& worlds,
-                                       int horizon,
-                                       const std::vector<WorldOrbit>& orbits) {
+  [[nodiscard]] SynthesisResult<X> run(
+      const std::vector<World>& worlds, int horizon,
+      const std::vector<WorldOrbit>& orbits = {}) {
     const int n = x_.n();
     const auto nw = worlds.size();
     orbits_ = orbits.empty() ? nullptr : &orbits;
@@ -173,8 +173,6 @@ class KbpSynthesizer {
     bfs_count_.store(0, std::memory_order_relaxed);
 
     SynthesisResult<X> result;
-    result.decisions.assign(nw, std::vector<std::optional<Decision>>(
-                                    static_cast<std::size_t>(n)));
     result.stats.worlds = nw;
     for (int m = 0; m < horizon; ++m) {
       build_classes();
@@ -182,32 +180,27 @@ class KbpSynthesizer {
       // The synthesized table only needs representative worlds: a duplicate
       // world's states and actions are copies of its representative's, so
       // its records are byte-identical (and every world is its own
-      // representative when dedup is off). Decisions are per world. Under
+      // representative when memoize is off). Decisions are per world. Under
       // orbit reuse, member worlds' states are *relabelings* of their
       // representative's — distinct local states the table must still
       // cover — so every world is recorded there.
+      const auto record_world = [&](std::size_t w) {
+        for (AgentId i = 0; i < n; ++i)
+          record(result, states_[w][static_cast<std::size_t>(i)],
+                 actions_[w][static_cast<std::size_t>(i)]);
+      };
       if (orbits_) {
-        for (std::size_t w = 0; w < nw; ++w)
-          for (AgentId i = 0; i < n; ++i)
-            record(result, states_[w][static_cast<std::size_t>(i)],
-                   actions_[w][static_cast<std::size_t>(i)]);
+        for (std::size_t w = 0; w < nw; ++w) record_world(w);
       } else {
-        for (const std::size_t w : reps_)
-          for (AgentId i = 0; i < n; ++i)
-            record(result, states_[w][static_cast<std::size_t>(i)],
-                   actions_[w][static_cast<std::size_t>(i)]);
+        for (const std::size_t w : reps_) record_world(w);
       }
-      for (std::size_t w = 0; w < nw; ++w) {
+      for (std::size_t w = 0; w < nw; ++w)
         for (AgentId i = 0; i < n; ++i) {
           const Action a = actions_[w][static_cast<std::size_t>(i)];
-          if (a.is_decide()) {
+          if (a.is_decide())
             decisions_[w][static_cast<std::size_t>(i)] =
                 Decision{a.value(), m + 1};
-            result.decisions[w][static_cast<std::size_t>(i)] =
-                Decision{a.value(), m + 1};
-          }
         }
-      }
       advance_round(worlds, m);
       // actions_ is rebuilt from scratch next round; swapping hands the
       // current actions to last_actions_ without reallocating either.
@@ -215,6 +208,7 @@ class KbpSynthesizer {
       result.stats.world_rounds += nw;
     }
     result.stats.common_bfs = bfs_count_.load(std::memory_order_relaxed);
+    result.decisions = std::move(decisions_);
     return result;
   }
 
@@ -222,29 +216,27 @@ class KbpSynthesizer {
   static constexpr std::size_t kGrain = 64;  ///< parallel_for chunk size
 
   /// Indistinguishability classes at the current time: for each agent, the
-  /// set of worlds sharing its local state.
+  /// worlds grouped by its local state.
   void build_classes() {
     const int n = x_.n();
-    classes_.assign(static_cast<std::size_t>(n), {});
-    class_of_.assign(states_.size(),
-                     std::vector<int>(static_cast<std::size_t>(n)));
+    classes_.clear();
     for (AgentId i = 0; i < n; ++i) {
-      std::unordered_map<State, int> ids;
-      ids.reserve(states_.size());
-      for (std::size_t w = 0; w < states_.size(); ++w) {
-        const State& s = states_[w][static_cast<std::size_t>(i)];
-        auto [it, fresh] = ids.try_emplace(s, static_cast<int>(ids.size()));
-        if (fresh) classes_[static_cast<std::size_t>(i)].emplace_back();
-        class_of_[w][static_cast<std::size_t>(i)] = it->second;
-        classes_[static_cast<std::size_t>(i)][static_cast<std::size_t>(it->second)]
-            .push_back(static_cast<int>(w));
-      }
+      const auto state_of = [&](int w) -> const State& {
+        return states_[static_cast<std::size_t>(w)]
+                      [static_cast<std::size_t>(i)];
+      };
+      classes_.emplace_back(
+          static_cast<int>(states_.size()), state_of,
+          [&](int w) { return std::hash<State>{}(state_of(w)); });
     }
   }
 
-  [[nodiscard]] const std::vector<int>& cls(std::size_t w, AgentId i) const {
-    return classes_[static_cast<std::size_t>(i)]
-                   [static_cast<std::size_t>(class_of_[w][static_cast<std::size_t>(i)])];
+  [[nodiscard]] int class_of(std::size_t w, AgentId i) const {
+    return classes_[static_cast<std::size_t>(i)].class_of(static_cast<int>(w));
+  }
+
+  [[nodiscard]] std::span<const int> cls(std::size_t w, AgentId i) const {
+    return classes_[static_cast<std::size_t>(i)].members(class_of(w, i));
   }
 
   [[nodiscard]] bool decided(std::size_t w, AgentId i) const {
@@ -374,8 +366,7 @@ class KbpSynthesizer {
           return false;
       return true;
     }
-    const std::size_t c = static_cast<std::size_t>(
-        class_of_[w][static_cast<std::size_t>(i)]);
+    const auto c = static_cast<std::size_t>(class_of(w, i));
     auto& cell = class_common_[static_cast<std::size_t>(to_int(v))]
                               [static_cast<std::size_t>(i)][c];
     const signed char cached = cell.load(std::memory_order_relaxed);
@@ -397,15 +388,17 @@ class KbpSynthesizer {
         if (!any_jdecided0(static_cast<std::size_t>(w2), m)) return false;
       return true;
     }
-    return class_jd0_[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-               class_of_[w][static_cast<std::size_t>(i)])] != 0;
+    return class_jd0_[static_cast<std::size_t>(i)]
+                     [static_cast<std::size_t>(class_of(w, i))] != 0;
   }
 
   /// Joint world signature for dedup: two worlds with equal per-agent
   /// classes (⇒ equal states), equal decision state and equal jdecided-0
   /// flag are assigned identical actions by every test.
   [[nodiscard]] bool same_signature(std::size_t a, std::size_t b) const {
-    if (jd0_[a] != jd0_[b] || class_of_[a] != class_of_[b]) return false;
+    if (jd0_[a] != jd0_[b]) return false;
+    for (AgentId i = 0; i < x_.n(); ++i)
+      if (class_of(a, i) != class_of(b, i)) return false;
     for (std::size_t i = 0; i < decisions_[a].size(); ++i) {
       const auto& da = decisions_[a][i];
       const auto& db = decisions_[b][i];
@@ -442,13 +435,14 @@ class KbpSynthesizer {
     };
     reps_.clear();
     rep_of_.resize(nw);
-    if (opt_.dedup_worlds) {
+    if (opt_.memoize) {
       std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
       for (std::size_t e = 0; e < nelig; ++e) {
         const std::size_t w = eligible(e);
         std::uint64_t h = jd0_[w] ? 0x9e3779b97f4a7c15ull : 0x2545f4914f6cdd1dull;
-        for (int c : class_of_[w])
-          h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ull;
+        for (AgentId i = 0; i < n; ++i)
+          h = (h ^ static_cast<std::uint64_t>(class_of(w, i))) *
+              0x100000001b3ull;
         for (const auto& d : decisions_[w])
           h = (h ^ (d ? 2u + static_cast<unsigned>(to_int(d->value)) : 1u)) *
               0x100000001b3ull;
@@ -477,26 +471,18 @@ class KbpSynthesizer {
     stats.evaluated_rounds += reps_.size();
 
     if (opt_.memoize) {
-      // Eager class tables for the P0 decide-0 test.
-      class_jd0_.assign(static_cast<std::size_t>(n), {});
-      for (AgentId i = 0; i < n; ++i) {
-        auto& row = class_jd0_[static_cast<std::size_t>(i)];
-        row.assign(classes_[static_cast<std::size_t>(i)].size(), 1);
-        for (std::size_t c = 0; c < row.size(); ++c)
-          for (int w2 : classes_[static_cast<std::size_t>(i)][c])
-            if (!jd0_[static_cast<std::size_t>(w2)]) {
-              row[c] = 0;
-              break;
-            }
-      }
+      // Eager class table for the P0 decide-0 test.
+      fill_class_table(class_jd0_, [&](std::size_t w) { return jd0_[w] != 0; });
       if (program_ == KbpProgram::p1) {
         for (auto v : {0, 1}) {
           reset_tristate(common_memo_[static_cast<std::size_t>(v)], nw);
           auto& per_agent = class_common_[static_cast<std::size_t>(v)];
           per_agent.resize(static_cast<std::size_t>(n));
-          for (AgentId i = 0; i < n; ++i)
-            reset_tristate(per_agent[static_cast<std::size_t>(i)],
-                           classes_[static_cast<std::size_t>(i)].size());
+          for (AgentId i = 0; i < n; ++i) {
+            const auto ui = static_cast<std::size_t>(i);
+            reset_tristate(per_agent[ui], static_cast<std::size_t>(
+                                              classes_[ui].num_classes()));
+          }
         }
       }
     }
@@ -518,27 +504,11 @@ class KbpSynthesizer {
     // determined by stage 1 (stage 2 itself never assigns decide(0), so its
     // reads of other worlds' actions are order-independent).
     if (opt_.memoize) {
-      has_decider0_.resize(nw);
-      for (std::size_t w = 0; w < nw; ++w) {
-        char any = 0;
+      fill_class_table(class_no_decider0_, [&](std::size_t w) {
         for (const Action& a : actions_[w])
-          if (a.decides(Value::zero)) {
-            any = 1;
-            break;
-          }
-        has_decider0_[w] = any;
-      }
-      class_no_decider0_.assign(static_cast<std::size_t>(n), {});
-      for (AgentId i = 0; i < n; ++i) {
-        auto& row = class_no_decider0_[static_cast<std::size_t>(i)];
-        row.assign(classes_[static_cast<std::size_t>(i)].size(), 1);
-        for (std::size_t c = 0; c < row.size(); ++c)
-          for (int w2 : classes_[static_cast<std::size_t>(i)][c])
-            if (has_decider0_[static_cast<std::size_t>(w2)]) {
-              row[c] = 0;
-              break;
-            }
-      }
+          if (a.decides(Value::zero)) return false;
+        return true;
+      });
     }
     // Without the memo tables, stage 2 reads peer worlds' stage-2 rows
     // directly (its writes are never decide(0), so the *order* is free),
@@ -550,6 +520,23 @@ class KbpSynthesizer {
                  });
     copy_rows_to_duplicates();
     copy_rows_to_orbit_members();
+  }
+
+  /// table[agent][class]: whether every world of the class satisfies pred.
+  template <class Pred>
+  void fill_class_table(std::vector<std::vector<char>>& table,
+                        const Pred& pred) const {
+    table.resize(classes_.size());
+    for (std::size_t i = 0; i < classes_.size(); ++i) {
+      const StatePartition& part = classes_[i];
+      table[i].assign(static_cast<std::size_t>(part.num_classes()), 1);
+      for (int c = 0; c < part.num_classes(); ++c)
+        for (int w : part.members(c))
+          if (!pred(static_cast<std::size_t>(w))) {
+            table[i][static_cast<std::size_t>(c)] = 0;
+            break;
+          }
+    }
   }
 
   void eval_stage1(std::size_t w, int m) {
@@ -586,7 +573,7 @@ class KbpSynthesizer {
       if (opt_.memoize) {
         knows_no_decider =
             class_no_decider0_[static_cast<std::size_t>(i)]
-                              [static_cast<std::size_t>(class_of_[w][static_cast<std::size_t>(i)])] != 0;
+                              [static_cast<std::size_t>(class_of(w, i))] != 0;
       } else {
         for (int w2 : cls(w, i)) {
           for (AgentId j = 0; j < n && knows_no_decider; ++j)
@@ -602,7 +589,7 @@ class KbpSynthesizer {
   }
 
   void copy_rows_to_duplicates() {
-    if (!opt_.dedup_worlds) return;
+    if (!opt_.memoize) return;
     auto copy = [&](std::size_t w) {
       if (rep_of_[w] != w) {
         actions_[w] = actions_[rep_of_[w]];
@@ -719,8 +706,7 @@ class KbpSynthesizer {
   std::vector<AgentSet> nonfaulty_;
   std::vector<std::vector<Value>> inits_;
   std::vector<std::vector<Action>> last_actions_;
-  std::vector<std::vector<std::vector<int>>> classes_;  ///< [agent][class]->worlds
-  std::vector<std::vector<int>> class_of_;              ///< [world][agent]
+  std::vector<StatePartition> classes_;  ///< [agent]: worlds by local state
 
   // Per-round scratch (rebuilt in assign_actions; buffers reused).
   std::vector<std::vector<Action>> actions_;     ///< round actions per world
@@ -729,7 +715,6 @@ class KbpSynthesizer {
   std::vector<std::size_t> reps_;                ///< signature representatives
   std::vector<std::size_t> rep_of_;              ///< world -> representative
   std::vector<std::vector<char>> class_jd0_;     ///< [agent][class]
-  std::vector<char> has_decider0_;               ///< per world, stage 2
   std::vector<std::vector<char>> class_no_decider0_;  ///< [agent][class]
   /// Tri-state memos (-1 unknown / 0 false / 1 true); atomics because
   /// representative evaluation races benignly (all writers store the same

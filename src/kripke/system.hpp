@@ -15,13 +15,15 @@
 // times, which the equivalence-class index exploits.
 #pragma once
 
+#include <functional>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "failure/canonical.hpp"
 #include "failure/generators.hpp"
+#include "kripke/partition.hpp"
 #include "net/pool.hpp"
 #include "sim/relabel.hpp"
 #include "sim/simulator.hpp"
@@ -161,31 +163,32 @@ class InterpretedSystem {
         });
   }
 
-  /// Builds the indistinguishability index. Call once after adding runs.
+  /// Builds the indistinguishability index: one StatePartition of the runs
+  /// per (time, agent). Call once after adding runs.
   void finalize() {
     EBA_REQUIRE(!finalized_, "system already finalized");
     EBA_REQUIRE(!runs_.empty(), "no runs");
     const int n = x_.n();
-    class_of_.assign(static_cast<std::size_t>(horizon_) + 1, {});
-    members_.assign(static_cast<std::size_t>(horizon_) + 1, {});
+    const auto runs = runs_.size();
+    partitions_.clear();
+    partitions_.reserve(static_cast<std::size_t>((horizon_ + 1) * n));
+    // Hash one time's states in one pass over the runs, so each run's
+    // states are read together rather than once per agent.
+    std::vector<std::size_t> hashes(static_cast<std::size_t>(n) * runs);
+    const std::hash<typename X::State> hash;
     for (int m = 0; m <= horizon_; ++m) {
-      auto& class_row = class_of_[static_cast<std::size_t>(m)];
-      auto& member_row = members_[static_cast<std::size_t>(m)];
-      class_row.assign(static_cast<std::size_t>(n), {});
-      member_row.assign(static_cast<std::size_t>(n), {});
-      for (AgentId i = 0; i < n; ++i) {
-        std::unordered_map<typename X::State, int> ids;
-        auto& classes = class_row[static_cast<std::size_t>(i)];
-        classes.resize(runs_.size());
-        for (int r = 0; r < static_cast<int>(runs_.size()); ++r) {
-          const auto& s = state({r, m}, i);
-          auto [it, fresh] = ids.try_emplace(s, static_cast<int>(ids.size()));
-          if (fresh) member_row[static_cast<std::size_t>(i)].emplace_back();
-          classes[static_cast<std::size_t>(r)] = it->second;
-          member_row[static_cast<std::size_t>(i)][static_cast<std::size_t>(it->second)]
-              .push_back(r);
-        }
-      }
+      for (std::size_t r = 0; r < runs; ++r)
+        for (AgentId i = 0; i < n; ++i)
+          hashes[static_cast<std::size_t>(i) * runs + r] =
+              hash(state({static_cast<int>(r), m}, i));
+      for (AgentId i = 0; i < n; ++i)
+        partitions_.emplace_back(
+            num_runs(),
+            [&](int r) -> const typename X::State& { return state({r, m}, i); },
+            [&](int r) {
+              return hashes[static_cast<std::size_t>(i) * runs +
+                            static_cast<std::size_t>(r)];
+            });
     }
     finalized_ = true;
   }
@@ -205,7 +208,7 @@ class InterpretedSystem {
   [[nodiscard]] bool same_partition(const InterpretedSystem& other) const {
     EBA_REQUIRE(finalized_ && other.finalized_,
                 "finalize() both systems first");
-    return class_of_ == other.class_of_ && members_ == other.members_;
+    return partitions_ == other.partitions_;
   }
   [[nodiscard]] const X& exchange() const { return x_; }
   [[nodiscard]] const P& action_protocol() const { return act_; }
@@ -259,14 +262,12 @@ class InterpretedSystem {
 
   /// Runs indistinguishable from pt.run for agent i at pt.time (including
   /// pt.run itself).
-  [[nodiscard]] const std::vector<int>& indistinguishable_runs(
-      AgentId i, Point pt) const {
+  [[nodiscard]] std::span<const int> indistinguishable_runs(AgentId i,
+                                                          Point pt) const {
     EBA_REQUIRE(finalized_, "finalize() the system first");
-    const int cls = class_of_[static_cast<std::size_t>(pt.time)]
-                             [static_cast<std::size_t>(i)]
-                             [static_cast<std::size_t>(pt.run)];
-    return members_[static_cast<std::size_t>(pt.time)]
-                   [static_cast<std::size_t>(i)][static_cast<std::size_t>(cls)];
+    const StatePartition& p =
+        partitions_[static_cast<std::size_t>(pt.time * n() + i)];
+    return p.members(p.class_of(pt.run));
   }
 
   /// K_i φ at pt.
@@ -305,7 +306,6 @@ class InterpretedSystem {
     EBA_REQUIRE(finalized_, "finalize() the system first");
     std::vector<char> queued(runs_.size(), 0);
     std::vector<int> frontier;
-    std::vector<int> reached;
     auto expand = [&](int from_run) {
       const Point q{from_run, pt.time};
       for (AgentId j : S(q)) {
@@ -313,7 +313,6 @@ class InterpretedSystem {
           if (queued[static_cast<std::size_t>(r)]) continue;
           queued[static_cast<std::size_t>(r)] = 1;
           frontier.push_back(r);
-          reached.push_back(r);
         }
       }
     };
@@ -339,10 +338,8 @@ class InterpretedSystem {
   int horizon_;
   bool finalized_ = false;
   std::vector<Run<X>> runs_;
-  /// class_of_[time][agent][run] -> class id
-  std::vector<std::vector<std::vector<int>>> class_of_;
-  /// members_[time][agent][class] -> runs
-  std::vector<std::vector<std::vector<std::vector<int>>>> members_;
+  /// partitions_[time * n + agent]: the runs grouped by that agent's state
+  std::vector<StatePartition> partitions_;
 };
 
 }  // namespace eba

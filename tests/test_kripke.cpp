@@ -1,16 +1,22 @@
-// Model-checker tests: sanity of the epistemic semantics (factivity,
-// locality), and the paper's characterizations —
+// Model-checker tests: the state partition both Kripke engines share,
+// sanity of the epistemic semantics (factivity, locality), and the paper's
+// characterizations —
 //   Prop A.2(a): C_N(t-faulty) at m  ⇔  dist_N(t-faulty) at m-1,
 //   Lemma A.20:  the f/D cardinality test of P_opt  ⇔  C_N(t-faulty),
 // checked by brute force over every point of exhaustively enumerated
 // systems.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <vector>
+
 #include "action/p_min.hpp"
 #include "action/p_opt.hpp"
 #include "exchange/min.hpp"
 #include "graph/knowledge.hpp"
 #include "kripke/kbp.hpp"
+#include "kripke/partition.hpp"
 #include "kripke/system.hpp"
 
 namespace eba {
@@ -31,6 +37,72 @@ FipSys build_fip_system(int n, int t, int rounds) {
   sys.add_all_runs(EnumerationConfig{.n = n, .t = t, .rounds = rounds});
   sys.finalize();
   return sys;
+}
+
+StatePartition partition_of(const std::vector<int>& keys, bool one_bucket) {
+  return StatePartition(
+      static_cast<int>(keys.size()),
+      [&](int k) -> const int& { return keys[static_cast<std::size_t>(k)]; },
+      [&](int k) -> std::size_t {
+        const int key = keys[static_cast<std::size_t>(k)];
+        return one_bucket ? 0 : std::hash<int>{}(key);
+      });
+}
+
+// StatePartition against a brute-force pairwise grouping: an item joins the
+// class of the first earlier item with an equal key, else opens the next
+// class id. A constant hash puts every key in one bucket, so equality alone
+// must separate them.
+TEST(StatePartition, MatchesPairwiseGrouping) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int count = static_cast<int>(rng() % 40);
+    const int range = 1 + static_cast<int>(rng() % 12);
+    std::vector<int> keys(static_cast<std::size_t>(count));
+    for (int& k : keys)
+      k = static_cast<int>(rng() % static_cast<unsigned>(range));
+
+    std::vector<int> want_class(keys.size());
+    std::vector<std::vector<int>> want_members;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      std::size_t j = 0;
+      while (j < k && keys[j] != keys[k]) ++j;
+      if (j == k) {
+        want_class[k] = static_cast<int>(want_members.size());
+        want_members.emplace_back();
+      } else {
+        want_class[k] = want_class[j];
+      }
+      want_members[static_cast<std::size_t>(want_class[k])].push_back(
+          static_cast<int>(k));
+    }
+
+    for (const bool one_bucket : {false, true}) {
+      const StatePartition p = partition_of(keys, one_bucket);
+      ASSERT_EQ(p.num_classes(), static_cast<int>(want_members.size()));
+      for (int k = 0; k < count; ++k)
+        EXPECT_EQ(p.class_of(k), want_class[static_cast<std::size_t>(k)]);
+      for (int c = 0; c < p.num_classes(); ++c) {
+        const auto got = p.members(c);
+        EXPECT_EQ(std::vector<int>(got.begin(), got.end()),
+                  want_members[static_cast<std::size_t>(c)]);
+      }
+    }
+    // The grouping, not the hash, is what same_partition compares.
+    EXPECT_EQ(partition_of(keys, false), partition_of(keys, true));
+    const std::vector<int> copy = keys;
+    EXPECT_EQ(partition_of(keys, false), partition_of(copy, false));
+  }
+}
+
+TEST(StatePartition, DifferentGroupingsDiffer) {
+  const std::vector<int> a{5, 5, 9, 3};
+  EXPECT_NE(partition_of(a, false), partition_of({5, 9, 5, 3}, false));
+  EXPECT_NE(partition_of(a, false), partition_of({5, 5, 9, 9}, false));
+  // Equal groupings of different keys are equal partitions.
+  EXPECT_EQ(partition_of(a, false), partition_of({1, 1, 2, 0}, false));
+  EXPECT_EQ(partition_of({}, false).num_classes(), 0);
+  EXPECT_EQ(partition_of({}, false), StatePartition());
 }
 
 TEST(KnowledgeSemantics, FactivityAndLocality) {

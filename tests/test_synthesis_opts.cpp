@@ -1,7 +1,7 @@
 // KbpSynthesizer scaling tests: (a) the optimizations are invisible —
 // synthesis produces bit-identical decision tables and per-world decisions
-// with and without world dedup, class/component memoization, and
-// parallelism; (b) the optimized synthesizer re-derives the paper's
+// with and without memoization (world dedup, class and component memos)
+// and parallelism; (b) the optimized synthesizer re-derives the paper's
 // protocols at n = 5 (Thm 6.5/6.6 beyond the seed's n <= 4 ceiling) and in
 // a γ_fip context at n = 4.
 #include <gtest/gtest.h>
@@ -29,20 +29,15 @@ std::vector<std::pair<FailurePattern, std::vector<Value>>> all_worlds(
   return worlds;
 }
 
-/// The option grid: baseline (everything off), each lever alone, all
-/// levers, and all levers with oversubscribed parallelism (4 threads even
-/// on a 1-core box exercises the pool paths).
+/// The option grid: baseline (everything off), memoization, and each with
+/// oversubscribed parallelism (4 threads even on a 1-core box exercises the
+/// pool paths).
 std::vector<std::pair<std::string, SynthesisOptions>> option_grid() {
   return {
-      {"baseline", {.dedup_worlds = false, .memoize = false, .workers = 1}},
-      {"dedup", {.dedup_worlds = true, .memoize = false, .workers = 1}},
-      {"memoize", {.dedup_worlds = false, .memoize = true, .workers = 1}},
-      {"dedup+memoize", {.dedup_worlds = true, .memoize = true, .workers = 1}},
-      {"all+parallel", {.dedup_worlds = true, .memoize = true, .workers = 4}},
-      {"parallel-no-memo",
-       {.dedup_worlds = false, .memoize = false, .workers = 4}},
-      {"dedup+parallel-no-memo",
-       {.dedup_worlds = true, .memoize = false, .workers = 4}},
+      {"baseline", {.memoize = false, .workers = 1}},
+      {"memoize", {.memoize = true, .workers = 1}},
+      {"memoize+parallel", {.memoize = true, .workers = 4}},
+      {"parallel-no-memo", {.memoize = false, .workers = 4}},
   };
 }
 
@@ -51,8 +46,8 @@ void expect_invariant_under_options(X x, int t, KbpProgram program,
                                     const EnumerationConfig& cfg,
                                     int horizon) {
   const auto worlds = all_worlds(cfg);
-  KbpSynthesizer<X> baseline_synth(
-      x, t, program, {.dedup_worlds = false, .memoize = false, .workers = 1});
+  KbpSynthesizer<X> baseline_synth(x, t, program,
+                                   {.memoize = false, .workers = 1});
   const auto baseline = baseline_synth.run(worlds, horizon);
   EXPECT_EQ(baseline.stats.evaluated_rounds, baseline.stats.world_rounds)
       << "baseline must evaluate every world every round";
@@ -73,7 +68,7 @@ void expect_invariant_under_options(X x, int t, KbpProgram program,
         }
       }
     }
-    if (opt.dedup_worlds) {
+    if (opt.memoize) {
       EXPECT_LT(result.stats.evaluated_rounds, result.stats.world_rounds)
           << name << ": dedup found no duplicate joint signatures";
     }
@@ -105,12 +100,10 @@ TEST(SynthesisOptions, P1FipContextInvariant) {
 // (world, peer) test, the memoized path one per component.
 TEST(SynthesisOptions, MemoizationCollapsesBfsCount) {
   const auto worlds = all_worlds({.n = 3, .t = 1, .rounds = 2});
-  KbpSynthesizer<FipExchange> baseline(
-      FipExchange(3), 1, KbpProgram::p1,
-      {.dedup_worlds = false, .memoize = false, .workers = 1});
-  KbpSynthesizer<FipExchange> memoized(
-      FipExchange(3), 1, KbpProgram::p1,
-      {.dedup_worlds = true, .memoize = true, .workers = 1});
+  KbpSynthesizer<FipExchange> baseline(FipExchange(3), 1, KbpProgram::p1,
+                                       {.memoize = false, .workers = 1});
+  KbpSynthesizer<FipExchange> memoized(FipExchange(3), 1, KbpProgram::p1,
+                                       {.memoize = true, .workers = 1});
   const auto slow = baseline.run(worlds, 4);
   const auto fast = memoized.run(worlds, 4);
   EXPECT_GT(slow.stats.common_bfs, 10 * fast.stats.common_bfs);
