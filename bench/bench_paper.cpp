@@ -353,7 +353,7 @@ Section failure_sweep() {
 std::size_t fip_exchange_bits(int n, int rounds) {
   const FipExchange x(n);
   auto noop = [](const FipState&) { return Action::noop(); };
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = rounds;
   opt.stop_when_all_decided = false;
   return simulate(x, noop, FailurePattern::failure_free(n), all_ones(n),
@@ -461,7 +461,7 @@ struct Worst {
 
   void observe(const RunSummary& s) {
     spec_ok = spec_ok && check_eba(s.record).ok_strict();
-    round = std::max(round, latest_round(s, AgentSet::all(s.n)));
+    round = std::max(round, latest_round(s, AgentSet::all(s.record.n)));
   }
 };
 

@@ -27,7 +27,7 @@ FipState sample_state(int n, int t, int rounds) {
   const auto alpha = silent_agents_pattern(
       n, AgentSet::all(n).minus(AgentSet::all(n - t)), rounds + 1);
   auto noop = [](const FipState&) { return Action::noop(); };
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = rounds;
   opt.stop_when_all_decided = false;
   auto run = simulate(FipExchange(n), noop, alpha, all_ones(n), t, opt);
@@ -40,7 +40,7 @@ FipState seeded_state(int n, int t, int rounds, std::uint64_t seed) {
   Rng rng(seed);
   const auto alpha = sample_adversary(n, t, rounds + 1, 0.35, rng);
   auto noop = [](const FipState&) { return Action::noop(); };
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = rounds;
   opt.stop_when_all_decided = false;
   auto run = simulate(FipExchange(n), noop, alpha, sample_preferences(n, rng),

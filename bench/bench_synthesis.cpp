@@ -104,7 +104,7 @@ bool matches_p_opt(const SynthesisResult<FipExchange>& result,
                    const std::vector<KbpSynthesizer<FipExchange>::World>& worlds,
                    int n, int horizon) {
   for (std::size_t w = 0; w < worlds.size(); ++w) {
-    SimulateOptions sopt;
+    StepperOptions sopt;
     sopt.max_rounds = horizon;
     sopt.stop_when_all_decided = false;
     const auto run = simulate(FipExchange(n), POpt(n, 1), worlds[w].first,

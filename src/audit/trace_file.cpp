@@ -78,19 +78,8 @@ Bytes write_trace(const RunRecord& record, std::uint64_t instance_id,
 }
 
 TraceFile read_trace(const Bytes& bytes, std::uint64_t key) {
-  if (bytes.size() < 8)
-    throw DecodeError(Kind::truncated, "container shorter than its preamble");
-  for (std::size_t k = 0; k < 4; ++k)
-    if (bytes[k] != static_cast<std::uint8_t>(kTraceMagic[k]))
-      throw DecodeError(Kind::bad_magic, "not an EBTR trace container");
-  const auto version =
-      static_cast<std::uint32_t>(detail::load_le(bytes.data() + 4, 4));
-  if (version != kTraceFormatVersion && version != kTraceFormatVersionKeyed)
-    throw DecodeError(Kind::bad_version,
-                      "trace version " + std::to_string(version) +
-                          " (this build reads versions " +
-                          std::to_string(kTraceFormatVersion) + " and " +
-                          std::to_string(kTraceFormatVersionKeyed) + ")");
+  const std::uint32_t version = read_preamble(
+      bytes, kTraceMagic, {kTraceFormatVersion, kTraceFormatVersionKeyed});
   if (version == kTraceFormatVersion && key != 0)
     throw DecodeError(Kind::key_mismatch,
                       "a key was supplied but the trace is unkeyed");

@@ -128,6 +128,11 @@ class FailurePattern {
   [[nodiscard]] bool go_valid(int t) const { return num_faulty() <= t; }
   [[nodiscard]] bool in_go(int t) const { return go_valid(t); }
 
+  /// in_so(t) under FailureModel::sending, in_go(t) under general.
+  [[nodiscard]] bool in_model(FailureModel model, int t) const {
+    return model == FailureModel::sending ? in_so(t) : in_go(t);
+  }
+
   /// True iff the pattern additionally satisfies the crash condition: once a
   /// message from i to some agent is dropped in round m+1, every message
   /// from i in all later recorded rounds is dropped. (A send-plane notion;

@@ -66,10 +66,9 @@ class InterpretedSystem {
   /// Adds the unique run generated by (alpha, inits).
   void add_run(const FailurePattern& alpha, const std::vector<Value>& inits) {
     EBA_REQUIRE(!finalized_, "system already finalized");
-    SimulateOptions opt;
-    opt.max_rounds = horizon_;
-    opt.stop_when_all_decided = false;
-    runs_.push_back(simulate(x_, act_, alpha, inits, t_, opt));
+    runs_.push_back(simulate(
+        x_, act_, alpha, inits, t_,
+        {.max_rounds = horizon_, .stop_when_all_decided = false}));
   }
 
   /// Adds every run of the context: all preference vectors × all
@@ -114,9 +113,8 @@ class InterpretedSystem {
       return;
     }
     const std::size_t nprefs = prefs.size();
-    SimulateOptions sopt;
-    sopt.max_rounds = horizon_;
-    sopt.stop_when_all_decided = false;
+    const StepperOptions sopt{.max_rounds = horizon_,
+                              .stop_when_all_decided = false};
     std::vector<std::optional<Run<X>>> base(nprefs);
     std::vector<Renaming> member_rens;
     std::vector<std::vector<AgentId>> member_invs;

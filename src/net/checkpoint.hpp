@@ -86,18 +86,7 @@ template <ExchangeProtocol X, class P>
     const X& x, const P& act, const Bytes& bytes,
     TraceSink<X>* sink = nullptr, std::string* adversary_state = nullptr) {
   using Kind = DecodeError::Kind;
-  if (bytes.size() < 8)
-    throw DecodeError(Kind::truncated, "checkpoint shorter than its preamble");
-  for (std::size_t k = 0; k < 4; ++k)
-    if (bytes[k] != static_cast<std::uint8_t>(kCheckpointMagic[k]))
-      throw DecodeError(Kind::bad_magic, "not an EBCK checkpoint container");
-  const auto version =
-      static_cast<std::uint32_t>(detail::load_le(bytes.data() + 4, 4));
-  if (version != kCheckpointFormatVersion)
-    throw DecodeError(Kind::bad_version,
-                      "checkpoint version " + std::to_string(version) +
-                          " (this build reads version " +
-                          std::to_string(kCheckpointFormatVersion) + ")");
+  read_preamble(bytes, kCheckpointMagic, {kCheckpointFormatVersion});
   std::size_t pos = 8;
   const Frame frame = read_frame(bytes, pos);
   if (frame.kind != detail::kCheckpointFrame)

@@ -70,14 +70,15 @@ void run_workers(int workers, Body&& body) {
 }
 
 /// Applies `fn(begin, end)` over [0, count) in dynamically claimed chunks of
-/// `grain` indices across `workers` threads (resolve_workers applied).
-/// Deterministic provided fn writes only to per-index slots.
+/// `grain` indices across `workers` threads (resolve_workers applied to the
+/// chunk count, so a range that fits one chunk runs inline on the calling
+/// thread). Deterministic provided fn writes only to per-index slots.
 template <class Fn>
 void parallel_for(int workers, std::size_t count, std::size_t grain,
                   Fn&& fn) {
   if (count == 0) return;
-  workers = resolve_workers(workers, count);
   if (grain == 0) grain = 1;
+  workers = resolve_workers(workers, (count + grain - 1) / grain);
   if (workers == 1) {
     fn(std::size_t{0}, count);
     return;

@@ -75,6 +75,31 @@ void write_preamble(Bytes& out, const char (&magic)[4], std::uint32_t version) {
   detail::store_le(out.data() + at + 4, version, 4);
 }
 
+std::uint32_t read_preamble(const Bytes& bytes, const char (&magic)[4],
+                            std::initializer_list<std::uint32_t> accepted) {
+  const std::string name(magic, 4);
+  if (bytes.size() < 8)
+    reject(Kind::truncated, name + " container shorter than its preamble");
+  for (std::size_t k = 0; k < 4; ++k)
+    if (bytes[k] != static_cast<std::uint8_t>(magic[k]))
+      reject(Kind::bad_magic, "not an " + name + " container");
+  const auto version =
+      static_cast<std::uint32_t>(detail::load_le(bytes.data() + 4, 4));
+  if (std::find(accepted.begin(), accepted.end(), version) == accepted.end()) {
+    std::string what = name;
+    what += " version ";
+    what += std::to_string(version);
+    what += " (this build reads";
+    for (const std::uint32_t v : accepted) {
+      what += ' ';
+      what += std::to_string(v);
+    }
+    what += ')';
+    reject(Kind::bad_version, what);
+  }
+  return version;
+}
+
 void write_frame(Bytes& out, std::uint8_t kind, const Bytes& payload) {
   // Header, payload and CRC go straight into `out`, which grows
   // geometrically across the frames a container appends.

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -188,6 +189,15 @@ struct Frame {
 /// Appends a durable container's preamble to `out`: its 4 magic bytes,
 /// then its u32 format version.
 void write_preamble(Bytes& out, const char (&magic)[4], std::uint32_t version);
+
+/// Checks the preamble write_preamble wrote at the start of `bytes` and
+/// returns its version; the container's frames start at offset 8. Throws
+/// DecodeError: truncated when `bytes` is shorter than the preamble,
+/// bad_magic on other magic bytes, bad_version when the version is not one
+/// of `accepted`.
+std::uint32_t read_preamble(
+    const Bytes& bytes, const char (&magic)[4],
+    std::initializer_list<std::uint32_t> accepted);
 
 /// Appends `payload` to `out` as a frame of the given kind.
 void write_frame(Bytes& out, std::uint8_t kind, const Bytes& payload);

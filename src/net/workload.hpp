@@ -651,16 +651,10 @@ WorkloadResult<X> run_adaptive_workload(const X& x, const P& act,
   instances.reserve(specs.size());
   for (AdaptiveInstanceSpec& spec : specs) {
     EBA_REQUIRE(spec.strategy != nullptr, "instance without a strategy");
-    FailurePattern base = spec.strategy->base_pattern();
-    EBA_REQUIRE(spec.strategy->model() == FailureModel::sending
-                    ? base.in_so(t)
-                    : base.in_go(t),
-                "strategy base pattern outside its model/budget");
-    instances.push_back(
-        {Stepper<X, P>(x, act, base, spec.inits, t, sopt),
-         pool.acquire(std::move(base)), spec.strategy.get()});
-    instances.back().stepper.set_adversary_hook(
-        make_strategy_hook(*spec.strategy, t));
+    Stepper<X, P> stepper =
+        adaptive_stepper(x, act, *spec.strategy, spec.inits, t, sopt);
+    const BusPool::SlotId slot = pool.acquire(stepper.pattern());
+    instances.push_back({std::move(stepper), slot, spec.strategy.get()});
   }
   detail::prepare_durability(instances, opt, result);
 

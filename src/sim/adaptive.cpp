@@ -181,8 +181,7 @@ AdversaryHook make_strategy_hook(AdversaryStrategy& strat, int t) {
     EBA_REQUIRE(alpha.n() == before.n() &&
                     alpha.nonfaulty().bits() == before.nonfaulty().bits(),
                 "adaptive strategy changed the agent population");
-    EBA_REQUIRE(strat.model() == FailureModel::sending ? alpha.in_so(t)
-                                                       : alpha.in_go(t),
+    EBA_REQUIRE(alpha.in_model(strat.model(), t),
                 "adaptive strategy left its model/budget");
     for (int m = 0; m < obs.round; ++m)
       for (AgentId i = 0; i < alpha.n(); ++i)
@@ -195,10 +194,10 @@ AdversaryHook make_strategy_hook(AdversaryStrategy& strat, int t) {
 }
 
 AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n, int t,
-                                    AdaptiveRunOptions opt) {
+                                    int max_rounds) {
   return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
     return with_protocol(k, n, t, [&](const auto& x, const auto& p) {
-      return run_adaptive(x, p, s, inits, t, opt);
+      return run_adaptive(x, p, s, inits, t, {.max_rounds = max_rounds});
     });
   };
 }

@@ -1,71 +1,39 @@
 #include "sim/drivers.hpp"
 
 #include "sim/protocol_table.hpp"
-#include "sim/stepper.hpp"
 
 namespace eba {
 
-int RunSummary::round_of(AgentId i) const {
-  const auto& d = decisions[static_cast<std::size_t>(i)];
-  return d ? d->round : -1;
+RunDriver make_min_driver(int n, int t) {
+  return make_driver(ProtocolKind::p_min, n, t);
 }
 
-namespace {
-
-template <class X, class P>
-RunSummary summarize(const X& x, const P& p, const FailurePattern& alpha,
-                     const std::vector<Value>& inits, int t,
-                     const DriveOptions& opt) {
-  // A bare stepper: the drivers never read intermediate states, so the run
-  // advances in place with no per-round state materialization.
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
-  Stepper<X, P> stepper(x, p, alpha, inits, t, sopt);
-  while (stepper.step()) {
-  }
-  RunSummary s;
-  s.n = x.n();
-  s.rounds = stepper.time();
-  s.bits_sent = stepper.bits_sent();
-  s.messages_sent = stepper.messages_sent();
-  s.record = stepper.take_record();
-  s.decisions.reserve(static_cast<std::size_t>(s.n));
-  for (AgentId i = 0; i < s.n; ++i) s.decisions.push_back(s.record.decision(i));
-  return s;
+RunDriver make_basic_driver(int n, int t) {
+  return make_driver(ProtocolKind::p_basic, n, t);
 }
 
-}  // namespace
-
-RunDriver make_min_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::p_min, n, t, opt);
+RunDriver make_fip_driver(int n, int t) {
+  return make_driver(ProtocolKind::p_opt, n, t);
 }
 
-RunDriver make_basic_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::p_basic, n, t, opt);
+RunDriver make_fip_p0_driver(int n, int t) {
+  return make_driver(ProtocolKind::p_opt_p0, n, t);
 }
 
-RunDriver make_fip_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::p_opt, n, t, opt);
+RunDriver make_go_driver(int n, int t) {
+  return make_driver(ProtocolKind::p_opt_go, n, t);
 }
 
-RunDriver make_fip_p0_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::p_opt_p0, n, t, opt);
+RunDriver make_go_p0_driver(int n, int t) {
+  return make_driver(ProtocolKind::p_opt_go_p0, n, t);
 }
 
-RunDriver make_go_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::p_opt_go, n, t, opt);
+RunDriver make_early_stop_driver(int n, int t) {
+  return make_driver(ProtocolKind::early_stop, n, t);
 }
 
-RunDriver make_go_p0_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::p_opt_go_p0, n, t, opt);
-}
-
-RunDriver make_early_stop_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::early_stop, n, t, opt);
-}
-
-RunDriver make_auth_driver(int n, int t, DriveOptions opt) {
-  return make_driver(ProtocolKind::authenticated, n, t, opt);
+RunDriver make_auth_driver(int n, int t) {
+  return make_driver(ProtocolKind::authenticated, n, t);
 }
 
 const char* to_string(ProtocolKind k) {
@@ -96,18 +64,21 @@ FailureModel model_of(ProtocolKind k) {
              : FailureModel::sending;
 }
 
-RunDriver make_driver(ProtocolKind k, int n, int t, DriveOptions opt) {
+RunDriver make_driver(ProtocolKind k, int n, int t, int max_rounds) {
   return [=](const FailurePattern& alpha, const std::vector<Value>& inits) {
     return with_protocol(k, n, t, [&](const auto& x, const auto& p) {
-      return summarize(x, p, alpha, inits, t, opt);
+      // A bare stepper: the drivers never read intermediate states, so the
+      // run advances in place with no per-round state materialization.
+      Stepper stepper(x, p, alpha, inits, t, {.max_rounds = max_rounds});
+      return run_to_end(stepper);
     });
   };
 }
 
-std::vector<NamedDriver> paper_drivers(int n, int t, DriveOptions opt) {
-  return {{"P_min", make_min_driver(n, t, opt)},
-          {"P_basic", make_basic_driver(n, t, opt)},
-          {"P_fip", make_fip_driver(n, t, opt)}};
+std::vector<NamedDriver> paper_drivers(int n, int t) {
+  return {{"P_min", make_min_driver(n, t)},
+          {"P_basic", make_basic_driver(n, t)},
+          {"P_fip", make_fip_driver(n, t)}};
 }
 
 }  // namespace eba

@@ -12,51 +12,32 @@
 #include "core/spec.hpp"
 #include "core/types.hpp"
 #include "failure/pattern.hpp"
+#include "sim/simulator.hpp"
 
 namespace eba {
-
-struct RunSummary {
-  int n = 0;
-  int rounds = 0;  ///< rounds actually simulated
-  std::vector<std::optional<Decision>> decisions;
-  std::size_t bits_sent = 0;
-  std::size_t messages_sent = 0;
-  RunRecord record;
-
-  /// Largest decision round over nonfaulty agents; -1 if some never decide.
-  [[nodiscard]] int last_nonfaulty_round() const {
-    return record.last_nonfaulty_round();
-  }
-  /// Decision round of agent i, or -1.
-  [[nodiscard]] int round_of(AgentId i) const;
-};
-
-struct DriveOptions {
-  int max_rounds = 0;  ///< 0 = t+4
-};
 
 using RunDriver =
     std::function<RunSummary(const FailurePattern&, const std::vector<Value>&)>;
 
-RunDriver make_min_driver(int n, int t, DriveOptions opt = {});
-RunDriver make_basic_driver(int n, int t, DriveOptions opt = {});
-RunDriver make_fip_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_min_driver(int n, int t);
+RunDriver make_basic_driver(int n, int t);
+RunDriver make_fip_driver(int n, int t);
 /// Ablation: P0 over the full-information exchange (P_opt with the
 /// common-knowledge lines disabled) — correct but not optimal.
-RunDriver make_fip_p0_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_fip_p0_driver(int n, int t);
 /// P_opt_go over the full-information exchange — the general-omissions
 /// optimal protocol. Correct on GO(t) patterns (and a fortiori on SO(t)).
-RunDriver make_go_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_go_driver(int n, int t);
 /// Ablation: the GO evaluation of P0 (P_opt_go with the common-knowledge
 /// lines disabled) — correct in γ_go but not optimal.
-RunDriver make_go_p0_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_go_p0_driver(int n, int t);
 /// P_es over E_report — the early-stopping baseline, deciding in
 /// min(f+2, t+2) rounds where f is the realized fault count.
-RunDriver make_early_stop_driver(int n, int t, DriveOptions opt = {});
+RunDriver make_early_stop_driver(int n, int t);
 /// P_auth over E_auth — the signature-authenticated variant of P_es, and
-/// the library's first per-destination (non-broadcast) exchange. The
-/// default master key is fixed; pass another to model key rotation.
-RunDriver make_auth_driver(int n, int t, DriveOptions opt = {});
+/// the library's first per-destination (non-broadcast) exchange, signing
+/// under kDefaultAuthKey.
+RunDriver make_auth_driver(int n, int t);
 
 /// The shared master key the authenticated driver signs under when the
 /// caller does not supply one.
@@ -84,8 +65,9 @@ enum class ProtocolKind : std::uint8_t {
 [[nodiscard]] FailureModel model_of(ProtocolKind k);
 
 /// The driver for kind k; the factory functions above are named shorthands.
+/// Each run stops at `max_rounds` (0 = t+4) or once every agent decided.
 [[nodiscard]] RunDriver make_driver(ProtocolKind k, int n, int t,
-                                    DriveOptions opt = {});
+                                    int max_rounds = 0);
 
 struct NamedDriver {
   std::string name;
@@ -93,7 +75,6 @@ struct NamedDriver {
 };
 
 /// The paper's three protocols, in the order P_min, P_basic, P_fip.
-[[nodiscard]] std::vector<NamedDriver> paper_drivers(int n, int t,
-                                                     DriveOptions opt = {});
+[[nodiscard]] std::vector<NamedDriver> paper_drivers(int n, int t);
 
 }  // namespace eba

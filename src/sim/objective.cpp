@@ -8,7 +8,7 @@
 #include "action/p_opt_go.hpp"
 #include "exchange/fip.hpp"
 #include "failure/generators.hpp"
-#include "sim/stepper.hpp"
+#include "sim/simulator.hpp"
 
 namespace eba {
 namespace {
@@ -45,16 +45,13 @@ PatternScore ambiguity_score(const FipExchange& x, const P& act, int t,
                              const FailurePattern& alpha) {
   Accumulator acc;
   for (const auto& pv : prefs) {
-    StepperOptions sopt;
-    sopt.max_rounds = horizon;
-    Stepper<FipExchange, P> st(x, act, alpha, pv, t, sopt);
-    while (st.step()) {
-    }
+    Stepper<FipExchange, P> st(x, act, alpha, pv, t, {.max_rounds = horizon});
+    const RunSummary s = run_to_end(st);
     double amb = 0;
     for (AgentId i : alpha.nonfaulty())
       amb += P::evidence_ambiguity(st.states()[static_cast<std::size_t>(i)],
                                    t);
-    acc.add(amb, st.record().last_nonfaulty_round(), st.time());
+    acc.add(amb, s.last_nonfaulty_round(), s.record.rounds);
   }
   return acc.out;
 }
@@ -82,8 +79,7 @@ PatternEvaluator make_pattern_evaluator(ObjectiveConfig cfg) {
     return evaluator(std::make_shared<POptGo>(cfg.n, cfg.t));
   }
 
-  RunDriver drive = make_driver(cfg.protocol, cfg.n, cfg.t,
-                                DriveOptions{.max_rounds = horizon});
+  RunDriver drive = make_driver(cfg.protocol, cfg.n, cfg.t, horizon);
   const bool round_objective =
       cfg.objective == SearchObjective::decision_round;
   return [cfg = std::move(cfg), drive = std::move(drive), horizon,
@@ -96,7 +92,7 @@ PatternEvaluator make_pattern_evaluator(ObjectiveConfig cfg) {
           round_objective
               ? (last < 0 ? horizon + 1 : last)
               : static_cast<double>(suppressed_messages(s.record));
-      acc.add(score, last, s.rounds);
+      acc.add(score, last, s.record.rounds);
     }
     return acc.out;
   };

@@ -33,7 +33,7 @@ struct ObjectiveConfig {
   int t = 0;
   /// Preference vectors to maximize over; empty = all 2^n of them.
   std::vector<std::vector<Value>> prefs;
-  int max_rounds = 0;  ///< per-run horizon; 0 = t+4 (as DriveOptions)
+  int max_rounds = 0;  ///< per-run horizon; 0 = t+4 (as make_driver)
 };
 
 [[nodiscard]] PatternEvaluator make_pattern_evaluator(ObjectiveConfig cfg);

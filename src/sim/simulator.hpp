@@ -1,14 +1,18 @@
 // The synchronous runs-and-systems simulator (paper §3).
 //
 // Given an information-exchange protocol E, an action protocol P, a failure
-// pattern α and initial preferences, the run is uniquely determined.
-// `simulate()` computes it with the paper's round semantics — at each time k
-// every agent performs P(s_i), the exchange chooses messages µ(s_i, a_i),
-// the adversary filters them, and δ produces the time-(k+1) states — by
-// driving the in-place `Stepper` (stepper.hpp) with a `MaterializingSink`,
-// recovering the classic fully-materialized `Run<X>` (every agent's state at
-// every time). Callers that only need the record should run a bare Stepper
-// instead and skip the per-round state copies (sim/drivers.cpp does).
+// pattern α and initial preferences, the run is uniquely determined. Every
+// in-memory run-to-completion entry point — `simulate()` below, the
+// type-erased drivers (sim/drivers.hpp), the adaptive runners
+// (sim/adaptive.hpp) and the search objectives (sim/objective.cpp) — builds
+// a `Stepper` (stepper.hpp) and hands it to `run_to_end`, the one loop that
+// steps an instance with the paper's round semantics — at each time k every
+// agent performs P(s_i), the exchange chooses messages µ(s_i, a_i), the
+// adversary filters them, and δ produces the time-(k+1) states — until it is
+// done. `simulate()` attaches a `MaterializingSink` to recover the classic
+// fully-materialized `Run<X>` (every agent's state at every time); callers
+// that only need the record run a bare Stepper and skip the per-round state
+// copies (sim/drivers.cpp does).
 #pragma once
 
 #include <utility>
@@ -21,42 +25,55 @@
 
 namespace eba {
 
-/// A fully materialized run: the protocol-agnostic record plus the typed
-/// state of every agent at every time.
-template <ExchangeProtocol X>
-struct Run {
+/// What a completed run leaves behind: its protocol-agnostic record plus
+/// the wire accounting (Prop 8.1's bit count).
+struct RunSummary {
   RunRecord record;
-  /// states[m][i]: local state of agent i at time m, m in 0..record.rounds.
-  std::vector<std::vector<typename X::State>> states;
   std::size_t bits_sent = 0;
   std::size_t messages_sent = 0;
+
+  /// Largest decision round over nonfaulty agents; -1 if some never decide.
+  [[nodiscard]] int last_nonfaulty_round() const {
+    return record.last_nonfaulty_round();
+  }
+  /// Decision round of agent i, or -1.
+  [[nodiscard]] int round_of(AgentId i) const {
+    const auto d = record.decision(i);
+    return d ? d->round : -1;
+  }
+
+  friend bool operator==(const RunSummary&, const RunSummary&) = default;
+};
+
+/// A fully materialized run: the summary plus the typed state of every
+/// agent at every time.
+template <ExchangeProtocol X>
+struct Run : RunSummary {
+  /// states[m][i]: local state of agent i at time m, m in 0..record.rounds.
+  std::vector<std::vector<typename X::State>> states;
 
   friend bool operator==(const Run&, const Run&) = default;
 };
 
-struct SimulateOptions {
-  int max_rounds = 0;                 ///< 0 = use t+4
-  bool stop_when_all_decided = true;  ///< stop early once every agent decided
-};
+/// Steps the instance until it is done and returns its summary. The one
+/// run-to-end loop of the in-memory engines; the stepper keeps its final
+/// states and (for an adaptive run) its realized pattern.
+template <ExchangeProtocol X, class P>
+RunSummary run_to_end(Stepper<X, P>& stepper) {
+  while (stepper.step()) {
+  }
+  return {.record = stepper.take_record(),
+          .bits_sent = stepper.bits_sent(),
+          .messages_sent = stepper.messages_sent()};
+}
 
 template <ExchangeProtocol X, class P>
 Run<X> simulate(const X& x, const P& act, const FailurePattern& alpha,
                 const std::vector<Value>& inits, int t,
-                const SimulateOptions& opt = {}) {
-  StepperOptions sopt;
-  sopt.max_rounds = opt.max_rounds;
-  sopt.stop_when_all_decided = opt.stop_when_all_decided;
+                const StepperOptions& opt = {}) {
   MaterializingSink<X> sink;
-  Stepper<X, P> stepper(x, act, alpha, inits, t, sopt, &sink);
-  while (stepper.step()) {
-  }
-
-  Run<X> run;
-  run.bits_sent = stepper.bits_sent();
-  run.messages_sent = stepper.messages_sent();
-  run.record = stepper.take_record();
-  run.states = std::move(sink.states());
-  return run;
+  Stepper<X, P> stepper(x, act, alpha, inits, t, opt, &sink);
+  return {run_to_end(stepper), std::move(sink.states())};
 }
 
 }  // namespace eba

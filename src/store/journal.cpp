@@ -147,13 +147,7 @@ Journal Journal::open(Vfs& vfs, const std::string& dir,
     throw DecodeError(DecodeError::Kind::missing_frame,
                       "journal manifest missing in " + dir);
   const Bytes mb = vfs.read(manifest_path);
-  if (mb.size() < 8 ||
-      !std::equal(kManifestMagic, kManifestMagic + 4, mb.begin()))
-    throw DecodeError(DecodeError::Kind::bad_magic,
-                      "manifest does not start with EBMF");
-  if (detail::load_le(mb.data() + 4, 4) != kManifestVersion)
-    throw DecodeError(DecodeError::Kind::bad_version,
-                      "manifest version unknown to this build");
+  read_preamble(mb, kManifestMagic, {kManifestVersion});
   std::size_t pos = 8;
   const Frame frame = read_frame(mb, pos);
   if (frame.kind != kManifestFrame)

@@ -22,7 +22,7 @@ template <ExchangeProtocol X, class P>
 Run<X> reference_simulate(const X& x, const P& act,
                           const FailurePattern& alpha,
                           const std::vector<Value>& inits, int t,
-                          const SimulateOptions& opt = {}) {
+                          const StepperOptions& opt = {}) {
   const int n = x.n();
   EBA_REQUIRE(alpha.n() == n, "pattern/exchange agent count mismatch");
   EBA_REQUIRE(static_cast<int>(inits.size()) == n, "inits size mismatch");

@@ -241,9 +241,9 @@ TEST(Equivariance, ProtocolsCommuteWithAgentRenaming) {
         const RunSummary base = drive(alpha, prefs);
         const RunSummary image = drive(relabeled_alpha, relabeled_prefs);
         for (AgentId i = 0; i < n; ++i) {
-          const auto& d = base.decisions[static_cast<std::size_t>(i)];
-          const auto& e = image.decisions[static_cast<std::size_t>(
-              perm[static_cast<std::size_t>(i)])];
+          const auto d = base.record.decision(i);
+          const auto e =
+              image.record.decision(perm[static_cast<std::size_t>(i)]);
           ASSERT_EQ(d.has_value(), e.has_value())
               << name << " n=" << n << " t=" << t << " agent " << i;
           if (d) {

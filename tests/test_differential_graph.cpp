@@ -156,7 +156,7 @@ TEST(DifferentialGraph, CachedDecisionsMatchFromScratchRecomputation) {
 
     const FipExchange x(n);
     const POpt p(n, t);
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = t + 3;
     const auto run = simulate(x, p, alpha, prefs, t, opt);
 
@@ -188,7 +188,7 @@ TEST(DifferentialGraph, StaticTestsAgreeWithCachedOverloads) {
     const auto prefs = sample_preferences(n, rng);
     const FipExchange x(n);
     const POpt p(n, t);
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = t + 2;
     opt.stop_when_all_decided = false;
     const auto run = simulate(x, p, alpha, prefs, t, opt);

@@ -99,11 +99,7 @@ class BrokenPMin {
 RunDriver broken_min_driver(int n, int t) {
   return [n, t](const FailurePattern& alpha, const std::vector<Value>& prefs) {
     auto run = simulate(MinExchange(n), BrokenPMin(n, t), alpha, prefs, t);
-    RunSummary s;
-    s.n = n;
-    s.rounds = run.record.rounds;
-    s.record = std::move(run.record);
-    return s;
+    return RunSummary{.record = std::move(run.record)};
   };
 }
 
@@ -193,11 +189,7 @@ TEST(FuzzOracle, ShrinkRequiresAFailingCase) {
                                 const std::vector<Value>& prefs) {
     auto run = simulate(MinExchange(cfg.n), PMin(cfg.n, cfg.t), alpha, prefs,
                         cfg.t);
-    RunSummary s;
-    s.n = cfg.n;
-    s.rounds = run.record.rounds;
-    s.record = std::move(run.record);
-    return s;
+    return RunSummary{.record = std::move(run.record)};
   };
   EXPECT_THROW((void)shrink_failure(cfg, correct, minimal_broken_pattern(cfg.n),
                                     minimal_broken_prefs(cfg.n)),

@@ -99,7 +99,7 @@ TEST_P(SynthesisGo, P1InGoContextMatchesPOptGo) {
   KbpSynthesizer<FipExchange> synth(FipExchange(n), t, KbpProgram::p1);
   const auto result = synth.run(worlds, horizon);
   for (std::size_t w = 0; w < worlds.size(); ++w) {
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = horizon;
     opt.stop_when_all_decided = false;
     const auto run = simulate(FipExchange(n), POptGo(n, t), worlds[w].first,
@@ -295,7 +295,7 @@ TEST(GoFaults, EvidenceRecurrenceOverARun) {
   alpha.deafen_forever(0, 2);                  // 0 hears nobody, rounds 1-2
   const std::vector<Value> inits{Value::one, Value::one, Value::one,
                                  Value::one};
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.stop_when_all_decided = false;
   opt.max_rounds = 3;
   const auto run = simulate(FipExchange(n), POptGo(n, t), alpha, inits, t, opt);
@@ -340,7 +340,7 @@ TEST(GoFaults, DeafAgentEventuallyDecidesOne) {
   auto zeros = ones;
   zeros[1] = Value::zero;
   const RunSummary z = make_go_driver(n, t)(alpha, zeros);
-  EXPECT_EQ(z.decisions[0]->value, Value::one);
+  EXPECT_EQ(z.record.decision(0)->value, Value::one);
   EXPECT_TRUE(check_eba(z.record).ok());
 }
 
@@ -362,7 +362,7 @@ TEST(GoFaults, PartiallyDeafAgentJoinsTheForcedCascade) {
   // missing messages force {0} as the fault set: 1 is provably nonfaulty,
   // provably heard 2's broadcast, and provably decides 0 in round 2 — so 0
   // knows "some agent just decided 0" without having witnessed it.
-  EXPECT_EQ(s.decisions[0]->value, Value::zero);
+  EXPECT_EQ(s.record.decision(0)->value, Value::zero);
   EXPECT_EQ(s.round_of(0), 3);
   EXPECT_EQ(s.round_of(1), 2);
   EXPECT_EQ(s.round_of(2), 1);
@@ -474,9 +474,9 @@ TEST(GoDifferential, POptGoCommutesWithAgentRenaming) {
       const RunSummary base = drive(alpha, prefs);
       const RunSummary image = drive(beta, relabeled_prefs);
       for (AgentId i = 0; i < n; ++i) {
-        const auto& d = base.decisions[static_cast<std::size_t>(i)];
-        const auto& e = image.decisions[static_cast<std::size_t>(
-            perm[static_cast<std::size_t>(i)])];
+        const auto d = base.record.decision(i);
+        const auto e =
+            image.record.decision(perm[static_cast<std::size_t>(i)]);
         ASSERT_EQ(d.has_value(), e.has_value()) << "agent " << i;
         if (d) {
           EXPECT_EQ(d->value, e->value) << "agent " << i;

@@ -21,7 +21,7 @@ std::vector<FipState> fip_states(int n, const FailurePattern& alpha,
                                  const std::vector<Value>& inits, int rounds) {
   const FipExchange x(n);
   auto noop = [](const FipState&) { return Action::noop(); };
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = rounds;
   opt.stop_when_all_decided = false;
   auto run = simulate(x, noop, alpha, inits, /*t=*/n - 2, opt);
@@ -122,7 +122,7 @@ TEST(ExtractViewTest, ReconstructsExactSentGraph) {
   alpha.drop(1, 3, 2);
   const FipExchange x(n);
   auto noop = [](const FipState&) { return Action::noop(); };
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = 3;
   opt.stop_when_all_decided = false;
   const auto run = simulate(x, noop, alpha, mixed_inits(n), n - 2, opt);

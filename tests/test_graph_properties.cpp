@@ -28,7 +28,7 @@ class GraphProperties : public ::testing::TestWithParam<Shape> {
     const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
     const auto prefs = sample_preferences(n, rng);
     auto noop = [](const FipState&) { return Action::noop(); };
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = t + 2;
     opt.stop_when_all_decided = false;
     return simulate(FipExchange(n), noop, alpha, prefs, t, opt).states;
@@ -113,7 +113,7 @@ TEST_P(GraphProperties, KnownFaultsAreMonotoneAndSound) {
   const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
   const auto prefs = sample_preferences(n, rng);
   auto noop = [](const FipState&) { return Action::noop(); };
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = t + 2;
   opt.stop_when_all_decided = false;
   const auto run = simulate(FipExchange(n), noop, alpha, prefs, t, opt);

@@ -149,7 +149,7 @@ TEST(Synthesis, P1InFipContextMatchesPOpt) {
 
   const auto drive = [&](const FailurePattern& alpha,
                          const std::vector<Value>& inits) {
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = 4;
     opt.stop_when_all_decided = false;
     return simulate(FipExchange(n), POpt(n, t), alpha, inits, t, opt);

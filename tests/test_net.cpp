@@ -733,7 +733,7 @@ void expect_cluster_matches_simulator(const X& x, const P& p,
                                       const FailurePattern& alpha,
                                       const std::vector<Value>& inits, int t) {
   const auto cluster = run_cluster(x, p, alpha, inits, t);
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = t + 4;
   const auto sim = simulate(x, p, alpha, inits, t, opt);
   ASSERT_EQ(cluster.record.rounds, sim.record.rounds);

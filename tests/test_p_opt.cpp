@@ -17,7 +17,7 @@ namespace {
 
 Run<FipExchange> run_fip(int n, int t, const FailurePattern& alpha,
                          const std::vector<Value>& inits, int rounds) {
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = rounds;
   opt.stop_when_all_decided = false;
   return simulate(FipExchange(n), POpt(n, t), alpha, inits, t, opt);
@@ -114,7 +114,7 @@ TEST(POptConditions, CommonZeroBlockedByKnownOneDecision) {
   const int n = 4;
   const int t = 1;
   const auto alpha = silent_agents_pattern(n, AgentSet{3}, 4);
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = 4;
   opt.stop_when_all_decided = false;
   const auto run = simulate(FipExchange(n), POpt(n, t), alpha, all_ones(n), t, opt);
@@ -141,7 +141,7 @@ TEST(POptConditions, CommonZeroTakesPriorityOverCommonOne) {
   }
   const std::vector<Value> prefs = {Value::one, Value::zero, Value::one,
                                     Value::one};
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = 4;
   opt.stop_when_all_decided = false;
   const POpt p(n, t);
@@ -163,7 +163,7 @@ TEST(POptInference, TablesAreConsistentWithActualActions) {
   for (int k = 0; k < 20; ++k) {
     const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
     const auto prefs = sample_preferences(n, rng);
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = t + 3;
     opt.stop_when_all_decided = false;
     const auto run = simulate(FipExchange(n), POpt(n, t), alpha, prefs, t, opt);
@@ -241,7 +241,7 @@ std::vector<std::vector<FipState>> cold_states(int n, int t, int rounds,
         std::is_same_v<P, POptGo>
             ? sample_go_adversary(n, t, rounds + 1, 0.4, 0.3, rng)
             : sample_adversary(n, t, rounds + 1, 0.4, rng);
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = rounds;
     opt.stop_when_all_decided = false;
     const auto run = simulate(FipExchange(n), P(n, t), alpha,

@@ -53,7 +53,7 @@ TEST_P(RandomSweep, ZeroDecisionsAreChainBacked) {
       const RunSummary s = drive(alpha, prefs);
       const auto chains = analyze_zero_chains(s.record);
       for (AgentId i = 0; i < n; ++i) {
-        const auto d = s.decisions[static_cast<std::size_t>(i)];
+        const auto d = s.record.decision(i);
         if (!d || d->value != Value::zero) continue;
         EXPECT_TRUE(chains.receives_chain(i, d->round - 1))
             << name << ": agent " << i << " decided 0 in round " << d->round
@@ -77,7 +77,7 @@ TEST_P(RandomSweep, NonfaultyValuesNeverSplit) {
       const RunSummary s = drive(alpha, prefs);
       AgentSet zeros, ones;
       for (AgentId i : alpha.nonfaulty()) {
-        const auto d = s.decisions[static_cast<std::size_t>(i)];
+        const auto d = s.record.decision(i);
         ASSERT_TRUE(d.has_value()) << name;
         (d->value == Value::zero ? zeros : ones).insert(i);
       }
@@ -172,8 +172,8 @@ TEST(EdgeShapes, TwoAgents) {
                                {Value::one, Value::zero});
     EXPECT_TRUE(check_eba(s.record).ok_strict()) << name;
     for (AgentId i = 0; i < 2; ++i) {
-      ASSERT_TRUE(s.decisions[static_cast<std::size_t>(i)].has_value());
-      EXPECT_EQ(s.decisions[static_cast<std::size_t>(i)]->value, Value::zero);
+      ASSERT_TRUE(s.record.decision(i).has_value());
+      EXPECT_EQ(s.record.decision(i)->value, Value::zero);
     }
   }
 }

@@ -38,11 +38,11 @@ TEST_P(FailureFree, SomeZeroDecidesByRoundTwo) {
     for (AgentId z = 0; z < n; ++z) {
       const RunSummary s = drive(alpha, ones_with_zero_at(n, z));
       for (AgentId i = 0; i < n; ++i) {
-        ASSERT_TRUE(s.decisions[static_cast<std::size_t>(i)].has_value())
+        ASSERT_TRUE(s.record.decision(i).has_value())
             << name << " agent " << i;
-        EXPECT_EQ(s.decisions[static_cast<std::size_t>(i)]->value, Value::zero)
+        EXPECT_EQ(s.record.decision(i)->value, Value::zero)
             << name;
-        EXPECT_LE(s.decisions[static_cast<std::size_t>(i)]->round, 2) << name;
+        EXPECT_LE(s.record.decision(i)->round, 2) << name;
       }
       EXPECT_TRUE(check_eba(s.record).ok_strict()) << name;
     }
@@ -64,9 +64,9 @@ TEST_P(FailureFree, AllOnesRounds) {
     EXPECT_EQ(min_run.round_of(i), t + 2) << "P_min agent " << i;
     EXPECT_EQ(basic_run.round_of(i), 2) << "P_basic agent " << i;
     EXPECT_EQ(fip_run.round_of(i), 2) << "P_fip agent " << i;
-    EXPECT_EQ(min_run.decisions[static_cast<std::size_t>(i)]->value, Value::one);
-    EXPECT_EQ(basic_run.decisions[static_cast<std::size_t>(i)]->value, Value::one);
-    EXPECT_EQ(fip_run.decisions[static_cast<std::size_t>(i)]->value, Value::one);
+    EXPECT_EQ(min_run.record.decision(i)->value, Value::one);
+    EXPECT_EQ(basic_run.record.decision(i)->value, Value::one);
+    EXPECT_EQ(fip_run.record.decision(i)->value, Value::one);
   }
 }
 
@@ -222,7 +222,7 @@ TEST_P(FailureFree, ZooBaselinesDecideByRoundTwo) {
     const RunSummary ones_run = drive(alpha, all_ones(n));
     for (AgentId i = 0; i < n; ++i) {
       EXPECT_EQ(ones_run.round_of(i), 2) << name << " agent " << i;
-      EXPECT_EQ(ones_run.decisions[static_cast<std::size_t>(i)]->value,
+      EXPECT_EQ(ones_run.record.decision(i)->value,
                 Value::one)
           << name;
     }
@@ -230,9 +230,9 @@ TEST_P(FailureFree, ZooBaselinesDecideByRoundTwo) {
     for (AgentId z = 0; z < n; ++z) {
       const RunSummary s = drive(alpha, ones_with_zero_at(n, z));
       for (AgentId i = 0; i < n; ++i) {
-        ASSERT_TRUE(s.decisions[static_cast<std::size_t>(i)].has_value())
+        ASSERT_TRUE(s.record.decision(i).has_value())
             << name << " agent " << i;
-        EXPECT_EQ(s.decisions[static_cast<std::size_t>(i)]->value, Value::zero)
+        EXPECT_EQ(s.record.decision(i)->value, Value::zero)
             << name;
         EXPECT_LE(s.round_of(i), 2) << name;
       }

@@ -10,6 +10,7 @@
 // or a failed verification, never an accept and never UB.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,33 @@ TEST(TraceFileTest, EveryTruncationAndBitFlipRejected) {
   }
 }
 
+TEST(CheckpointTest, ShortMagicAndVersionSkewRejectedByKind) {
+  using Kind = DecodeError::Kind;
+  const int n = 4, t = 1;
+  const MinExchange x(n);
+  const PMin p(n, t);
+  Stepper<MinExchange, PMin> stepper(x, p, FailurePattern::failure_free(n),
+                                     std::vector<Value>(n, Value::one), t);
+  ASSERT_TRUE(stepper.step());
+  const Bytes ck = checkpoint_stepper(stepper);
+  const auto kind_of = [&](const Bytes& bytes) -> std::optional<Kind> {
+    try {
+      (void)restore_stepper<MinExchange, PMin>(x, p, bytes);
+    } catch (const DecodeError& e) {
+      return e.kind();
+    }
+    return std::nullopt;
+  };
+  EXPECT_EQ(kind_of(Bytes(ck.begin(), ck.begin() + 7)), Kind::truncated);
+  Bytes magic = ck;
+  magic[3] = 'X';
+  EXPECT_EQ(kind_of(magic), Kind::bad_magic);
+  Bytes skew = ck;
+  skew[4] += 1;
+  EXPECT_EQ(kind_of(skew), Kind::bad_version);
+  EXPECT_EQ(kind_of(ck), std::nullopt);
+}
+
 TEST(TraceFileTest, VersionSkewMagicAndTrailingRejected) {
   const int n = 4, t = 1;
   const auto run = simulate(MinExchange(n), PMin(n, t),
@@ -242,7 +270,7 @@ TEST(TraceFileTest, TruncatedHorizonRunVerifiesWithoutDecision) {
   // one, and replay_verify must accept the trace without the termination
   // properties (which a cut run cannot satisfy).
   const int n = 5, t = 2;
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = 1;
   const auto run = simulate(MinExchange(n), PMin(n, t),
                             seeded_pattern(n, t, FailureModel::sending, 61),

@@ -61,7 +61,7 @@ template <class X, class P>
 void expect_equivariant(const X& x, const P& act, const FailurePattern& alpha,
                         const std::vector<Value>& prefs, int t,
                         const std::vector<AgentId>& perm, const char* label) {
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = t + 2;
   opt.stop_when_all_decided = false;
   const Run<X> base = simulate(x, act, alpha, prefs, t, opt);
@@ -117,7 +117,7 @@ TEST(RelabelRun, MatchesResimulationOnAdaptiveRealizedPatterns) {
     for (const auto& factory : shipped_strategies(n, t, model)) {
       const auto strat = factory.make(3);
       const std::vector<Value> prefs = sample_preferences(n, rng);
-      AdaptiveRunOptions aopt;
+      StepperOptions aopt;
       aopt.stop_when_all_decided = false;
       const AdaptiveOutcome out = run_adaptive(
           FipExchange(n), POptGo(n, t), *strat, prefs, t, aopt);

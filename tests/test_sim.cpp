@@ -8,6 +8,7 @@
 #include "core/spec.hpp"
 #include "failure/generators.hpp"
 #include "sim/drivers.hpp"
+#include "sim/protocol_table.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
 
@@ -43,13 +44,13 @@ TEST(SimulatorTest, StopsWhenAllDecided) {
   prefs[0] = Value::zero;
   const RunSummary s =
       make_min_driver(n, t)(FailurePattern::failure_free(n), prefs);
-  EXPECT_EQ(s.rounds, 2);
+  EXPECT_EQ(s.record.rounds, 2);
 }
 
 TEST(SimulatorTest, NoEarlyStopCoversHorizon) {
   const MinExchange x(4);
   const PMin p(4, 2);
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = 6;
   opt.stop_when_all_decided = false;
   const auto run = simulate(x, p, FailurePattern::failure_free(4), all_ones(4),
@@ -94,7 +95,7 @@ TEST(BitAccounting, PBasicFailureFreeAllOnes) {
   const int t = 3;
   const auto s =
       make_basic_driver(n, t)(FailurePattern::failure_free(n), all_ones(n));
-  EXPECT_EQ(s.rounds, 2);
+  EXPECT_EQ(s.record.rounds, 2);
   EXPECT_EQ(s.bits_sent, 2u * 2u * static_cast<std::size_t>(n) *
                              static_cast<std::size_t>(n - 1));
 }
@@ -122,7 +123,7 @@ TEST(BitAccounting, FipGraphSizesGrowLinearlyInTime) {
   const int t = 2;
   const FipExchange x(n);
   const POpt p(n, t);
-  SimulateOptions opt;
+  StepperOptions opt;
   opt.max_rounds = 3;
   opt.stop_when_all_decided = false;
   const auto run =
@@ -157,6 +158,52 @@ TEST(SimulatorTest, MismatchedInputsThrow) {
   EXPECT_THROW(
       simulate(x, p, FailurePattern::failure_free(3), all_ones(2), 1),
       std::logic_error);
+}
+
+// The type-erased drivers against simulate() of the same (exchange, action)
+// pair: equal records and wire accounting for every ProtocolKind on sampled
+// SO patterns (and GO patterns for the _go kinds), at the default horizon
+// and with max_rounds cutting the run short.
+TEST(DriverEquivalence, EveryKindMatchesSimulate) {
+  const int n = 5;
+  const int t = 2;
+  Rng rng(29);
+  int truncated = 0;
+  for (const ProtocolKind k :
+       {ProtocolKind::p_min, ProtocolKind::p_basic, ProtocolKind::p_opt,
+        ProtocolKind::p_opt_p0, ProtocolKind::p_opt_go,
+        ProtocolKind::p_opt_go_p0, ProtocolKind::early_stop,
+        ProtocolKind::authenticated}) {
+    std::vector<FailurePattern> patterns;
+    for (int s = 0; s < 4; ++s) {
+      patterns.push_back(sample_adversary(n, t, t + 2, 0.4, rng));
+      if (model_of(k) == FailureModel::general)
+        patterns.push_back(sample_go_adversary(n, t, t + 2, 0.4, 0.3, rng));
+    }
+    for (const int max_rounds : {0, 1, 2}) {
+      const RunDriver drive = make_driver(k, n, t, max_rounds);
+      for (const FailurePattern& alpha : patterns) {
+        const auto prefs = sample_preferences(n, rng);
+        const RunSummary got = drive(alpha, prefs);
+        const RunSummary want = with_protocol(
+            k, n, t, [&](const auto& x, const auto& p) -> RunSummary {
+              return simulate(x, p, alpha, prefs, t,
+                              {.max_rounds = max_rounds});
+            });
+        const std::string what =
+            std::string(to_string(k)) + " max_rounds=" +
+            std::to_string(max_rounds);
+        EXPECT_EQ(got.record, want.record) << what;
+        EXPECT_EQ(got.bits_sent, want.bits_sent) << what;
+        EXPECT_EQ(got.messages_sent, want.messages_sent) << what;
+        if (max_rounds > 0) {
+          EXPECT_LE(got.record.rounds, max_rounds) << what;
+          truncated += got.last_nonfaulty_round() < 0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0) << "no run was cut short by max_rounds";
 }
 
 }  // namespace

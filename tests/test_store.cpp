@@ -557,6 +557,31 @@ TEST(JournalTest, OpenWithoutManifestIsTyped) {
   }
 }
 
+TEST(JournalTest, ManifestShortMagicAndVersionSkewRejectedByKind) {
+  MemVfs vfs;
+  (void)Journal::create(vfs, "jl");
+  const Bytes good = vfs.read("jl/MANIFEST");
+  const auto kind_of = [&](const Bytes& manifest) -> std::optional<Kind> {
+    auto f = vfs.create("jl/MANIFEST");
+    f->append(manifest);
+    f->sync();
+    try {
+      (void)Journal::open(vfs, "jl");
+    } catch (const DecodeError& e) {
+      return e.kind();
+    }
+    return std::nullopt;
+  };
+  EXPECT_EQ(kind_of(Bytes(good.begin(), good.begin() + 7)), Kind::truncated);
+  Bytes magic = good;
+  magic[3] = 'X';
+  EXPECT_EQ(kind_of(magic), Kind::bad_magic);
+  Bytes skew = good;
+  skew[4] += 1;
+  EXPECT_EQ(kind_of(skew), Kind::bad_version);
+  EXPECT_EQ(kind_of(good), std::nullopt);
+}
+
 TEST(JournalTest, OversizePayloadRefused) {
   MemVfs vfs;
   Journal j = Journal::create(vfs, "jl");

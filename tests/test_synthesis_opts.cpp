@@ -156,7 +156,7 @@ TEST(SynthesisScale, P1FipContextMatchesPOptAtN4) {
   KbpSynthesizer<FipExchange> synth(FipExchange(n), t, KbpProgram::p1);
   const auto result = synth.run(worlds, 4);
   for (std::size_t w = 0; w < worlds.size(); ++w) {
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = 4;
     opt.stop_when_all_decided = false;
     const auto run = simulate(FipExchange(n), POpt(n, t), worlds[w].first,

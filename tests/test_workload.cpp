@@ -46,7 +46,7 @@ template <class X, class P>
 void expect_engine_matches_reference(const X& x, const P& p,
                                      const FailurePattern& alpha,
                                      const std::vector<Value>& inits, int t,
-                                     const SimulateOptions& opt,
+                                     const StepperOptions& opt,
                                      const std::string& what) {
   const auto want = testing::reference_simulate(x, p, alpha, inits, t, opt);
 
@@ -85,16 +85,16 @@ void sweep_protocol(MakeX make_x, MakeP make_p, int n, int t,
     const std::string what = name + " seed=" + std::to_string(seed) +
                              " iter=" + std::to_string(k);
     // Default early-stopping semantics.
-    expect_engine_matches_reference(x, p, alpha, prefs, t, SimulateOptions{},
+    expect_engine_matches_reference(x, p, alpha, prefs, t, StepperOptions{},
                                     what);
     // max_rounds truncation: a horizon so short runs are cut mid-protocol.
-    SimulateOptions truncated;
+    StepperOptions truncated;
     truncated.max_rounds = 2;
     expect_engine_matches_reference(x, p, alpha, prefs, t, truncated,
                                     what + " truncated");
     // No early stop: the run must cover the whole horizon even after
     // every agent decided.
-    SimulateOptions full;
+    StepperOptions full;
     full.max_rounds = t + 3;
     full.stop_when_all_decided = false;
     expect_engine_matches_reference(x, p, alpha, prefs, t, full,
@@ -133,7 +133,7 @@ TEST(StepperEquivalence, EarlyDecideStopsLikeSeed) {
   prefs[0] = Value::zero;
   expect_engine_matches_reference(MinExchange(n), PMin(n, t),
                                   FailurePattern::failure_free(n), prefs, t,
-                                  SimulateOptions{}, "early-decide");
+                                  StepperOptions{}, "early-decide");
 }
 
 TEST(StepperTest, UndecidedCounterTracksDecisions) {
@@ -198,7 +198,7 @@ template <class X, class P>
 void expect_sink_pins_reference(const X& x, const P& p,
                                 const FailurePattern& alpha,
                                 const std::vector<Value>& inits, int t,
-                                const SimulateOptions& opt,
+                                const StepperOptions& opt,
                                 const std::string& what) {
   const auto want = testing::reference_simulate(x, p, alpha, inits, t, opt);
 
@@ -239,14 +239,14 @@ TEST(StepperTest, SinkBoundariesUnderEarlyDecideMatchReference) {
   prefs[1] = Value::zero;
   expect_sink_pins_reference(MinExchange(n), PMin(n, t),
                              FailurePattern::failure_free(n), prefs, t,
-                             SimulateOptions{}, "sink early-decide p_min");
+                             StepperOptions{}, "sink early-decide p_min");
 
   Rng rng(404);
   for (int k = 0; k < 3; ++k) {
     const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
     expect_sink_pins_reference(FipExchange(n), POpt(n, t), alpha,
                                sample_preferences(n, rng), t,
-                               SimulateOptions{},
+                               StepperOptions{},
                                "sink early-decide p_opt iter=" +
                                    std::to_string(k));
   }
@@ -257,7 +257,7 @@ TEST(StepperTest, SinkBoundariesUnderMaxRoundsTruncationMatchReference) {
   const int t = 2;
   Rng rng(405);
   for (int max_rounds : {1, 2}) {
-    SimulateOptions opt;
+    StepperOptions opt;
     opt.max_rounds = max_rounds;
     opt.stop_when_all_decided = false;
     const auto alpha = sample_adversary(n, t, t + 2, 0.4, rng);
@@ -269,6 +269,37 @@ TEST(StepperTest, SinkBoundariesUnderMaxRoundsTruncationMatchReference) {
         FipExchange(n), POpt(n, t), alpha, prefs, t, opt,
         "sink truncated p_opt R=" + std::to_string(max_rounds));
   }
+}
+
+TEST(ParallelForTest, OneChunkRunsOnceOnTheCallingThread) {
+  for (const std::size_t count : {std::size_t{1}, std::size_t{40},
+                                  std::size_t{64}}) {
+    int calls = 0;
+    std::thread::id ran_on;
+    parallel_for(4, count, 64, [&](std::size_t begin, std::size_t end) {
+      calls += 1;
+      ran_on = std::this_thread::get_id();
+      EXPECT_EQ(begin, 0u);
+      EXPECT_EQ(end, count);
+    });
+    EXPECT_EQ(calls, 1) << count;
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << count;
+  }
+}
+
+TEST(ParallelForTest, MultiChunkOutputIsTheSameAtEveryWorkerCount) {
+  const std::size_t count = 1000;
+  const auto fill = [&](int workers) {
+    std::vector<std::uint64_t> out(count, 0);
+    parallel_for(workers, count, 64, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) out[i] = i * i + 7;
+    });
+    return out;
+  };
+  const std::vector<std::uint64_t> one = fill(1);
+  for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(one[i], i * i + 7);
+  EXPECT_EQ(fill(2), one);
+  EXPECT_EQ(fill(4), one);
 }
 
 TEST(BusPoolTest, AcquireReleaseAndExhaustion) {
@@ -845,7 +876,7 @@ void expect_workload_matches_reference(const X& x, const P& p, int t,
   EXPECT_EQ(result.concurrent_instances, specs.size());
   for (std::size_t k = 0; k < specs.size(); ++k) {
     const auto want = testing::reference_simulate(
-        x, p, specs[k].alpha, specs[k].inits, t, SimulateOptions{});
+        x, p, specs[k].alpha, specs[k].inits, t, StepperOptions{});
     expect_records_equal(result.instances[k].record, want.record,
                          name + " instance " + std::to_string(k));
     EXPECT_EQ(result.instances[k].final_states, want.states.back())
@@ -954,7 +985,7 @@ TEST(AdaptiveWorkloadTest, ThreeEnginesAgreeOnSeededStrategies) {
       auto sim_strat = factory.make(seed);
       FailurePattern sim_realized = FailurePattern::failure_free(1);
       const auto sim = simulate_adaptive(x, p, *sim_strat, prefs, t,
-                                         SimulateOptions{}, &sim_realized);
+                                         StepperOptions{}, &sim_realized);
 
       std::vector<AdaptiveInstanceSpec> specs;
       specs.push_back({factory.make(seed), prefs});
