@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 

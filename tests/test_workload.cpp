@@ -1051,6 +1051,51 @@ class FixedPatternStrategy final : public AdversaryStrategy {
   FailurePattern alpha_;
 };
 
+/// Commits a base pattern with t+1 faulty agents and counts the rounds it
+/// is shown.
+class OverBudgetStrategy final : public AdversaryStrategy {
+ public:
+  OverBudgetStrategy(int n, int t) : n_(n), t_(t) {}
+  [[nodiscard]] std::string name() const override { return "over_budget"; }
+  [[nodiscard]] FailureModel model() const override {
+    return FailureModel::general;
+  }
+  [[nodiscard]] FailurePattern base_pattern() override {
+    return FailurePattern(n_, AgentSet::all(n_).minus(AgentSet::all(t_ + 1)));
+  }
+  void on_round(const StagedRound&, FailurePattern&) override { ++rounds; }
+  int rounds = 0;
+
+ private:
+  int n_;
+  int t_;
+};
+
+TEST(AdaptiveWorkloadTest, EveryEngineRejectsAnOverBudgetBaseBeforeRoundOne) {
+  // The base pattern's model/budget check belongs to the shared setup, so
+  // every engine refuses the instance before the strategy sees a round.
+  const int n = 4;
+  const int t = 1;
+  const MinExchange x(n);
+  const PMin p(n, t);
+  const std::vector<Value> prefs(static_cast<std::size_t>(n), Value::one);
+
+  OverBudgetStrategy bare(n, t);
+  EXPECT_THROW((void)run_adaptive(x, p, bare, prefs, t), std::logic_error);
+  EXPECT_EQ(bare.rounds, 0);
+
+  OverBudgetStrategy sim(n, t);
+  EXPECT_THROW((void)simulate_adaptive(x, p, sim, prefs, t), std::logic_error);
+  EXPECT_EQ(sim.rounds, 0);
+
+  std::vector<AdaptiveInstanceSpec> specs;
+  specs.push_back({std::make_unique<OverBudgetStrategy>(n, t), prefs});
+  const auto* pooled = static_cast<OverBudgetStrategy*>(specs[0].strategy.get());
+  EXPECT_THROW((void)run_adaptive_workload(x, p, std::span(specs), t, {}),
+               std::logic_error);
+  EXPECT_EQ(pooled->rounds, 0);
+}
+
 /// GO(t) worlds with receive-plane drops through the adaptive driver's
 /// sync_pattern path: the bus must filter with both planes exactly as the
 /// seed simulator does.
