@@ -193,11 +193,10 @@ AdversaryHook make_strategy_hook(AdversaryStrategy& strat, int t) {
   };
 }
 
-AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n, int t,
-                                    int max_rounds) {
+AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n, int t) {
   return [=](AdversaryStrategy& s, const std::vector<Value>& inits) {
     return with_protocol(k, n, t, [&](const auto& x, const auto& p) {
-      return run_adaptive(x, p, s, inits, t, {.max_rounds = max_rounds});
+      return run_adaptive(x, p, s, inits, t);
     });
   };
 }

@@ -105,7 +105,7 @@ template <ExchangeProtocol X, class P>
 Stepper<X, P> adaptive_stepper(const X& x, const P& act,
                                AdversaryStrategy& strat,
                                std::vector<Value> inits, int t,
-                               const StepperOptions& opt = {},
+                               const StepperOptions& opt,
                                TraceSink<X>* sink = nullptr) {
   FailurePattern base = strat.base_pattern();
   EBA_REQUIRE(base.in_model(strat.model(), t),
@@ -149,12 +149,11 @@ Run<X> simulate_adaptive(const X& x, const P& act, AdversaryStrategy& strat,
 }
 
 /// Type-erased adaptive runner, dispatched on ProtocolKind like
-/// make_driver; each run stops at `max_rounds` (0 = t+4) or once every
-/// agent decided.
+/// make_driver; each run stops at t+4 rounds or once every agent decided.
 using AdaptiveDriver =
     std::function<AdaptiveOutcome(AdversaryStrategy&, const std::vector<Value>&)>;
 
 [[nodiscard]] AdaptiveDriver make_adaptive_driver(ProtocolKind k, int n,
-                                                  int t, int max_rounds = 0);
+                                                  int t);
 
 }  // namespace eba

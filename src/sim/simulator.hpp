@@ -1,18 +1,17 @@
 // The synchronous runs-and-systems simulator (paper §3).
 //
 // Given an information-exchange protocol E, an action protocol P, a failure
-// pattern α and initial preferences, the run is uniquely determined. Every
-// in-memory run-to-completion entry point — `simulate()` below, the
-// type-erased drivers (sim/drivers.hpp), the adaptive runners
-// (sim/adaptive.hpp) and the search objectives (sim/objective.cpp) — builds
-// a `Stepper` (stepper.hpp) and hands it to `run_to_end`, the one loop that
-// steps an instance with the paper's round semantics — at each time k every
-// agent performs P(s_i), the exchange chooses messages µ(s_i, a_i), the
-// adversary filters them, and δ produces the time-(k+1) states — until it is
-// done. `simulate()` attaches a `MaterializingSink` to recover the classic
-// fully-materialized `Run<X>` (every agent's state at every time); callers
-// that only need the record run a bare Stepper and skip the per-round state
-// copies (sim/drivers.cpp does).
+// pattern α and initial preferences, the run is uniquely determined. The
+// `Stepper` (stepper.hpp) computes it with the paper's round semantics — at
+// each time k every agent performs P(s_i), the exchange chooses messages
+// µ(s_i, a_i), the adversary filters them, and δ produces the time-(k+1)
+// states — and `run_to_end` is the one loop that steps it until it is done.
+// Every in-memory entry point calls it: `simulate()` below, the type-erased
+// drivers (sim/drivers.hpp), the adaptive runners (sim/adaptive.hpp) and the
+// search objectives (sim/objective.cpp). `simulate()` attaches a
+// `MaterializingSink` to recover the classic fully-materialized `Run<X>`
+// (every agent's state at every time); callers that only need the record run
+// a bare Stepper and skip the per-round state copies (sim/drivers.cpp does).
 #pragma once
 
 #include <utility>
